@@ -55,7 +55,6 @@ print("\nscalar broadcast instance (noise 0.5 vs 2.0, error threshold 0.5):")
 print(f"  signal variance  t* = {design.t_star:.9f}  (algebra: 2/3)")
 print(f"  receiver-1 error    = {design.trace_mse_rx1:.9f}  (algebra: 2/7)")
 print(f"  receiver-2 error    = {design.trace_mse_rx2:.9f}  (pinned to the threshold)")
-print(f"  chain certificate   = {design.chain_residual:.2e}")
 
 # a 2x2 instance: same story, no hand algebra available
 inst2 = BroadcastInstance(

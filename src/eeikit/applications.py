@@ -22,7 +22,7 @@ from .errors import (
     SingularCovariance,
     ThresholdUnreachable,
 )
-from .gaussmat import MarkovTriple, markov_residual, symmetrize
+from .gaussmat import symmetrize
 
 __all__ = [
     "BroadcastInstance",
@@ -127,18 +127,13 @@ class BroadcastInstance:
 class BroadcastDesign:
     """Transmit covariance pinning receiver 2 to the threshold.
 
-    ``alpha`` is the realized scaling constant along the search ray,
-    identical to ``t_star``.  ``chain_residual`` certifies that the
-    intended receiver's posterior is unchanged by the (here trivial)
-    noise reduction, via the conditional-independence kernel.
+    ``t_star`` is the realized scaling constant along the search ray.
     """
 
     s_x_star: NDArray
     t_star: float
     trace_mse_rx1: float
     trace_mse_rx2: float
-    alpha: float
-    chain_residual: float
 
     def as_dict(self) -> dict:
         return {
@@ -146,8 +141,6 @@ class BroadcastDesign:
             "t_star": self.t_star,
             "trace_mse_rx1": self.trace_mse_rx1,
             "trace_mse_rx2": self.trace_mse_rx2,
-            "alpha": self.alpha,
-            "chain_residual": self.chain_residual,
         }
 
 
@@ -199,17 +192,9 @@ def design_private_message(inst: BroadcastInstance) -> BroadcastDesign:
         raise SeparationFailed(
             f"receiver-1 trace {rx1:.9g} exceeds the threshold {tr_r:.9g}"
         )
-    # With a positive-definite transmit covariance the noise-reduction
-    # multiplier vanishes, so the reduced noise equals the true noise and
-    # the chain kernel is checked on the trivial split.
-    chain = markov_residual(
-        MarkovTriple(s_star, s_star + inst.s_z1, s_star + inst.s_z1)
-    )
     return BroadcastDesign(
         s_x_star=s_star,
         t_star=float(t_star),
         trace_mse_rx1=rx1,
         trace_mse_rx2=rx2,
-        alpha=float(t_star),
-        chain_residual=chain,
     )

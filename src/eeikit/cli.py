@@ -36,7 +36,7 @@ from .errors import (
     SplitInfeasible,
     ThresholdUnreachable,
 )
-from .gaussmat import cov_to_json, load_cov
+from .gaussmat import cov_to_json, load_cov, spectral_scale
 from .oracle import (
     GridDensity,
     _convolve_pair,
@@ -198,12 +198,13 @@ def _matrix_result(cert) -> dict:
     return cert.as_dict()
 
 
-def _worst_certificate_residual(cert) -> float:
+def _worst_certificate_residual(cert, *inputs) -> float:
+    """Worst certificate residual relative to the spectral scale of the inputs."""
     return max(
         cert.zero_product_residual,
         cert.markov_residual,
         max(0.0, -cert.order_residual),
-    )
+    ) / spectral_scale(*inputs)
 
 
 def _execute(args, seed: int, tol: float):
@@ -216,10 +217,9 @@ def _execute(args, seed: int, tol: float):
     if command == "construct-l":
         mu = _require_mu(args, command)
         _need(args, ("x", "w"), command)
-        cert = construct_l(
-            _parse_matrix(args.x, "x"), _parse_matrix(args.w, "w"), mu
-        )
-        worst = _worst_certificate_residual(cert)
+        x, w = _parse_matrix(args.x, "x"), _parse_matrix(args.w, "w")
+        cert = construct_l(x, w, mu)
+        worst = _worst_certificate_residual(cert, x, w)
         return (
             {"n": cert.s_x_star.shape[0], "mu": mu, "lhs": worst, "rhs": 0.0,
              "margin": -worst, "trials": 1},
@@ -228,10 +228,9 @@ def _execute(args, seed: int, tol: float):
     if command == "construct-k":
         mu = _require_mu(args, command)
         _need(args, ("w", "v"), command)
-        cert = construct_k(
-            _parse_matrix(args.w, "w"), _parse_matrix(args.v, "v"), mu
-        )
-        worst = _worst_certificate_residual(cert)
+        w, v = _parse_matrix(args.w, "w"), _parse_matrix(args.v, "v")
+        cert = construct_k(w, v, mu)
+        worst = _worst_certificate_residual(cert, w, v)
         return (
             {"n": cert.s_x_star.shape[0], "mu": mu, "lhs": worst, "rhs": 0.0,
              "margin": -worst, "trials": 1},
@@ -249,9 +248,10 @@ def _execute(args, seed: int, tol: float):
         s_star, value, cert = eei_optimum(instance)
         result = _matrix_result(cert)
         result["objective"] = value
+        worst = _worst_certificate_residual(cert, instance.s_w, instance.s_v, instance.r)
         return (
-            {"n": instance.dim, "mu": mu, "lhs": cert.markov_residual,
-             "rhs": 0.0, "margin": -cert.markov_residual, "trials": 1},
+            {"n": instance.dim, "mu": mu, "lhs": worst, "rhs": 0.0,
+             "margin": -worst, "trials": 1},
             result,
         )
     if command == "verify-eei":

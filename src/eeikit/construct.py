@@ -355,9 +355,10 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Constrained two-noise optimum: fixed-point split, projected ascent with a
-# quasi-Newton step length, then an active-set Newton polish on the
-# identified face of the feasible band {0 <= S <= R}.
+# Constrained two-noise optimum: one path.  The fixed-point noise split gives
+# the start, log-barrier Newton path following converges to the maximizer
+# from inside the band {0 <= S <= R}, and eigenvalues of S and of R - S left
+# at barrier distance from zero are pinned onto the boundary face.
 # ---------------------------------------------------------------------------
 
 
@@ -434,57 +435,6 @@ def _tangent_residual(
     return float(np.linalg.norm(symmetrize(g + k - n_mat)))
 
 
-def _ascend(
-    s0: NDArray,
-    w: NDArray,
-    v: NDArray,
-    r: NDArray,
-    mu: float,
-    grad_tol: float,
-    max_iter: int,
-) -> NDArray:
-    """Projected gradient ascent with Barzilai-Borwein step lengths.
-
-    The step is halved until the objective does not decrease; iteration
-    stops once the tangent-cone gradient residual falls below ``grad_tol``
-    or progress stalls.
-    """
-    s = _project_band(s0, r)
-    g = _grad_two_noise(s, w, v, mu)
-    f_cur = objective_two_noise(s, w, v, mu)
-    step = 1.0
-    stalls = 0
-    for it in range(max_iter):
-        if it % 8 == 0 and _tangent_residual(s, w, v, r, mu) <= grad_tol:
-            break
-        s_new = s
-        moved = False
-        for _ in range(25):
-            cand = _project_band(s + step * g, r, max_sweeps=8)
-            if float(np.max(np.abs(cand - s))) == 0.0:
-                step *= 0.5
-                continue
-            f_new = objective_two_noise(cand, w, v, mu)
-            if f_new >= f_cur:
-                s_new, f_cur, moved = cand, f_new, True
-                break
-            step *= 0.5
-        if not moved:
-            stalls += 1
-            if stalls >= 2:
-                break
-            step = 1.0
-            continue
-        stalls = 0
-        g_new = _grad_two_noise(s_new, w, v, mu)
-        ds, dg = s_new - s, g_new - g
-        denom = -float(np.sum(ds * dg))
-        num = float(np.sum(ds * ds))
-        step = min(max(num / denom, 1e-12), 1e6) if denom > 1e-18 else min(step * 4.0, 1e6)
-        s, g = s_new, g_new
-    return s
-
-
 def _sym_basis(f: NDArray) -> list[NDArray]:
     """Basis of symmetric matrices supported on the column span of f."""
     k = f.shape[1]
@@ -495,21 +445,6 @@ def _sym_basis(f: NDArray) -> list[NDArray]:
             e = np.outer(f[:, i], f[:, j])
             basis.append(e + e.T)
     return basis
-
-
-def _orth_complement(a: NDArray) -> NDArray:
-    """Orthonormal basis of the complement of the column span of a."""
-    n = a.shape[0]
-    if a.shape[1] == 0:
-        return np.eye(n)
-    p = symmetrize(np.eye(n) - a @ a.T)
-    w, vecs = np.linalg.eigh(p)
-    return vecs[:, w > 0.5]
-
-
-def _feas_viol(s: NDArray, r: NDArray) -> float:
-    """Most negative eigenvalue over the band constraints S >= 0, S <= R."""
-    return min(_min_eig(s), _min_eig(r - s))
 
 
 def _barrier_value(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, tau: float) -> float:
@@ -609,8 +544,8 @@ def _interior_newton(s0: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float)
     Newton-centers a sequence of barrier surrogates with geometrically
     decreasing weight.  The returned point is strictly feasible and close
     to the constrained maximizer, with nearly active eigenmodes separated
-    from inactive ones by many orders of magnitude; the exact-face snap
-    finishes the job.
+    from inactive ones by many orders of magnitude; :func:`_pin_faces`
+    moves the nearly active ones onto the boundary.
     """
     n = s0.shape[0]
     bstack = np.stack(_sym_basis(np.eye(n)))
@@ -633,153 +568,12 @@ def _interior_newton(s0: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float)
     return _barrier_stage(s, w, v, r, mu, tau_floor, bstack, iters=60, center_tol=1e-3)
 
 
-def _face_newton(
-    s: NDArray,
-    basis: list[NDArray],
-    w: NDArray,
-    v: NDArray,
-    r: NDArray,
-    mu: float,
-    iters: int = 40,
-) -> NDArray:
-    """Damped Newton ascent of the plain objective restricted to a face."""
-    if not basis:
-        return s
-    scale = spectral_scale(w, v, r)
-    bstack = np.stack(basis)
-    m = bstack.shape[0]
-    f_cur = objective_two_noise(s, w, v, mu)
-    damp = 0.0
-    for _ in range(iters):
-        pw = np.linalg.inv(s + w)
-        pv = np.linalg.inv(s + v)
-        g_full = symmetrize(0.5 * pw - 0.5 * mu * pv)
-        grad = np.einsum("kl,mkl->m", g_full, bstack)
-        if float(np.linalg.norm(grad)) <= 1e-13 * max(
-            1.0, float(np.max(np.abs(g_full)))
-        ) * math.sqrt(m):
-            break
-        hess = np.zeros((m, m))
-        for p, coef in ((pw, -0.5), (pv, 0.5 * mu)):
-            pb = np.matmul(p[None], bstack)
-            hess += coef * np.einsum("ikl,jlk->ij", pb, pb)
-        hess = 0.5 * (hess + hess.T)
-        h_scale = max(float(np.max(np.abs(hess))), 1e-30)
-        top = float(np.linalg.eigvalsh(hess)[-1])
-        damp = max(damp, 1e-10 * h_scale)
-        accepted = False
-        t_used = 0.0
-        for _ in range(30):
-            shift = max(0.0, top) + damp
-            try:
-                delta = np.linalg.solve(hess - shift * np.eye(m), -grad)
-            except np.linalg.LinAlgError:
-                damp *= 10.0
-                continue
-            d_s = symmetrize(np.einsum("m,mkl->kl", delta, bstack))
-            t_used = 1.0
-            if _feas_viol(symmetrize(s + d_s), r) < -1e-12 * scale:
-                lo, hi = 0.0, 1.0
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    if _feas_viol(symmetrize(s + mid * d_s), r) >= -1e-13 * scale:
-                        lo = mid
-                    else:
-                        hi = mid
-                t_used = lo
-            cand = symmetrize(s + t_used * d_s)
-            f_new = objective_two_noise(cand, w, v, mu)
-            if t_used > 0.0 and f_new >= f_cur - 1e-15:
-                s, f_cur, accepted = cand, f_new, True
-                damp = max(damp / 10.0, 1e-10 * h_scale)
-                break
-            damp *= 10.0
-        if not accepted:
-            break
-        if t_used * float(np.linalg.norm(d_s)) < 1e-14 * scale:
-            break
-    return s
-
-
-def _snap_at(
-    s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, tier: float
-) -> NDArray | None:
-    """Snap eigenmodes within tier * scale of a band face and re-optimize."""
-    n = s.shape[0]
-    scale = spectral_scale(w, v, r)
-    lam0, q0 = np.linalg.eigh(symmetrize(s))
-    lam1, q1 = np.linalg.eigh(symmetrize(r - s))
-    u0 = q0[:, lam0 < tier * scale]
-    u1 = q1[:, lam1 < tier * scale]
-    if not (u0.shape[1] or u1.shape[1]):
-        return None
-    act = np.hstack([u0, u1])
-    pinned = np.hstack([np.zeros((n, u0.shape[1])), r @ u1])
-    snapped = _affine_snap(s, act, pinned)
-    if snapped is None:
-        return None
-    qa, ra = np.linalg.qr(act)
-    a = qa[:, np.abs(np.diag(ra)) > 1e-10]
-    free = _orth_complement(a)
-    cand = snapped if free.shape[1] == 0 else _face_newton(snapped, _sym_basis(free), w, v, r, mu)
-    if _feas_viol(cand, r) < -1e-9 * scale:
-        return None
-    return _project_band(cand, r)
-
-
-def _exact_face_snap(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float) -> NDArray:
-    """Pin nearly active boundary eigenmodes exactly and refit the rest.
-
-    The barrier solution leaves active eigenvalues tiny but positive, at a
-    distance that grows to sqrt(tau) for degenerate constraints, so a
-    ladder of detection thresholds is tried; the candidate with the best
-    first-order residual wins, with the objective as tie-break protection
-    against pinning a genuinely interior mode.
-    """
-    g_scale = max(1.0, float(np.max(np.abs(_grad_two_noise(s, w, v, mu)))))
-    cands = [(s, objective_two_noise(s, w, v, mu), _tangent_residual(s, w, v, r, mu))]
-    for tier in (1e-9, 3e-8, 1e-6, 3e-5):
-        cand = _snap_at(s, w, v, r, mu, tier)
-        if cand is None:
-            continue
-        cands.append(
-            (cand, objective_two_noise(cand, w, v, mu), _tangent_residual(cand, w, v, r, mu))
-        )
-    clean = [c for c in cands if c[2] <= 1e-9 * g_scale]
-    if clean:
-        return max(clean, key=lambda c: c[1])[0]
-    return min(cands, key=lambda c: c[2])[0]
-
-
-def _affine_snap(s: NDArray, act: NDArray, t: NDArray) -> NDArray | None:
-    """Nearest symmetric matrix to s with S @ act = t; None if inconsistent."""
-    n = s.shape[0]
-    if act.shape[1] == 0:
-        return symmetrize(s)
-    # Solve in vectorized form with symmetry built in via the sym basis of R^n.
-    # Constraints: S @ act = t  (n * k equations).
-    idx = [(i, j) for i in range(n) for j in range(i, n)]
-    cols = []
-    for (i, j) in idx:
-        e = np.zeros((n, n))
-        e[i, j] = 1.0
-        e[j, i] = 1.0
-        cols.append((e @ act).ravel())
-    amat = np.array(cols).T
-    rhs = t.ravel() - (symmetrize(s) @ act).ravel()
-    sol = np.linalg.lstsq(amat, rhs, rcond=None)[0]
-    fit = amat @ sol - rhs
-    if float(np.max(np.abs(fit))) > 1e-7 * max(1.0, float(np.max(np.abs(t)))):
-        return None
-    delta = np.zeros((n, n))
-    for coef, (i, j) in zip(sol, idx):
-        delta[i, j] += coef
-        if i != j:
-            delta[j, i] += coef
-    out = symmetrize(s) + delta
-    if float(np.max(np.abs(out @ act - t))) > 1e-6 * max(1.0, float(np.max(np.abs(t)))):
-        return None
-    return symmetrize(out)
+def _pin_faces(s: NDArray, r: NDArray, tol: float) -> NDArray:
+    """Set the eigenvalues of S, then of R - S, that lie below tol to zero."""
+    lam, q = np.linalg.eigh(symmetrize(s))
+    s = q @ (np.where(lam < tol, 0.0, lam)[:, None] * q.T)
+    lam, q = np.linalg.eigh(symmetrize(r - s))
+    return symmetrize(r - q @ (np.where(lam < tol, 0.0, lam)[:, None] * q.T))
 
 
 def _fixed_point_split(
@@ -788,7 +582,7 @@ def _fixed_point_split(
     """Iterate the all-noise-used split V~ = V - W~ to a fixed point.
 
     May oscillate for some inputs; the caller treats the result only as a
-    starting point for the ascent refinement.
+    starting point for the barrier path.
     """
     n = w.shape[0]
     v_t = v.copy()
@@ -851,44 +645,28 @@ def _optimum_certificate(
     )
 
 
-def eei_optimum(
-    instance: EEIInstance,
-    grad_tol: float = 1e-9,
-    max_iter: int = 60,
-):
+def eei_optimum(instance: EEIInstance):
     """Maximize h(S + W) - mu * h(S + V) over the band 0 <= S <= R.
 
-    Runs the fixed-point noise split for a warm start, then, from several
-    initializations, projected gradient ascent followed by log-barrier
-    Newton path following and an exact snap onto the identified boundary
-    face.  Candidates are reduced by maximum objective with a
-    lexicographic tie-break on the vectorized matrix.
+    Starts from the fixed-point noise split projected onto the band,
+    follows the log-barrier Newton path to the maximizer, and pins the
+    eigenvalues of S and of R - S below ``1e-9 * spectral_scale(W, V, R)``
+    to exactly zero.  A tangent gradient residual above ``1e-6`` of the
+    gradient scale raises :class:`NoConvergence`.
 
     Returns ``(s_x_star, objective, certificate)``.
     """
     if instance.s_v is None:
         raise InvalidParameter("instance must include s_v for the two-noise optimum")
     w, v, r, mu = instance.s_w, instance.s_v, instance.r, instance.mu
-    n = w.shape[0]
-    starts = [
-        _project_band(_fixed_point_split(w, v, mu), r),
-        np.zeros((n, n)),
-        r.copy(),
-        0.5 * r,
-    ]
-    candidates = []
-    for s0 in starts:
-        s = _ascend(s0, w, v, r, mu, grad_tol=grad_tol, max_iter=min(max_iter, 16))
-        s = _interior_newton(s, w, v, r, mu)
-        s = _exact_face_snap(s, w, v, r, mu)
-        candidates.append((objective_two_noise(s, w, v, mu), s))
-    candidates.sort(key=lambda c: (-c[0], tuple(c[1].ravel())))
-    best_f, best_s = candidates[0]
-    res = _tangent_residual(best_s, w, v, r, mu)
-    g_scale = max(1.0, float(np.max(np.abs(_grad_two_noise(best_s, w, v, mu)))))
+    # _interior_newton projects its start onto the band.
+    s = _interior_newton(_fixed_point_split(w, v, mu), w, v, r, mu)
+    s = _pin_faces(s, r, 1e-9 * spectral_scale(w, v, r))
+    res = _tangent_residual(s, w, v, r, mu)
+    g_scale = max(1.0, float(np.max(np.abs(_grad_two_noise(s, w, v, mu)))))
     if res > 1e-6 * g_scale:
         raise NoConvergence(
-            f"ascent stalled with tangent gradient residual {res:.3e}"
+            f"barrier path stalled with tangent gradient residual {res:.3e}"
         )
-    cert = _optimum_certificate(best_s, w, v, r, mu)
-    return best_s, best_f, cert
+    cert = _optimum_certificate(s, w, v, r, mu)
+    return s, objective_two_noise(s, w, v, mu), cert

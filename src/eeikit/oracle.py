@@ -412,7 +412,7 @@ def check_eei(
     """
     t0 = time.perf_counter()
     var = d_x.variance()
-    if var > r + 1e-9:
+    if var > r * (1.0 + 1e-9):
         raise InvalidParameter(
             f"candidate variance {var:.6f} exceeds the budget {r:.6f}"
         )

@@ -59,6 +59,43 @@ class TestConstructCommands:
         assert blob["result"]["s_x_star"]["rows"][0][0] == pytest.approx(2.0, abs=1e-6)
         assert blob["result"]["objective"] == pytest.approx(-2.661391858098673, abs=1e-8)
 
+    def test_optimum_gate_fails_on_violated_ordering(self, capsys, monkeypatch):
+        import dataclasses
+
+        import eeikit.cli
+
+        solve = eeikit.cli.eei_optimum
+
+        def broken(instance):
+            s_star, value, cert = solve(instance)
+            return s_star, value, dataclasses.replace(cert, order_residual=-1e-3)
+
+        monkeypatch.setattr(eeikit.cli, "eei_optimum", broken)
+        code, blob = run_json(
+            capsys, "optimum", "--w", "1", "--v", "4", "--r", "10", "--mu", "2"
+        )
+        assert code == 1
+        assert blob["summary"]["passed"] is False
+        # the residual is reported relative to the inputs' spectral scale, here 10
+        assert blob["summary"]["margin"] == pytest.approx(-1e-4)
+
+    def test_optimum_gate_is_relative_to_input_scale(self, capsys, tmp_path):
+        # a correct optimum at scale 1e6 has absolute residuals near 1e-5,
+        # far above the tolerance, and must still pass the relative gate
+        rng = np.random.default_rng(77)
+        paths = []
+        for role, floor in (("w", 0.2), ("v", 0.2), ("r", 0.5)):
+            f = rng.normal(size=(3, 3))
+            path = tmp_path / f"{role}.json"
+            path.write_text(json.dumps(cov_to_json(1e6 * (f @ f.T + floor * np.eye(3)))))
+            paths.append(str(path))
+        code, blob = run_json(
+            capsys, "optimum", "--w", paths[0], "--v", paths[1], "--r", paths[2],
+            "--mu", "1.8",
+        )
+        assert code == 0
+        assert 0.0 <= blob["summary"]["lhs"] <= DEFAULT_TOL["optimum"]
+
 
 class TestVerifyCommands:
     def test_verify_eei_uniform(self, capsys):

@@ -203,6 +203,72 @@ class TestConstrainedOptimum:
         np.testing.assert_array_equal(s1, s2)
 
 
+class TestOptimumGuardRails:
+    """Closed forms and invariances the band optimum must reproduce."""
+
+    @staticmethod
+    def _random_instance(rng, n):
+        return EEIInstance(
+            mu=rng.uniform(1.1, 4.0),
+            s_w=_rand_pd(rng, n, lo=0.2),
+            r=_rand_pd(rng, n, lo=0.5),
+            s_v=_rand_pd(rng, n, lo=0.2),
+        )
+
+    def test_commuting_instances_match_per_mode_closed_form(self):
+        # W, V, R share eigenvectors Q, so the band problem splits into one
+        # scalar problem per mode, whose derivative changes sign once
+        rng = np.random.default_rng(601)
+        for n in range(2, 7):
+            mu = rng.uniform(1.2, 4.0)
+            w = rng.uniform(0.2, 2.0, n)
+            v = mu * w + (mu - 1.0) * w * rng.uniform(-0.5, 3.0, n)
+            r = rng.uniform(0.3, 3.0, n)
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+
+            def turn(d):
+                return symmetrize(q @ (d[:, None] * q.T))
+
+            inst = EEIInstance(mu=mu, s_w=turn(w), r=turn(r), s_v=turn(v))
+            s_star, obj, _ = eei_optimum(inst)
+            s_ref = turn(np.clip((v - mu * w) / (mu - 1.0), 0.0, r))
+            scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
+            assert float(np.max(np.abs(s_star - s_ref))) <= 1e-6 * scale
+            assert obj == pytest.approx(
+                objective_two_noise(s_ref, inst.s_w, inst.s_v, mu), abs=1e-9
+            )
+
+    def test_scale_covariance(self):
+        # S*(cW, cV, cR) = c S*(W, V, R)
+        rng = np.random.default_rng(602)
+        for n in (2, 3):
+            inst = self._random_instance(rng, n)
+            s_star, _, _ = eei_optimum(inst)
+            scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
+            for c in (1e-3, 1e3):
+                s_c, _, _ = eei_optimum(
+                    EEIInstance(inst.mu, c * inst.s_w, c * inst.r, c * inst.s_v)
+                )
+                assert float(np.max(np.abs(s_c / c - s_star))) <= 1e-7 * scale
+
+    def test_orthogonal_invariance(self):
+        # S*(Q W Q^T, Q V Q^T, Q R Q^T) = Q S*(W, V, R) Q^T
+        rng = np.random.default_rng(603)
+        for n in (2, 3, 4):
+            inst = self._random_instance(rng, n)
+            s_star, _, _ = eei_optimum(inst)
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            turned = EEIInstance(
+                inst.mu,
+                symmetrize(q @ inst.s_w @ q.T),
+                symmetrize(q @ inst.r @ q.T),
+                symmetrize(q @ inst.s_v @ q.T),
+            )
+            s_q, _, _ = eei_optimum(turned)
+            scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
+            assert float(np.max(np.abs(s_q - q @ s_star @ q.T))) <= 1e-7 * scale
+
+
 class TestErrorPaths:
     def test_bad_mu_message(self):
         with pytest.raises(BadMu, match="mu must exceed 1"):

@@ -179,6 +179,12 @@ class TestEeiCheck:
         with pytest.raises(InvalidParameter):
             check_eei(GridDensity.uniform(0.0, 4.0), 2.0, 1.0, 0.5)
 
+    def test_variance_budget_is_relative(self):
+        # five times a tiny budget must be rejected, not absorbed by a fixed slack;
+        # the tiny noise keeps the convolution grid small should the check pass
+        with pytest.raises(InvalidParameter, match="exceeds the budget"):
+            check_eei(GridDensity.gaussian(5e-10), 2.0, 1e-9, 1e-10)
+
 
 class TestGaussianSearch:
     def test_deterministic_given_seed(self):
