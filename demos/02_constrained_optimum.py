@@ -50,3 +50,4 @@ print(f"\nrandom search over 20000 feasible covariances:")
 print(f"  best sampled objective {report.lhs:.9f}")
 print(f"  solver objective       {report.rhs:.9f}")
 print(f"  margin (solver - best) {report.margin:+.3e}  -> sampler never wins")
+print(f"  draws capped at R      {report.params['clipped']}")

@@ -25,7 +25,6 @@ from .construct import (
     construct_k,
     construct_l,
     eei_optimum,
-    objective_two_noise,
 )
 from .errors import (
     DominationFailed,
@@ -245,7 +244,7 @@ def _execute(args, seed: int, tol: float):
             r=_parse_matrix(args.r, "r"),
             s_v=_parse_matrix(args.v, "v"),
         )
-        s_star, value, cert = eei_optimum(instance)
+        _, value, cert = eei_optimum(instance)
         result = _matrix_result(cert)
         result["objective"] = value
         worst = _worst_certificate_residual(cert, instance.s_w, instance.s_v, instance.r)

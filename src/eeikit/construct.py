@@ -15,7 +15,7 @@ below the original, and a vanishing Markov-chain factorization kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

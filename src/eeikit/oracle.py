@@ -8,8 +8,8 @@ package offers, so none of these checks may call back into the formulas
 they are meant to validate.
 
 Reports are emitted as :class:`VerificationReport` records which
-serialize to JSON lines.  Random-search trials draw from per-trial
-generator streams keyed by ``(seed, trial_index)``, so a batch can be
+serialize to JSON lines.  Random-search trial ``i`` reads a fixed block
+of one counter-based Philox stream keyed by the seed, so a batch can be
 partitioned across workers in any way without changing the result.
 """
 
@@ -29,7 +29,6 @@ from .construct import (
     construct_l,
     eei_optimum,
     objective_single_noise,
-    objective_two_noise,
 )
 from .errors import (
     GridTooCoarse,
@@ -436,15 +435,44 @@ def check_eei(
     )
 
 
-def _trial_direction(seed: int, index: int, n: int):
-    """Raw PSD direction and scale fraction for one search trial.
+def _trial_directions(seed: int, start: int, count: int, n: int):
+    """Normal factors ``g`` (direction ``g g^T``) and scale fractions.
 
-    Each trial owns the generator stream ``(seed, index)``, so any
-    partition of trials across workers reproduces the same samples.
+    Trial ``i`` reads its own fixed block of the ``Philox(seed)`` stream:
+    ``2 * ceil(n*n / 2)`` uniforms that Box-Muller turns into the ``n*n``
+    normals, one for the fraction, padded to a multiple of four because
+    Philox emits four doubles per counter step.  Trials ``start`` to
+    ``start + count - 1`` therefore come out the same whichever way a
+    batch is partitioned.
     """
-    rng = np.random.default_rng([seed, index])
-    g = rng.standard_normal((n, n))
-    return g @ g.T, float(rng.uniform())
+    half = (n * n + 1) // 2
+    block = -(-(2 * half + 1) // 4) * 4
+    bits = np.random.Philox(seed)
+    bits.advance(start * block // 4)
+    u = np.random.Generator(bits).random((count, block))
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, :half]))
+    angle = 2.0 * math.pi * u[:, half : 2 * half]
+    normals = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)), axis=1)
+    return normals[:, : n * n].reshape(count, n, n), u[:, 2 * half]
+
+
+def _capped_scales(mats: NDArray, frac: NDArray, r: NDArray):
+    """Scale each direction to ``frac`` of the budget trace, capped inside the band.
+
+    With ``R = L L^T``, ``R - s A`` stays PSD exactly while
+    ``s <= 1 / lambda_max(L^-1 A L^-T)``.  Returns the scales and a mask of
+    the trials whose scale was capped at that boundary.
+    """
+    l_inv = np.linalg.inv(np.linalg.cholesky(r))
+    want = frac * np.trace(r) / np.maximum(np.trace(mats, axis1=1, axis2=2), 1e-30)
+    cap = 1.0 / np.linalg.eigvalsh(l_inv @ mats @ l_inv.T)[:, -1]
+    clipped = want > cap
+    return np.where(clipped, cap, want), clipped
+
+
+# Trials are sampled, capped and scored this many at a time, which keeps
+# the working set flat in the trial count.
+_SEARCH_CHUNK = 1024
 
 
 def gaussian_search(
@@ -453,58 +481,46 @@ def gaussian_search(
     """Random search over feasible covariances against the constructed optimum.
 
     Samples random PSD directions, scales each by a uniform fraction of
-    the budget trace, and moves infeasible draws back inside the
-    constraint by bisecting the scale.  The best sampled objective must
-    not beat the certified optimum by more than ``tol``.
+    the budget trace, and caps the scale at the largest one that keeps
+    the draw inside the band.  The best sampled objective (earliest trial
+    on ties) must not beat the certified optimum by more than ``tol``;
+    ``clipped`` counts the trials capped at the band boundary.
     """
     if trials < 1:
         raise InvalidParameter("at least one trial is required")
     t0 = time.perf_counter()
     w, v, r, mu = instance.s_w, instance.s_v, instance.r, instance.mu
     n = instance.dim
-    mats = np.empty((trials, n, n))
-    scales = np.empty(trials)
-    tr_r = float(np.trace(r))
-    for i in range(trials):
-        a, frac = _trial_direction(seed, i, n)
-        mats[i] = a
-        scales[i] = frac * tr_r / max(float(np.trace(a)), 1e-30)
-
-    def feasible(s):
-        gap = r[None, :, :] - s[:, None, None] * mats
-        return np.linalg.eigvalsh(gap)[:, 0] >= 0.0
-
-    ok = feasible(scales)
-    if not np.all(ok):
-        lo = np.where(ok, scales, 0.0)
-        hi = scales.copy()
-        for _ in range(30):
-            mid = 0.5 * (lo + hi)
-            good = feasible(mid)
-            lo = np.where(good, mid, lo)
-            hi = np.where(good, hi, mid)
-        scales = lo
-    sigma = scales[:, None, None] * mats
 
     def stacked_entropy(mats_stack):
         sign, logdet = np.linalg.slogdet(mats_stack)
         logdet = np.where(sign > 0, logdet, -np.inf)
         return 0.5 * (n * (math.log(2.0 * math.pi) + 1.0) + logdet)
 
+    best, lhs, clipped = 0, -math.inf, 0
+    for start in range(0, trials, _SEARCH_CHUNK):
+        g, frac = _trial_directions(seed, start, min(_SEARCH_CHUNK, trials - start), n)
+        mats = g @ g.transpose(0, 2, 1)
+        scales, capped = _capped_scales(mats, frac, r)
+        clipped += int(np.count_nonzero(capped))
+        sigma = scales[:, None, None] * mats
+        if v is None:
+            values = stacked_entropy(sigma) - mu * stacked_entropy(sigma + w[None])
+        else:
+            values = stacked_entropy(sigma + w[None]) - mu * stacked_entropy(
+                sigma + v[None]
+            )
+        top = int(np.argmax(values))
+        if values[top] > lhs:
+            best, lhs = start + top, float(values[top])
     if v is None:
-        values = stacked_entropy(sigma) - mu * stacked_entropy(sigma + w[None])
         star = construct_l(r, w, mu).s_x_star
         rhs = objective_single_noise(star, w, mu)
     else:
-        values = stacked_entropy(sigma + w[None]) - mu * stacked_entropy(
-            sigma + v[None]
-        )
         _, rhs, _ = eei_optimum(instance)
-    best = int(np.argmax(values))
-    lhs = float(values[best])
     return _report(
         "search", lhs, rhs, rhs - lhs, tol, trials, seed, t0,
-        {"mu": mu, "n": n, "best_trial": best},
+        {"mu": mu, "n": n, "best_trial": best, "clipped": clipped},
     )
 
 

@@ -22,7 +22,7 @@ from eeikit import (
     variational_first_residual,
     variational_second_form,
 )
-from eeikit.oracle import _convolve_pair
+from eeikit.oracle import _capped_scales, _convolve_pair, _trial_directions
 
 # Entropy references computed with adaptive quadrature (scipy.integrate.quad)
 # on the closed-form densities, frozen here so the grid code is tested against
@@ -186,6 +186,15 @@ class TestEeiCheck:
             check_eei(GridDensity.gaussian(5e-10), 2.0, 1e-9, 1e-10)
 
 
+def _matrix_instance():
+    return EEIInstance(
+        2.5,
+        np.array([[1.0, 0.3], [0.3, 2.0]]),
+        np.array([[4.0, 0.5], [0.5, 3.0]]),
+        np.array([[2.0, 0.0], [0.0, 2.5]]),
+    )
+
+
 class TestGaussianSearch:
     def test_deterministic_given_seed(self):
         inst = EEIInstance.from_scalars(2.0, 1.0, 10.0, 4.0)
@@ -203,12 +212,7 @@ class TestGaussianSearch:
         assert 0 <= rep.params["best_trial"] < 2000
 
     def test_never_beats_optimum_matrix(self):
-        inst = EEIInstance(
-            2.5,
-            np.array([[1.0, 0.3], [0.3, 2.0]]),
-            np.array([[4.0, 0.5], [0.5, 3.0]]),
-            np.array([[2.0, 0.0], [0.0, 2.5]]),
-        )
+        inst = _matrix_instance()
         rep = gaussian_search(inst, 1500, 13)
         assert rep.margin >= -1e-6
         assert rep.params["n"] == 2
@@ -220,6 +224,66 @@ class TestGaussianSearch:
     def test_degenerate_constraint(self):
         rep = gaussian_search(EEIInstance.from_scalars(2.0, 1.0, 1e-8, 4.0), 200, 5)
         assert abs(rep.margin) <= 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_trials_partition_reproduces_samples(self, n):
+        g, frac = _trial_directions(17, 0, 301, n)
+        cuts = [0, 37, 230, 301]
+        parts = [_trial_directions(17, a, b - a, n) for a, b in zip(cuts, cuts[1:])]
+        np.testing.assert_array_equal(np.concatenate([p[0] for p in parts]), g)
+        np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]), frac)
+
+    def test_chunks_match_one_pass(self, monkeypatch):
+        inst = _matrix_instance()
+        chunked = gaussian_search(inst, 1500, 13)
+        monkeypatch.setattr("eeikit.oracle._SEARCH_CHUNK", 1500)
+        whole = gaussian_search(inst, 1500, 13)
+        assert chunked.params["best_trial"] == whole.params["best_trial"]
+        assert chunked.lhs == whole.lhs
+        assert chunked.params["clipped"] == whole.params["clipped"]
+
+    def test_scale_cap_is_exact(self):
+        rng = np.random.default_rng(3)
+        f = rng.standard_normal((3, 3))
+        r = f @ f.T + 0.5 * np.eye(3)
+        g, frac = _trial_directions(23, 0, 200, 3)
+        mats = g @ g.transpose(0, 2, 1)
+        scales, capped = _capped_scales(mats, frac, r)
+        assert 0 < np.count_nonzero(capped) < 200
+        l_inv = np.linalg.inv(np.linalg.cholesky(r))
+        want = frac * np.trace(r) / np.trace(mats, axis1=1, axis2=2)
+        for a, s, top, hit in zip(mats, scales, want, capped):
+            lo, hi = 0.0, top
+            for _ in range(60):  # largest s <= top with R - s A PSD
+                mid = 0.5 * (lo + hi)
+                if np.linalg.eigvalsh(r - mid * a)[0] >= 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            assert s == pytest.approx(lo, rel=1e-9)
+            if hit:
+                assert np.linalg.eigvalsh(l_inv @ (s * a) @ l_inv.T)[-1] == pytest.approx(
+                    1.0, abs=1e-12
+                )
+            else:
+                assert s == top
+
+    def test_clipped_counts_draws_outside_band(self):
+        inst = _matrix_instance()
+        g, frac = _trial_directions(13, 0, 1500, 2)
+        mats = g @ g.transpose(0, 2, 1)
+        want = frac * np.trace(inst.r) / np.trace(mats, axis1=1, axis2=2)
+        outside = np.linalg.eigvalsh(inst.r - want[:, None, None] * mats)[:, 0] < 0.0
+        assert gaussian_search(inst, 1500, 13).params["clipped"] == np.count_nonzero(outside)
+        scalar = EEIInstance.from_scalars(2.0, 1.0, 10.0, 4.0)
+        assert gaussian_search(scalar, 500, 7).params["clipped"] == 0
+
+    def test_box_muller_moments(self):
+        z = _trial_directions(29, 0, 25_000, 2)[0].ravel()
+        assert z.size == 100_000
+        se = 1.0 / math.sqrt(z.size)
+        assert abs(z.mean()) <= 5.0 * se
+        assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0) * se
 
 
 class TestVariationalFirstResidual:
