@@ -12,8 +12,12 @@ import math
 
 import numpy as np
 
-from eeikit import GridDensity, variational_first_residual, variational_second_form
-from eeikit.oracle import _convolve_pair
+from eeikit import (
+    GridDensity,
+    convolve_pair,
+    variational_first_residual,
+    variational_second_form,
+)
 
 mu = 2.0
 fv = GridDensity.gaussian(0.5)
@@ -22,12 +26,12 @@ fv = GridDensity.gaussian(0.5)
 # Stationarity: Gaussian candidate vs a uniform imposter of equal variance.
 # ---------------------------------------------------------------------------
 fx_gauss = GridDensity.gaussian(1.0)
-fy_gauss = _convolve_pair(fx_gauss, fv)
+fy_gauss = convolve_pair(fx_gauss, fv)
 r_gauss = variational_first_residual(fx_gauss, fy_gauss, fv, mu)
 
 half = math.sqrt(3.0)
 fx_unif = GridDensity.uniform(-half, half)
-fy_unif = _convolve_pair(fx_unif, fv)
+fy_unif = convolve_pair(fx_unif, fv)
 r_unif = variational_first_residual(fx_unif, fy_unif, fv, mu)
 
 print("first-variation stationarity residual (weighted RMS):")

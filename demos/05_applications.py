@@ -17,7 +17,7 @@ from eeikit import (
     convolve_density,
     design_private_message,
     entropy_quadrature,
-    lmmse_matrix,
+    gaussian_conditional_cov,
     mi_lower_bound,
 )
 
@@ -26,7 +26,8 @@ from eeikit import (
 # ---------------------------------------------------------------------------
 s_x = np.array([[1.0]])
 budget = np.array([[1.0]])
-print(f"LMMSE error for unit signal and unit noise: {lmmse_matrix(s_x, budget)[0, 0]:.6f}")
+lmmse = gaussian_conditional_cov(s_x, budget)[0, 0]
+print(f"LMMSE error for unit signal and unit noise: {lmmse:.6f}")
 
 bound = mi_lower_bound(s_x, budget)
 print(f"information bound: {bound:.6f} nats  (closed form 0.5 ln 2 = {0.5 * math.log(2):.6f})")

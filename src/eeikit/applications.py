@@ -17,46 +17,24 @@ from numpy.typing import NDArray
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
-    NotPositiveDefinite,
     SeparationFailed,
     SingularCovariance,
     ThresholdUnreachable,
 )
-from .gaussmat import symmetrize
+from .gaussmat import (
+    gaussian_conditional_cov,
+    symmetrize,
+    validated_pd,
+    validated_psd,
+    validated_square,
+)
 
 __all__ = [
     "BroadcastInstance",
     "BroadcastDesign",
     "design_private_message",
-    "lmmse_matrix",
     "mi_lower_bound",
 ]
-
-
-def _as_square(a, name: str) -> NDArray:
-    m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidParameter(f"{name} must be a square matrix")
-    if not np.all(np.isfinite(m)):
-        raise InvalidParameter(f"{name} must be finite")
-    return symmetrize(m)
-
-
-def lmmse_matrix(s_x, s_z) -> NDArray:
-    """Error covariance of the best linear estimate of X from X + Z.
-
-    Returns ``s_x - s_x (s_x + s_z)^{-1} s_x``.  The observation
-    covariance ``s_x + s_z`` must be invertible.
-    """
-    x = _as_square(s_x, "s_x")
-    z = _as_square(s_z, "s_z")
-    if x.shape != z.shape:
-        raise DimensionMismatch(f"shape mismatch: {x.shape} vs {z.shape}")
-    s_y = x + z
-    sign, _ = np.linalg.slogdet(s_y)
-    if sign <= 0:
-        raise SingularCovariance("observation covariance is singular")
-    return symmetrize(x - x @ np.linalg.solve(s_y, x))
 
 
 def mi_lower_bound(s_x, r) -> float:
@@ -67,17 +45,12 @@ def mi_lower_bound(s_x, r) -> float:
     when the noise covariance equals ``r``, and lower-bounds the true
     information for any noise of covariance at most ``r``.
     """
-    x = _as_square(s_x, "s_x")
-    err = lmmse_matrix(x, r)
+    err = gaussian_conditional_cov(s_x, r)
     sign_e, logdet_e = np.linalg.slogdet(err)
-    sign_x, logdet_x = np.linalg.slogdet(x)
+    sign_x, logdet_x = np.linalg.slogdet(symmetrize(s_x))
     if sign_e <= 0 or sign_x <= 0:
         raise SingularCovariance("LMMSE error matrix is singular")
     return float(0.5 * (logdet_x - logdet_e))
-
-
-def _min_eig(a: NDArray) -> float:
-    return float(np.linalg.eigvalsh(a)[0])
 
 
 @dataclass(frozen=True)
@@ -96,21 +69,16 @@ class BroadcastInstance:
     direction: Optional[NDArray] = None
 
     def __post_init__(self):
-        z1 = _as_square(self.s_z1, "s_z1")
-        z2 = _as_square(self.s_z2, "s_z2")
-        r = _as_square(self.r, "r")
+        z1 = validated_pd(self.s_z1, "s_z1")
+        z2 = validated_pd(self.s_z2, "s_z2")
+        r = validated_square(self.r, "r")
         if not (z1.shape == z2.shape == r.shape):
             raise DimensionMismatch("all broadcast matrices must share one dimension")
-        if _min_eig(z1) <= 0.0 or _min_eig(z2) <= 0.0:
-            raise NotPositiveDefinite("receiver noise covariances must be PD")
         if float(np.trace(r)) <= 0.0:
             raise InvalidParameter("threshold matrix needs a positive trace")
-        d = self.direction
-        d = r.copy() if d is None else _as_square(d, "direction")
+        d = validated_psd(r if self.direction is None else self.direction, "direction")
         if d.shape != r.shape:
             raise DimensionMismatch("direction must match the instance dimension")
-        if _min_eig(d) < -1e-12 * max(1.0, float(np.max(np.abs(d)))):
-            raise NotPositiveDefinite("search direction must be PSD")
         if float(np.trace(d)) <= 0.0:
             raise InvalidParameter("search direction must be nonzero")
         object.__setattr__(self, "s_z1", z1)
@@ -163,7 +131,7 @@ def design_private_message(inst: BroadcastInstance) -> BroadcastDesign:
         )
 
     def rx2_trace(t: float) -> float:
-        return float(np.trace(lmmse_matrix(t * inst.direction, inst.s_z2)))
+        return float(np.trace(gaussian_conditional_cov(t * inst.direction, inst.s_z2)))
 
     hi = 1.0
     for _ in range(400):
@@ -186,8 +154,8 @@ def design_private_message(inst: BroadcastInstance) -> BroadcastDesign:
             break
     t_star = 0.5 * (lo + hi)
     s_star = symmetrize(t_star * inst.direction)
-    rx2 = float(np.trace(lmmse_matrix(s_star, inst.s_z2)))
-    rx1 = float(np.trace(lmmse_matrix(s_star, inst.s_z1)))
+    rx2 = float(np.trace(gaussian_conditional_cov(s_star, inst.s_z2)))
+    rx1 = float(np.trace(gaussian_conditional_cov(s_star, inst.s_z1)))
     if rx1 > tr_r + 1e-9:
         raise SeparationFailed(
             f"receiver-1 trace {rx1:.9g} exceeds the threshold {tr_r:.9g}"

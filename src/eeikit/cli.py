@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -38,41 +40,13 @@ from .errors import (
 from .gaussmat import cov_to_json, load_cov, spectral_scale
 from .oracle import (
     GridDensity,
-    _convolve_pair,
     check_eei,
     check_epi,
     check_worst_noise,
+    convolve_pair,
     gaussian_search,
     variational_first_residual,
 )
-
-COMMANDS = (
-    "construct-l",
-    "construct-k",
-    "optimum",
-    "verify-eei",
-    "verify-epi",
-    "verify-worst-noise",
-    "search",
-    "broadcast-design",
-    "lmmse-bound",
-    "variational-check",
-)
-
-# Tolerance applied when --tol is not given; quadrature-backed checks
-# need a far looser gate than exact-arithmetic certificates.
-DEFAULT_TOL = {
-    "construct-l": 1e-8,
-    "construct-k": 1e-8,
-    "optimum": 1e-6,
-    "verify-eei": 1e-3,
-    "verify-epi": 1e-4,
-    "verify-worst-noise": 1e-4,
-    "search": 1e-6,
-    "broadcast-design": 1e-6,
-    "lmmse-bound": 1e-10,
-    "variational-check": 1e-3,
-}
 
 CSV_HEADER = "command,n,mu,lhs,rhs,margin,tol,trials,seed,elapsed_ms"
 
@@ -87,8 +61,10 @@ _MATH_ERRORS = (
 )
 
 
-def _parse_matrix(text: str, role: str) -> np.ndarray:
-    """Accept either an inline scalar or a path to a matrix JSON file."""
+def _parse_matrix(text: str | None, role: str) -> np.ndarray | None:
+    """Accept an inline scalar or a path to a matrix JSON file; None passes."""
+    if text is None:
+        return None
     try:
         return np.array([[float(text)]])
     except ValueError:
@@ -100,13 +76,10 @@ def _parse_matrix(text: str, role: str) -> np.ndarray:
 
 
 def _parse_scalar(text: str, role: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        mat = _parse_matrix(text, role)
-        if mat.shape != (1, 1):
-            raise InvalidParameter(f"{role} must be scalar for this command")
-        return float(mat[0, 0])
+    mat = _parse_matrix(text, role)
+    if mat.shape != (1, 1):
+        raise InvalidParameter(f"{role} must be scalar for this command")
+    return float(mat[0, 0])
 
 
 def _parse_density(spec: str, points: int) -> GridDensity:
@@ -142,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="eeikit",
         description="Gaussian extremal entropy constructions and numeric checks",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(COMMANDS))
     parser.add_argument("--mu", type=float, help="entropy weight, must exceed 1")
     for role in ("x", "w", "v", "r", "direction", "z1", "z2"):
         parser.add_argument(
@@ -186,197 +159,166 @@ def _need(args, names, command):
             raise InvalidParameter(f"{command} requires --{name}")
 
 
-def _require_mu(args, command) -> float:
-    _need(args, ("mu",), command)
-    if args.mu <= 1.0:
-        raise InvalidParameter(f"mu must exceed 1, got {args.mu}")
-    return float(args.mu)
+def _certificate_outcome(cert, mu, *inputs):
+    """Summary and result of a split certificate.
 
-
-def _matrix_result(cert) -> dict:
-    return cert.as_dict()
-
-
-def _worst_certificate_residual(cert, *inputs) -> float:
-    """Worst certificate residual relative to the spectral scale of the inputs."""
-    return max(
+    The gated value is its worst residual over the inputs' spectral scale.
+    """
+    worst = max(
         cert.zero_product_residual,
         cert.markov_residual,
         max(0.0, -cert.order_residual),
     ) / spectral_scale(*inputs)
+    return (
+        {"n": cert.s_x_star.shape[0], "mu": mu, "lhs": worst, "rhs": 0.0,
+         "margin": -worst, "trials": 1},
+        cert.as_dict(),
+    )
 
 
-def _execute(args, seed: int, tol: float):
-    """Run the requested operation.
-
-    Returns ``(summary, result)`` where summary carries the fixed CSV
-    fields and result is the command-specific payload.
-    """
-    command = args.command
-    if command == "construct-l":
-        mu = _require_mu(args, command)
-        _need(args, ("x", "w"), command)
-        x, w = _parse_matrix(args.x, "x"), _parse_matrix(args.w, "w")
-        cert = construct_l(x, w, mu)
-        worst = _worst_certificate_residual(cert, x, w)
-        return (
-            {"n": cert.s_x_star.shape[0], "mu": mu, "lhs": worst, "rhs": 0.0,
-             "margin": -worst, "trials": 1},
-            _matrix_result(cert),
-        )
-    if command == "construct-k":
-        mu = _require_mu(args, command)
-        _need(args, ("w", "v"), command)
-        w, v = _parse_matrix(args.w, "w"), _parse_matrix(args.v, "v")
-        cert = construct_k(w, v, mu)
-        worst = _worst_certificate_residual(cert, w, v)
-        return (
-            {"n": cert.s_x_star.shape[0], "mu": mu, "lhs": worst, "rhs": 0.0,
-             "margin": -worst, "trials": 1},
-            _matrix_result(cert),
-        )
-    if command == "optimum":
-        mu = _require_mu(args, command)
-        _need(args, ("w", "v", "r"), command)
-        instance = EEIInstance(
-            mu=mu,
-            s_w=_parse_matrix(args.w, "w"),
-            r=_parse_matrix(args.r, "r"),
-            s_v=_parse_matrix(args.v, "v"),
-        )
-        _, value, cert = eei_optimum(instance)
-        result = _matrix_result(cert)
-        result["objective"] = value
-        worst = _worst_certificate_residual(cert, instance.s_w, instance.s_v, instance.r)
-        return (
-            {"n": instance.dim, "mu": mu, "lhs": worst, "rhs": 0.0,
-             "margin": -worst, "trials": 1},
-            result,
-        )
-    if command == "verify-eei":
-        mu = _require_mu(args, command)
-        _need(args, ("density", "w", "r"), command)
-        density = _parse_density(args.density, args.grid_points)
-        report = check_eei(
-            density,
-            mu,
-            _parse_scalar(args.w, "w"),
-            _parse_scalar(args.r, "r"),
-            s2_v=_parse_scalar(args.v, "v") if args.v is not None else None,
-            tol=tol,
-        )
-        return (
-            {"n": 1, "mu": mu, "lhs": report.lhs, "rhs": report.rhs,
-             "margin": report.margin, "trials": report.trials},
-            report.as_dict(),
-        )
-    if command == "verify-epi":
-        _need(args, ("density",), command)
-        d1 = _parse_density(args.density, args.grid_points)
-        d2 = _parse_density(args.density2 or "gaussian", args.grid_points)
-        report = check_epi(d1, d2, tol=tol)
-        return (
-            {"n": 1, "mu": None, "lhs": report.lhs, "rhs": report.rhs,
-             "margin": report.margin, "trials": report.trials},
-            report.as_dict(),
-        )
-    if command == "verify-worst-noise":
-        _need(args, ("density", "w", "v"), command)
-        density = _parse_density(args.density, args.grid_points)
-        report = check_worst_noise(
-            density, _parse_scalar(args.w, "w"), _parse_scalar(args.v, "v"), tol=tol
-        )
-        return (
-            {"n": 1, "mu": None, "lhs": report.lhs, "rhs": report.rhs,
-             "margin": report.margin, "trials": report.trials},
-            report.as_dict(),
-        )
-    if command == "search":
-        mu = _require_mu(args, command)
-        _need(args, ("w", "r"), command)
-        instance = EEIInstance(
-            mu=mu,
-            s_w=_parse_matrix(args.w, "w"),
-            r=_parse_matrix(args.r, "r"),
-            s_v=_parse_matrix(args.v, "v") if args.v is not None else None,
-        )
-        report = gaussian_search(instance, trials=args.trials, seed=seed, tol=tol)
-        return (
-            {"n": instance.dim, "mu": mu, "lhs": report.lhs, "rhs": report.rhs,
-             "margin": report.margin, "trials": report.trials},
-            report.as_dict(),
-        )
-    if command == "broadcast-design":
-        _need(args, ("z1", "z2", "r"), command)
-        instance = BroadcastInstance(
-            s_z1=_parse_matrix(args.z1, "z1"),
-            s_z2=_parse_matrix(args.z2, "z2"),
-            r=_parse_matrix(args.r, "r"),
-            direction=(
-                _parse_matrix(args.direction, "direction")
-                if args.direction is not None
-                else None
-            ),
-        )
-        design = design_private_message(instance)
-        tr_r = float(np.trace(instance.r))
-        rel = abs(design.trace_mse_rx2 - tr_r) / tr_r
-        result = design.as_dict()
-        return (
-            {"n": instance.dim, "mu": None, "lhs": design.trace_mse_rx2,
-             "rhs": tr_r, "margin": -rel, "trials": 1},
-            result,
-        )
-    if command == "lmmse-bound":
-        _need(args, ("x", "r"), command)
-        x = _parse_matrix(args.x, "x")
-        r = _parse_matrix(args.r, "r")
-        bound = mi_lower_bound(x, r)
-        sign_n, logdet_n = np.linalg.slogdet(r)
-        sign_y, logdet_y = np.linalg.slogdet(x + r)
-        gauss = 0.5 * (logdet_y - logdet_n)
-        return (
-            {"n": x.shape[0], "mu": None, "lhs": bound, "rhs": float(gauss),
-             "margin": -abs(bound - float(gauss)), "trials": 1},
-            {"bound_nats": bound, "gaussian_mi_nats": float(gauss),
-             "s_x": cov_to_json(x), "r": cov_to_json(r)},
-        )
-    if command == "variational-check":
-        mu = _require_mu(args, command)
-        _need(args, ("density",), command)
-        fx = _parse_density(args.density, args.grid_points)
-        fv = _parse_density(args.density2 or "gaussian", args.grid_points)
-        fy = _convolve_pair(fx, fv)
-        residual = variational_first_residual(fx, fy, fv, mu)
-        return (
-            {"n": 1, "mu": mu, "lhs": residual, "rhs": 0.0,
-             "margin": -residual, "trials": 1},
-            {"stationarity_rms": residual, "density": args.density,
-             "noise_density": args.density2 or "gaussian"},
-        )
-    raise InvalidParameter(f"unknown command {command}")
+def _report_outcome(report, mu):
+    """Summary and result of a :class:`VerificationReport`."""
+    return (
+        {"n": report.params["n"], "mu": mu, "lhs": report.lhs, "rhs": report.rhs,
+         "margin": report.margin, "trials": report.trials},
+        report.as_dict(),
+    )
 
 
-def _config_dict(args, seed: int, tol: float) -> dict:
-    return {
-        "command": args.command,
-        "mu": args.mu,
-        "x": args.x,
-        "w": args.w,
-        "v": args.v,
-        "r": args.r,
-        "direction": args.direction,
-        "z1": args.z1,
-        "z2": args.z2,
-        "density": args.density,
-        "density2": args.density2,
-        "tol": tol,
-        "trials": args.trials,
-        "seed": seed,
-        "grid_points": args.grid_points,
-        "format": args.format,
-        "timing": bool(args.timing),
-    }
+def _instance(args, mu) -> EEIInstance:
+    return EEIInstance(
+        mu=mu,
+        s_w=_parse_matrix(args.w, "w"),
+        r=_parse_matrix(args.r, "r"),
+        s_v=_parse_matrix(args.v, "v"),
+    )
+
+
+# Runners take (args, mu, seed, tol), with mu None for commands without
+# --mu, and return (summary, result).  They call the library through this
+# module's globals at call time, so a test can patch any of them.
+
+
+def _run_construct_l(args, mu, seed, tol):
+    x, w = _parse_matrix(args.x, "x"), _parse_matrix(args.w, "w")
+    return _certificate_outcome(construct_l(x, w, mu), mu, x, w)
+
+
+def _run_construct_k(args, mu, seed, tol):
+    w, v = _parse_matrix(args.w, "w"), _parse_matrix(args.v, "v")
+    return _certificate_outcome(construct_k(w, v, mu), mu, w, v)
+
+
+def _run_optimum(args, mu, seed, tol):
+    instance = _instance(args, mu)
+    _, value, cert = eei_optimum(instance)
+    summary, result = _certificate_outcome(
+        cert, mu, instance.s_w, instance.s_v, instance.r
+    )
+    result["objective"] = value
+    return summary, result
+
+
+def _run_verify_eei(args, mu, seed, tol):
+    density = _parse_density(args.density, args.grid_points)
+    report = check_eei(
+        density,
+        mu,
+        _parse_scalar(args.w, "w"),
+        _parse_scalar(args.r, "r"),
+        s2_v=_parse_scalar(args.v, "v") if args.v is not None else None,
+        tol=tol,
+    )
+    return _report_outcome(report, mu)
+
+
+def _run_verify_epi(args, mu, seed, tol):
+    d1 = _parse_density(args.density, args.grid_points)
+    d2 = _parse_density(args.density2 or "gaussian", args.grid_points)
+    return _report_outcome(check_epi(d1, d2, tol=tol), mu)
+
+
+def _run_worst_noise(args, mu, seed, tol):
+    density = _parse_density(args.density, args.grid_points)
+    report = check_worst_noise(
+        density, _parse_scalar(args.w, "w"), _parse_scalar(args.v, "v"), tol=tol
+    )
+    return _report_outcome(report, mu)
+
+
+def _run_search(args, mu, seed, tol):
+    report = gaussian_search(_instance(args, mu), trials=args.trials, seed=seed, tol=tol)
+    return _report_outcome(report, mu)
+
+
+def _run_broadcast_design(args, mu, seed, tol):
+    instance = BroadcastInstance(
+        s_z1=_parse_matrix(args.z1, "z1"),
+        s_z2=_parse_matrix(args.z2, "z2"),
+        r=_parse_matrix(args.r, "r"),
+        direction=_parse_matrix(args.direction, "direction"),
+    )
+    design = design_private_message(instance)
+    tr_r = float(np.trace(instance.r))
+    rel = abs(design.trace_mse_rx2 - tr_r) / tr_r
+    return (
+        {"n": instance.dim, "mu": None, "lhs": design.trace_mse_rx2,
+         "rhs": tr_r, "margin": -rel, "trials": 1},
+        design.as_dict(),
+    )
+
+
+def _run_lmmse_bound(args, mu, seed, tol):
+    x, r = _parse_matrix(args.x, "x"), _parse_matrix(args.r, "r")
+    bound = mi_lower_bound(x, r)
+    _, logdet_n = np.linalg.slogdet(r)
+    _, logdet_y = np.linalg.slogdet(x + r)
+    gauss = float(0.5 * (logdet_y - logdet_n))
+    return (
+        {"n": x.shape[0], "mu": None, "lhs": bound, "rhs": gauss,
+         "margin": -abs(bound - gauss), "trials": 1},
+        {"bound_nats": bound, "gaussian_mi_nats": gauss,
+         "s_x": cov_to_json(x), "r": cov_to_json(r)},
+    )
+
+
+def _run_variational_check(args, mu, seed, tol):
+    noise = args.density2 or "gaussian"
+    fx = _parse_density(args.density, args.grid_points)
+    fv = _parse_density(noise, args.grid_points)
+    residual = variational_first_residual(fx, convolve_pair(fx, fv), fv, mu)
+    return (
+        {"n": 1, "mu": mu, "lhs": residual, "rhs": 0.0,
+         "margin": -residual, "trials": 1},
+        {"stationarity_rms": residual, "density": args.density,
+         "noise_density": noise},
+    )
+
+
+class Command(NamedTuple):
+    """One CLI command: default tolerance, required flags, --mu, runner."""
+
+    tol: float
+    flags: tuple
+    mu: bool
+    run: Callable
+
+
+# Keyed by command, in the order argparse lists them.  Quadrature-backed
+# checks need a far looser default tolerance than exact-arithmetic
+# certificates.
+COMMANDS = {
+    "construct-l": Command(1e-8, ("x", "w"), True, _run_construct_l),
+    "construct-k": Command(1e-8, ("w", "v"), True, _run_construct_k),
+    "optimum": Command(1e-6, ("w", "v", "r"), True, _run_optimum),
+    "verify-eei": Command(1e-3, ("density", "w", "r"), True, _run_verify_eei),
+    "verify-epi": Command(1e-4, ("density",), False, _run_verify_epi),
+    "verify-worst-noise": Command(1e-4, ("density", "w", "v"), False, _run_worst_noise),
+    "search": Command(1e-6, ("w", "r"), True, _run_search),
+    "broadcast-design": Command(1e-6, ("z1", "z2", "r"), False, _run_broadcast_design),
+    "lmmse-bound": Command(1e-10, ("x", "r"), False, _run_lmmse_bound),
+    "variational-check": Command(1e-3, ("density",), True, _run_variational_check),
+}
 
 
 def _render(args, config, summary, result, passed, elapsed_ms) -> str:
@@ -388,19 +330,10 @@ def _render(args, config, summary, result, passed, elapsed_ms) -> str:
         return str(value)
 
     if args.format == "csv":
-        row = [
-            config["command"],
-            cell(summary["n"]),
-            cell(summary["mu"]),
-            cell(summary["lhs"]),
-            cell(summary["rhs"]),
-            cell(summary["margin"]),
-            cell(config["tol"]),
-            cell(summary["trials"]),
-            cell(config["seed"]),
-            cell(elapsed_ms),
-        ]
-        return CSV_HEADER + "\n" + ",".join(row) + "\n"
+        fields = dict(summary, command=config["command"], tol=config["tol"],
+                      seed=config["seed"], elapsed_ms=elapsed_ms)
+        row = ",".join(cell(fields[name]) for name in CSV_HEADER.split(","))
+        return CSV_HEADER + "\n" + row + "\n"
     if args.format == "text":
         lines = [
             f"eeikit {__version__}  command={config['command']}  seed={config['seed']}",
@@ -431,11 +364,21 @@ def _emit(args, text: str) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         seed = _resolve_seed(args)
-        tol = args.tol if args.tol is not None else DEFAULT_TOL[args.command]
+        tol = args.tol if args.tol is not None else command.tol
+        if not math.isfinite(tol):
+            raise InvalidParameter(f"tol must be finite, got {tol}")
         started = time.perf_counter()
-        summary, result = _execute(args, seed, tol)
+        mu = None
+        if command.mu:
+            _need(args, ("mu",), args.command)
+            mu = float(args.mu)
+            if not (mu > 1.0):
+                raise InvalidParameter(f"mu must exceed 1, got {args.mu}")
+        _need(args, command.flags, args.command)
+        summary, result = command.run(args, mu, seed, tol)
         elapsed_ms = (
             int(round(1000.0 * (time.perf_counter() - started)))
             if args.timing
@@ -448,10 +391,12 @@ def main(argv=None) -> int:
         print(f"eeikit: error: {exc}", file=sys.stderr)
         return 2
     passed = summary["margin"] >= -tol
-    config = _config_dict(args, seed, tol)
+    # The report embeds every flag, resolved, except where it is written.
+    config = dict(vars(args), tol=tol, seed=seed)
+    del config["output"]
     # elapsed is reported but never part of the pass decision, and is
     # zeroed by default so identical runs emit identical bytes.
-    if not args.timing and isinstance(result, dict) and "elapsed" in result:
+    if not args.timing and "elapsed" in result:
         result = dict(result, elapsed=0.0)
     text = _render(args, config, summary, result, passed, elapsed_ms)
     try:

@@ -34,13 +34,15 @@ from .gaussmat import (
     LOG_2PI_E,
     MarkovTriple,
     cov_to_json,
+    eig_scale,
     gaussian_entropy,
     markov_residual,
+    min_eig,
     psd_project,
     simdiag,
     spectral_scale,
     symmetrize,
-    _entries,
+    validated_pd,
 )
 
 __all__ = [
@@ -62,21 +64,6 @@ __all__ = [
 _BRANCH_TOL = 1e-12
 
 
-def _validated_pd(a, name: str, psd_tol: float = 1e-10) -> NDArray:
-    """Symmetrize and require strict positive definiteness."""
-    m = symmetrize(_entries(a))
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
-    w = np.linalg.eigvalsh(m)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if w[0] <= psd_tol * scale:
-        raise NotPositiveDefinite(
-            f"{name} must be strictly positive definite: min eigenvalue {w[0]:.3e}"
-        )
-    m.setflags(write=False)
-    return m
-
-
 @dataclass(frozen=True)
 class EEIInstance:
     """Problem data: weight mu > 1, noise covariances, and the constraint R.
@@ -93,12 +80,12 @@ class EEIInstance:
     def __post_init__(self):
         if not (self.mu > 1.0):
             raise BadMu(f"mu must exceed 1, got {self.mu}")
-        w = _validated_pd(self.s_w, "s_w")
-        r = _validated_pd(self.r, "r")
+        w = validated_pd(self.s_w, "s_w")
+        r = validated_pd(self.r, "r")
         object.__setattr__(self, "s_w", w)
         object.__setattr__(self, "r", r)
         if self.s_v is not None:
-            v = _validated_pd(self.s_v, "s_v")
+            v = validated_pd(self.s_v, "s_v")
             object.__setattr__(self, "s_v", v)
             if v.shape != w.shape:
                 raise DimensionMismatch("s_v and s_w dimensions differ")
@@ -167,15 +154,16 @@ class ConstructionCertificate:
 
 def objective_single_noise(s, s_w, mu: float) -> float:
     """h(S) - mu * h(S + W) for Gaussian covariances, in nats."""
-    s = _entries(s)
-    w = _entries(s_w)
+    s = np.asarray(s, dtype=float)
+    w = np.asarray(s_w, dtype=float)
     return gaussian_entropy(s) - mu * gaussian_entropy(s + w)
 
 
 def objective_two_noise(s, s_w, s_v, mu: float) -> float:
     """h(S + W) - mu * h(S + V) for Gaussian covariances, in nats."""
-    s = _entries(s)
-    return gaussian_entropy(s + _entries(s_w)) - mu * gaussian_entropy(s + _entries(s_v))
+    s = np.asarray(s, dtype=float)
+    w, v = np.asarray(s_w, dtype=float), np.asarray(s_v, dtype=float)
+    return gaussian_entropy(s + w) - mu * gaussian_entropy(s + v)
 
 
 def matched_alpha(h_x: float, s_w) -> float:
@@ -183,7 +171,7 @@ def matched_alpha(h_x: float, s_w) -> float:
 
     Closed form: ``alpha = exp(2 h_x / n) / (2 pi e * det(W)^(1/n))``.
     """
-    w = _validated_pd(s_w, "s_w")
+    w = validated_pd(s_w, "s_w")
     n = w.shape[0]
     log_det = float(np.sum(np.log(np.linalg.eigvalsh(w))))
     return math.exp(2.0 * h_x / n - LOG_2PI_E - log_det / n)
@@ -237,10 +225,6 @@ def f_alpha_argmax(instance: EEIInstance) -> float:
     return closed
 
 
-def _min_eig(a) -> float:
-    return float(np.linalg.eigvalsh(symmetrize(_entries(a)))[0])
-
-
 def construct_l(s_x, s_w, mu: float) -> ConstructionCertificate:
     """Split a source X = X* + X' so that a PSD multiplier L annihilates X'.
 
@@ -257,8 +241,8 @@ def construct_l(s_x, s_w, mu: float) -> ConstructionCertificate:
     """
     if not (mu > 1.0):
         raise BadMu(f"mu must exceed 1, got {mu}")
-    x = _validated_pd(s_x, "s_x")
-    w = _validated_pd(s_w, "s_w")
+    x = validated_pd(s_x, "s_x")
+    w = validated_pd(s_w, "s_w")
     if x.shape != w.shape:
         raise DimensionMismatch("s_x and s_w dimensions differ")
     q, d_w = simdiag(x, w)
@@ -272,10 +256,10 @@ def construct_l(s_x, s_w, mu: float) -> ConstructionCertificate:
     x_star = w_tilde / (mu - 1.0)
     x_prime = symmetrize(x - x_star)
     order = min(
-        _min_eig(x_prime),
-        _min_eig(w - w_tilde),
-        _min_eig(w_tilde),
-        _min_eig(l_mat),
+        min_eig(x_prime),
+        min_eig(w - w_tilde),
+        min_eig(w_tilde),
+        min_eig(l_mat),
     )
     return ConstructionCertificate(
         multiplier=l_mat,
@@ -328,18 +312,18 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
     """
     if not (mu > 1.0):
         raise BadMu(f"mu must exceed 1, got {mu}")
-    w = _validated_pd(s_w, "s_w")
-    v_tilde = _validated_pd(s_v_tilde, "s_v_tilde")
+    w = validated_pd(s_w, "s_w")
+    v_tilde = validated_pd(s_v_tilde, "s_v_tilde")
     if w.shape != v_tilde.shape:
         raise DimensionMismatch("s_w and s_v_tilde dimensions differ")
     k_mat = _k_threshold(w, v_tilde, mu)
     w_tilde = symmetrize(np.linalg.inv(np.linalg.inv(w) + k_mat))
     x_star = symmetrize(v_tilde / (mu - 1.0) - w_tilde)
     order = min(
-        _min_eig(x_star),
-        _min_eig(w - w_tilde),
-        _min_eig(w_tilde),
-        _min_eig(k_mat),
+        min_eig(x_star),
+        min_eig(w - w_tilde),
+        min_eig(w_tilde),
+        min_eig(k_mat),
     )
     return ConstructionCertificate(
         multiplier=k_mat,
@@ -415,9 +399,7 @@ def _active_bases(s: NDArray, r: NDArray, active_tol: float = 1e-7):
     """Orthonormal bases of the near-null eigenspaces of S and of R - S."""
     lam0, q0 = np.linalg.eigh(symmetrize(s))
     lam1, q1 = np.linalg.eigh(symmetrize(r - s))
-    s0 = max(1.0, float(np.max(np.abs(lam0))))
-    s1 = max(1.0, float(np.max(np.abs(lam1))))
-    return q0[:, lam0 < active_tol * s0], q1[:, lam1 < active_tol * s1]
+    return q0[:, lam0 < active_tol * eig_scale(lam0)], q1[:, lam1 < active_tol * eig_scale(lam1)]
 
 
 def _tangent_residual(
@@ -619,18 +601,18 @@ def _optimum_certificate(
     w_tilde = symmetrize(np.linalg.inv(np.linalg.inv(w) + k_mat))
     v_tilde = (mu - 1.0) * symmetrize(s_star + w_tilde)
     v_prime_gap = symmetrize(v - w_tilde - v_tilde)
-    split_gap = min(_min_eig(w - w_tilde), _min_eig(v - w_tilde))
+    split_gap = min(min_eig(w - w_tilde), min_eig(v - w_tilde))
     if split_gap < -1e-6 * spectral_scale(w, v):
         raise SplitInfeasible(
             f"no admissible reduced noise: ordering violated by {split_gap:.3e}"
         )
     order = min(
-        _min_eig(s_star),
-        _min_eig(r - s_star),
-        _min_eig(w - w_tilde),
-        _min_eig(v_tilde),
-        _min_eig(v_prime_gap),
-        _min_eig(k_mat),
+        min_eig(s_star),
+        min_eig(r - s_star),
+        min_eig(w - w_tilde),
+        min_eig(v_tilde),
+        min_eig(v_prime_gap),
+        min_eig(k_mat),
     )
     return ConstructionCertificate(
         multiplier=k_mat,

@@ -3,6 +3,11 @@
 All covariances are real symmetric positive-semidefinite numpy arrays.
 Functions accept either a plain ``ndarray`` or a :class:`CovMatrix`;
 results are plain arrays unless stated otherwise.  Entropies are in nats.
+
+This module owns covariance input validation: every module checks matrix
+inputs with :func:`validated_square` (non-square: DimensionMismatch;
+NaN or inf: InvalidParameter), :func:`validated_pd` or :func:`validated_psd`
+(failed eigenvalue test: NotPositiveDefinite).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from numpy.typing import NDArray
 
 from .errors import (
     DimensionMismatch,
+    InvalidParameter,
     NotPositiveDefinite,
     SingularCovariance,
 )
@@ -50,16 +56,51 @@ def symmetrize(a: NDArray) -> NDArray:
     return 0.5 * (a + a.T)
 
 
-def _entries(m) -> NDArray:
-    """Coerce a CovMatrix or array-like to a float ndarray (no copy if possible)."""
-    if isinstance(m, CovMatrix):
-        return m.entries
-    return np.asarray(m, dtype=float)
+def eig_scale(evals: NDArray) -> float:
+    """max(1, largest |eigenvalue|) of an ascending spectrum, as eigvalsh gives."""
+    return max(1.0, -float(evals[0]), float(evals[-1])) if evals.size else 1.0
 
 
-def _check_square(a: NDArray, name: str = "matrix") -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
+def min_eig(a) -> float:
+    """Smallest eigenvalue of the symmetric part of ``a``."""
+    return float(np.linalg.eigvalsh(symmetrize(a))[0])
+
+
+def validated_square(a, name: str = "matrix") -> NDArray:
+    """Symmetric part of ``a`` after checking it is square and finite."""
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidParameter(f"{name} must be finite")
+    return symmetrize(m)
+
+
+def _require_pd(evals: NDArray, name: str) -> None:
+    """Strict positive definiteness: min eigenvalue > DEFAULT_PSD_TOL * eig_scale."""
+    if evals[0] <= DEFAULT_PSD_TOL * eig_scale(evals):
+        raise NotPositiveDefinite(
+            f"{name} must be strictly positive definite: min eigenvalue {evals[0]:.3e}"
+        )
+
+
+def validated_pd(a, name: str = "matrix") -> NDArray:
+    """Read-only symmetric part of ``a``, strictly positive definite."""
+    m = validated_square(a, name)
+    _require_pd(np.linalg.eigvalsh(m), name)
+    m.setflags(write=False)
+    return m
+
+
+def validated_psd(a, name: str = "matrix") -> NDArray:
+    """Symmetric part of ``a``; min eigenvalue >= -DEFAULT_PSD_TOL * eig_scale."""
+    m = validated_square(a, name)
+    w = np.linalg.eigvalsh(m)
+    if w[0] < -DEFAULT_PSD_TOL * eig_scale(w):
+        raise NotPositiveDefinite(
+            f"{name} is not positive semidefinite: min eigenvalue {w[0]:.3e}"
+        )
+    return m
 
 
 def spectral_scale(*matrices) -> float:
@@ -67,53 +108,39 @@ def spectral_scale(*matrices) -> float:
 
     Used to turn absolute residual tolerances into relative ones.
     """
-    s = 1.0
-    for m in matrices:
-        a = _entries(m)
-        if a.size:
-            s = max(s, float(np.max(np.abs(np.linalg.eigvalsh(symmetrize(a))))))
-    return s
+    return max(
+        (eig_scale(np.linalg.eigvalsh(symmetrize(m))) for m in matrices), default=1.0
+    )
 
 
 @dataclass(frozen=True)
 class CovMatrix:
     """A validated covariance matrix: symmetric and PSD within tolerance.
 
-    Construction symmetrizes the input and rejects matrices that are
-    asymmetric beyond 1e-12 (relative) or whose smallest eigenvalue falls
-    below ``-psd_tol * max(1, largest |eigenvalue|)``.  Instances are
-    immutable; ``entries`` is a read-only array.
+    Construction applies :func:`validated_psd` and also rejects matrices
+    that are asymmetric beyond 1e-12 (relative to the largest entry).
+    Instances are immutable; ``entries`` is a read-only array.
     """
 
     entries: NDArray
-    psd_tol: float = DEFAULT_PSD_TOL
     dim: int = field(init=False)
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        _check_square(a, "covariance")
-        scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-        if float(np.max(np.abs(a - a.T))) > _SYM_RTOL * scale:
+        raw = np.asarray(self.entries, dtype=float)
+        a = validated_psd(raw, "covariance")
+        scale = max(1.0, float(np.max(np.abs(raw)))) if raw.size else 1.0
+        if float(np.max(np.abs(raw - raw.T))) > _SYM_RTOL * scale:
             raise NotPositiveDefinite("matrix is not symmetric within tolerance")
-        a = symmetrize(a)
-        evals = np.linalg.eigvalsh(a)
-        eig_scale = max(1.0, float(np.max(np.abs(evals))))
-        if evals[0] < -self.psd_tol * eig_scale:
-            raise NotPositiveDefinite(
-                f"matrix is not positive semidefinite: min eigenvalue {evals[0]:.3e}"
-            )
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "dim", a.shape[0])
 
     @classmethod
-    def from_array(cls, a, psd_tol: float = DEFAULT_PSD_TOL) -> "CovMatrix":
-        return cls(np.array(a, dtype=float), psd_tol)
+    def from_array(cls, a) -> "CovMatrix":
+        return cls(np.array(a, dtype=float))
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is not None:
-            return np.asarray(self.entries, dtype=dtype)
-        return self.entries
+        return np.asarray(self.entries, dtype=dtype)
 
 
 class SimDiagResult(NamedTuple):
@@ -141,35 +168,23 @@ def psd_leq(a, b, tol: float = DEFAULT_PSD_TOL) -> bool:
     The test is ``min_eig(b - a) >= -tol * scale`` with
     ``scale = max(1, max |eig(b - a)|)``.
     """
-    a, b = _entries(a), _entries(b)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     evals = np.linalg.eigvalsh(symmetrize(b - a))
-    scale = max(1.0, float(np.max(np.abs(evals)))) if evals.size else 1.0
-    return bool(evals[0] >= -tol * scale)
+    return bool(evals[0] >= -tol * eig_scale(evals))
 
 
 def psd_project(a) -> NDArray:
     """Nearest PSD matrix in Frobenius norm: clip negative eigenvalues to 0."""
-    a = symmetrize(_entries(a))
+    a = symmetrize(a)
     w, q = np.linalg.eigh(a)
     if w.size == 0 or w[0] >= 0.0:
         return a
     return symmetrize(q @ (np.maximum(w, 0.0)[:, None] * q.T))
 
 
-def _inv_sqrt_pd(a: NDArray, psd_tol: float, name: str) -> NDArray:
-    """Symmetric inverse square root of a strictly PD matrix."""
-    w, q = np.linalg.eigh(symmetrize(a))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if w[0] <= psd_tol * scale:
-        raise NotPositiveDefinite(
-            f"{name} must be strictly positive definite: min eigenvalue {w[0]:.3e}"
-        )
-    return symmetrize(q @ ((w ** -0.5)[:, None] * q.T))
-
-
-def simdiag(a, b, psd_tol: float = DEFAULT_PSD_TOL) -> SimDiagResult:
+def simdiag(a, b) -> SimDiagResult:
     """Simultaneously diagonalize a strictly PD ``a`` and PSD ``b``.
 
     Whitens by the symmetric inverse square root of ``a`` and orthogonally
@@ -182,12 +197,13 @@ def simdiag(a, b, psd_tol: float = DEFAULT_PSD_TOL) -> SimDiagResult:
     SimDiagResult
         ``q`` invertible with ``q.T @ a @ q = I`` and ``q.T @ b @ q = diag(d)``.
     """
-    a, b = _entries(a), _entries(b)
-    _check_square(a, "a")
+    a, b = validated_square(a, "a"), validated_square(b, "b")
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    a_isqrt = _inv_sqrt_pd(a, psd_tol, "a")
-    m = symmetrize(a_isqrt @ symmetrize(b) @ a_isqrt)
+    w, q = np.linalg.eigh(a)
+    _require_pd(w, "a")
+    a_isqrt = symmetrize(q @ ((w ** -0.5)[:, None] * q.T))
+    m = symmetrize(a_isqrt @ b @ a_isqrt)
     d, u = np.linalg.eigh(m)
     order = np.argsort(-d, kind="stable")
     d = d[order]
@@ -207,11 +223,9 @@ def gaussian_entropy(s) -> float:
     Raises :class:`SingularCovariance` if the determinant is not strictly
     positive within tolerance.
     """
-    a = symmetrize(_entries(s))
-    _check_square(a, "covariance")
+    a = validated_square(s, "covariance")
     evals = np.linalg.eigvalsh(a)
-    scale = max(1.0, float(np.max(np.abs(evals)))) if evals.size else 1.0
-    if evals.size == 0 or evals[0] <= 1e-12 * scale:
+    if evals.size == 0 or evals[0] <= 1e-12 * eig_scale(evals):
         raise SingularCovariance(
             f"covariance is singular within tolerance: min eigenvalue "
             f"{evals[0] if evals.size else float('nan'):.3e}"
@@ -223,17 +237,20 @@ def gaussian_entropy(s) -> float:
 def gaussian_conditional_cov(s_x, s_z) -> NDArray:
     """Error covariance of estimating X from X + Z for independent Gaussians.
 
-    Returns ``s_x - s_x @ inv(s_x + s_z) @ s_x``, which is PSD and below
-    ``s_x`` in the PSD order.
+    This is the linear minimum mean-square error (LMMSE) matrix
+    ``s_x - s_x @ inv(s_x + s_z) @ s_x``, which is PSD and below ``s_x``
+    in the PSD order.  Both inputs must be PSD (:func:`validated_psd`);
+    an observation covariance ``s_x + s_z`` whose determinant is not
+    positive raises :class:`SingularCovariance`.
     """
-    x, z = _entries(s_x), _entries(s_z)
+    x, z = validated_psd(s_x, "s_x"), validated_psd(s_z, "s_z")
     if x.shape != z.shape:
         raise DimensionMismatch(f"shape mismatch {x.shape} vs {z.shape}")
-    try:
-        gain = np.linalg.solve(symmetrize(x + z), x)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance("sum covariance is singular") from exc
-    return symmetrize(x - x @ gain)
+    s_y = x + z
+    sign, _ = np.linalg.slogdet(s_y)
+    if sign <= 0:
+        raise SingularCovariance("observation covariance is singular")
+    return symmetrize(x - x @ np.linalg.solve(s_y, x))
 
 
 def markov_residual(t: MarkovTriple | Sequence) -> float:
@@ -248,7 +265,7 @@ def markov_residual(t: MarkovTriple | Sequence) -> float:
     vanishes.  The returned value is ``||sym(M)||_F``; 0 within tolerance
     certifies the chain.
     """
-    y1, y2, y3 = (_entries(m) for m in t)
+    y1, y2, y3 = (np.asarray(m, dtype=float) for m in t)
     if not (y1.shape == y2.shape == y3.shape):
         raise DimensionMismatch("triple members must share one shape")
     try:
@@ -267,24 +284,24 @@ def cov_from_json(source) -> CovMatrix:
     """
     obj = json.loads(source) if isinstance(source, (str, bytes)) else source
     if not isinstance(obj, dict) or "rows" not in obj:
-        raise NotPositiveDefinite("matrix JSON must be an object with a 'rows' field")
+        raise InvalidParameter("matrix JSON must be an object with a 'rows' field")
     rows = obj["rows"]
     try:
         a = np.array(rows, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise NotPositiveDefinite(f"matrix rows are not numeric: {exc}") from exc
-    _check_square(a, "matrix JSON")
-    dim = obj.get("dim", a.shape[0])
-    if int(dim) != a.shape[0]:
+        raise InvalidParameter(f"matrix rows are not numeric: {exc}") from exc
+    m = CovMatrix.from_array(a)
+    dim = obj.get("dim", m.dim)
+    if int(dim) != m.dim:
         raise DimensionMismatch(
             f"declared dim {dim} does not match rows shape {a.shape}"
         )
-    return CovMatrix.from_array(a)
+    return m
 
 
 def cov_to_json(m) -> dict:
     """Serialize a matrix to the shared JSON format."""
-    a = _entries(m)
+    a = np.asarray(m, dtype=float)
     return {"dim": int(a.shape[0]), "rows": [[float(v) for v in row] for row in a]}
 
 

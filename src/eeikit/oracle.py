@@ -43,6 +43,7 @@ __all__ = [
     "VerificationReport",
     "entropy_quadrature",
     "convolve_density",
+    "convolve_pair",
     "check_epi",
     "check_worst_noise",
     "check_eei",
@@ -322,8 +323,12 @@ def _resample(d: GridDensity, step: float) -> GridDensity:
     return GridDensity(d.support_lo, hi, vals / mass)
 
 
-def _convolve_pair(d1: GridDensity, d2: GridDensity) -> GridDensity:
-    """Density of the sum of two independent variables on a shared step."""
+def convolve_pair(d1: GridDensity, d2: GridDensity) -> GridDensity:
+    """Density of the sum of two independent variables on d1's grid step.
+
+    ``d2`` is linearly resampled onto that step when the steps differ; the
+    trapezoid-rule convolution is renormalized to unit mass.
+    """
     if abs(d2.step - d1.step) > 1e-12 * d1.step:
         d2 = _resample(d2, d1.step)
     step = d1.step
@@ -345,7 +350,7 @@ def check_epi(d1: GridDensity, d2: GridDensity, tol: float = 1e-4) -> Verificati
     t0 = time.perf_counter()
     h1 = entropy_quadrature(d1).value
     h2 = entropy_quadrature(d2).value
-    lhs = entropy_quadrature(_convolve_pair(d1, d2)).value
+    lhs = entropy_quadrature(convolve_pair(d1, d2)).value
     pow1 = math.exp(2.0 * h1) / (2.0 * math.pi * math.e)
     pow2 = math.exp(2.0 * h2) / (2.0 * math.pi * math.e)
     rhs = 0.5 * math.log(2.0 * math.pi * math.e * (pow1 + pow2))
@@ -411,7 +416,7 @@ def check_eei(
     """
     t0 = time.perf_counter()
     var = d_x.variance()
-    if var > r * (1.0 + 1e-9):
+    if not (var <= r * (1.0 + 1e-9)):
         raise InvalidParameter(
             f"candidate variance {var:.6f} exceeds the budget {r:.6f}"
         )
@@ -549,7 +554,7 @@ def variational_first_residual(
     ``fx(x) * fv(y - x)``.  Gaussian triples satisfy the equation up to
     grid error; non-stationary triples leave an order-one residual.
     """
-    conv = _convolve_pair(fx, fv)
+    conv = convolve_pair(fx, fv)
     conv_on_fy = _interp_density(conv, fy.grid)
     dev = float(np.max(np.abs(fy.values - conv_on_fy)))
     if dev > 1e-4:

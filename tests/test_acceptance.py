@@ -40,7 +40,7 @@ from eeikit import (
     variational_second_form,
 )
 from eeikit.cli import main as cli_main
-from eeikit.oracle import _convolve_pair, convolve_density, entropy_quadrature
+from eeikit.oracle import convolve_density, convolve_pair, entropy_quadrature
 
 GOLD = 0.5 * (math.sqrt(5.0) - 1.0)
 
@@ -310,7 +310,7 @@ def test_criterion_8_variational_checks():
     for mu, var_x, var_v in combos:
         fx = GridDensity.gaussian(var_x)
         fv = GridDensity.gaussian(var_v)
-        fy = _convolve_pair(fx, fv)
+        fy = convolve_pair(fx, fv)
         stationary.append(variational_first_residual(fx, fy, fv, mu))
         for _ in range(pairs_per_combo):
             hx = np.sin(rng.uniform(0.3, 2.0) * fx.grid + rng.normal()) * np.exp(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from eeikit import cov_to_json
-from eeikit.cli import CSV_HEADER, DEFAULT_TOL, SEED_ENV_VAR, main
+from eeikit.cli import COMMANDS, CSV_HEADER, SEED_ENV_VAR, main
 
 
 def run_cli(capsys, *argv):
@@ -94,7 +94,7 @@ class TestConstructCommands:
             "--mu", "1.8",
         )
         assert code == 0
-        assert 0.0 <= blob["summary"]["lhs"] <= DEFAULT_TOL["optimum"]
+        assert 0.0 <= blob["summary"]["lhs"] <= COMMANDS["optimum"].tol
 
 
 class TestVerifyCommands:
@@ -182,6 +182,26 @@ class TestExitCodes:
         assert code == 2
         assert "unknown density" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("optimum", "--w", "nan", "--v", "4", "--r", "10", "--mu", "2"),
+            ("optimum", "--w", "1", "--v", "4", "--r", "nan", "--mu", "2"),
+            ("construct-l", "--x", "nan", "--w", "3", "--mu", "2"),
+            ("construct-k", "--w", "2", "--v", "nan", "--mu", "3"),
+            ("search", "--w", "1", "--v", "4", "--r", "nan", "--mu", "2", "--trials", "100"),
+            ("verify-eei", "--density", "uniform:0,1", "--w", "1", "--r", "nan", "--mu", "2"),
+            ("variational-check", "--density", "gaussian", "--mu", "nan"),
+            ("construct-l", "--x", "1", "--w", "3", "--mu", "2", "--tol", "nan"),
+        ],
+        ids=lambda argv: argv[0] + argv[argv.index("nan") - 1],
+    )
+    def test_non_finite_input_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("eeikit: error:")
+
     def test_math_failure_exit_one(self, capsys):
         code, _, err = run_cli(
             capsys, "broadcast-design", "--z1", "0.5", "--z2", "2", "--r", "3"
@@ -250,7 +270,7 @@ class TestFormatsAndReproducibility:
 
     def test_default_tol_is_per_command(self, capsys):
         _, blob = run_json(capsys, "verify-epi", "--density", "uniform")
-        assert blob["config"]["tol"] == DEFAULT_TOL["verify-epi"]
+        assert blob["config"]["tol"] == COMMANDS["verify-epi"].tol
 
     def test_timing_flag_reports_elapsed(self, capsys):
         _, blob = run_json(

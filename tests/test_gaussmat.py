@@ -11,11 +11,15 @@ from hypothesis.extra.numpy import arrays
 
 from eeikit import (
     LOG_2PI_E,
+    BroadcastInstance,
     CovMatrix,
     DimensionMismatch,
-    EEIKitError,
+    EEIInstance,
+    InvalidParameter,
     MarkovTriple,
     NotPositiveDefinite,
+    SingularCovariance,
+    construct_l,
     cov_from_json,
     cov_to_json,
     gaussian_conditional_cov,
@@ -188,7 +192,45 @@ def test_cov_from_json_accepts_strings_and_rejects_bare_rows():
     m = cov_from_json('{"dim": 2, "rows": [[2.0, 0.0], [0.0, 1.0]]}')
     assert m.dim == 2
     assert m.entries[0, 0] == 2.0
-    with pytest.raises(EEIKitError):
+    with pytest.raises(InvalidParameter):
         cov_from_json([[2.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(InvalidParameter):
+        cov_from_json({"rows": [["a", 0.0], [0.0, 1.0]]})
     with pytest.raises(DimensionMismatch):
         cov_from_json({"dim": 3, "rows": [[1.0, 0.0], [0.0, 1.0]]})
+
+
+# Each constructor takes the bad matrix in its first covariance slot.
+# gaussian_conditional_cov pairs it with a zero noise, so a singular
+# source makes the observation covariance s_x + s_z singular.
+_TAKES_BAD_MATRIX = {
+    "CovMatrix": CovMatrix,
+    "EEIInstance": lambda m: EEIInstance(mu=2.0, s_w=m, r=np.eye(2), s_v=2.0 * np.eye(2)),
+    "construct_l": lambda m: construct_l(m, np.eye(2), 2.0),
+    "simdiag": lambda m: simdiag(m, np.eye(2)),
+    "BroadcastInstance": lambda m: BroadcastInstance(m, 2.0 * np.eye(2), 0.5 * np.eye(2)),
+    "gaussian_conditional_cov": lambda m: gaussian_conditional_cov(m, np.zeros((2, 2))),
+}
+_BAD_MATRICES = (
+    ("non-square", np.ones((2, 3)), DimensionMismatch),
+    ("nan", np.array([[np.nan, 0.0], [0.0, 1.0]]), InvalidParameter),
+    ("inf", np.array([[1.0, 0.0], [0.0, np.inf]]), InvalidParameter),
+    ("indefinite", np.array([[1.0, 2.0], [2.0, 1.0]]), NotPositiveDefinite),
+    ("singular", np.array([[1.0, 1.0], [1.0, 1.0]]), NotPositiveDefinite),
+)
+
+
+def _validator_contract():
+    for name, build in _TAKES_BAD_MATRIX.items():
+        for case, m, error in _BAD_MATRICES:
+            if case == "singular" and name == "CovMatrix":
+                continue  # a covariance only needs to be PSD
+            if case == "singular" and name == "gaussian_conditional_cov":
+                error = SingularCovariance
+            yield pytest.param(build, m, error, id=f"{name}-{case}")
+
+
+@pytest.mark.parametrize("build, m, error", _validator_contract())
+def test_validator_contract(build, m, error):
+    with pytest.raises(error):
+        build(m)

@@ -1,4 +1,9 @@
-"""Guard: no module in the eeikit package imports a name it never uses."""
+"""Import guards for the eeikit package and the demos.
+
+No package module imports a name it never uses, and no package module or
+demo imports an underscore-prefixed name from an eeikit module.  Test
+files may reach private helpers and are not checked.
+"""
 
 import ast
 from pathlib import Path
@@ -8,6 +13,7 @@ import pytest
 import eeikit
 
 PACKAGE = Path(eeikit.__file__).parent
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -23,3 +29,21 @@ def test_no_unused_imports(path):
     if path.name == "__init__.py":
         used.update(eeikit.__all__)
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE.glob("*.py")) + sorted(DEMOS.glob("*.py")),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_no_private_eeikit_imports(path):
+    tree = ast.parse(path.read_text())
+    private = [
+        f"{node.module or '.'}:{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "eeikit")
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []

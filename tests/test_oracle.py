@@ -22,7 +22,7 @@ from eeikit import (
     variational_first_residual,
     variational_second_form,
 )
-from eeikit.oracle import _capped_scales, _convolve_pair, _trial_directions
+from eeikit.oracle import _capped_scales, _trial_directions, convolve_pair
 
 # Entropy references computed with adaptive quadrature (scipy.integrate.quad)
 # on the closed-form densities, frozen here so the grid code is tested against
@@ -290,15 +290,15 @@ class TestVariationalFirstResidual:
     def test_gaussian_triple_is_stationary(self):
         fx = GridDensity.gaussian(1.0)
         fv = GridDensity.gaussian(0.5)
-        fy = _convolve_pair(fx, fv)
+        fy = convolve_pair(fx, fv)
         assert variational_first_residual(fx, fy, fv, 2.0) <= 1e-3
 
     def test_non_gaussian_candidate_is_not(self):
         fv = GridDensity.gaussian(0.5)
         fx_good = GridDensity.gaussian(1.0)
         fx_bad = GridDensity.uniform(-math.sqrt(3.0), math.sqrt(3.0))
-        good = variational_first_residual(fx_good, _convolve_pair(fx_good, fv), fv, 2.0)
-        bad = variational_first_residual(fx_bad, _convolve_pair(fx_bad, fv), fv, 2.0)
+        good = variational_first_residual(fx_good, convolve_pair(fx_good, fv), fv, 2.0)
+        bad = variational_first_residual(fx_bad, convolve_pair(fx_bad, fv), fv, 2.0)
         assert bad >= 100.0 * good
 
     def test_inconsistent_output_density_rejected(self):
@@ -319,7 +319,7 @@ class TestVariationalSecondForm:
         mu = 2.0
         fx = GridDensity.gaussian(1.5)
         fv = GridDensity.gaussian(0.7)
-        fy = _convolve_pair(fx, fv)
+        fy = convolve_pair(fx, fv)
         rng = np.random.default_rng(17)
         for _ in range(10):
             hx = self._smooth(rng, fx.grid)
@@ -330,21 +330,21 @@ class TestVariationalSecondForm:
         mu = 3.0
         fx = GridDensity.gaussian(1.0)
         fv = GridDensity.gaussian(1.0)
-        fy = _convolve_pair(fx, fv)
+        fy = convolve_pair(fx, fv)
         val = variational_second_form(fx, fy, fv, mu, 0.37 * fx.values, 0.37 * fy.values, 1.0 - mu)
         assert abs(val) <= 1e-10
 
     def test_weight_precondition(self):
         fx = GridDensity.gaussian(1.0)
         fv = GridDensity.gaussian(1.0)
-        fy = _convolve_pair(fx, fv)
+        fy = convolve_pair(fx, fv)
         with pytest.raises(InvalidParameter):
             variational_second_form(fx, fy, fv, 2.0, fx.values, fy.values, -1.5)
 
     def test_grid_shape_enforced(self):
         fx = GridDensity.gaussian(1.0)
         fv = GridDensity.gaussian(1.0)
-        fy = _convolve_pair(fx, fv)
+        fy = convolve_pair(fx, fv)
         with pytest.raises(InvalidParameter):
             variational_second_form(fx, fy, fv, 2.0, np.zeros(7), np.zeros(fy.points), -1.0)
 
