@@ -118,9 +118,9 @@ def design_private_message(inst: BroadcastInstance) -> BroadcastDesign:
     The eavesdropper's posterior trace is continuous and strictly
     increasing along the ray and saturates at ``Tr s_z2``, so thresholds
     at or above that trace are rejected up front.  The scale solving
-    ``Tr mse_2(t) = Tr r`` is bracketed by doubling and then bisected to
-    eight digits of relative accuracy; the intended receiver must end up
-    at or below the threshold.
+    ``Tr mse_2(t) = Tr r`` is bracketed by doubling and then bisected
+    until the bracket is no wider than ``1e-12 * max(1, t)``; the intended
+    receiver must end up at or below the threshold.
     """
     tr_r = float(np.trace(inst.r))
     tr_z2 = float(np.trace(inst.s_z2))

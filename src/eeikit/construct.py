@@ -630,20 +630,26 @@ def _optimum_certificate(
 def eei_optimum(instance: EEIInstance):
     """Maximize h(S + W) - mu * h(S + V) over the band 0 <= S <= R.
 
-    Starts from the fixed-point noise split projected onto the band,
-    follows the log-barrier Newton path to the maximizer, and pins the
-    eigenvalues of S and of R - S below ``1e-9 * spectral_scale(W, V, R)``
-    to exactly zero.  A tangent gradient residual above ``1e-6`` of the
-    gradient scale raises :class:`NoConvergence`.
+    In one dimension the derivative ``((1-mu)s + v - mu*w)/((s+w)(s+v))``
+    changes sign once, so ``s = clip((v - mu*w)/(mu - 1), 0, r)`` is
+    exact.  Otherwise the solve starts from the fixed-point noise split
+    projected onto the band, follows the log-barrier Newton path to the
+    maximizer, and pins the eigenvalues of S and of R - S below
+    ``1e-9 * spectral_scale(W, V, R)`` to exactly zero.  A tangent gradient
+    residual above ``1e-6`` of the gradient scale raises
+    :class:`NoConvergence`.
 
     Returns ``(s_x_star, objective, certificate)``.
     """
     if instance.s_v is None:
         raise InvalidParameter("instance must include s_v for the two-noise optimum")
     w, v, r, mu = instance.s_w, instance.s_v, instance.r, instance.mu
-    # _interior_newton projects its start onto the band.
-    s = _interior_newton(_fixed_point_split(w, v, mu), w, v, r, mu)
-    s = _pin_faces(s, r, 1e-9 * spectral_scale(w, v, r))
+    if instance.dim == 1:
+        s = np.clip((v - mu * w) / (mu - 1.0), 0.0, r)
+    else:
+        # _interior_newton projects its start onto the band.
+        s = _interior_newton(_fixed_point_split(w, v, mu), w, v, r, mu)
+        s = _pin_faces(s, r, 1e-9 * spectral_scale(w, v, r))
     res = _tangent_residual(s, w, v, r, mu)
     g_scale = max(1.0, float(np.max(np.abs(_grad_two_noise(s, w, v, mu)))))
     if res > 1e-6 * g_scale:

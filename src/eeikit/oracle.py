@@ -287,12 +287,31 @@ def _halved_ends(vals: NDArray) -> NDArray:
     return out
 
 
+def _trapezoid_convolution(a: NDArray, b: NDArray, step: float) -> NDArray:
+    """Full linear convolution of two grids with common step, by the trapezoid rule.
+
+    Halving the end samples of both inputs makes the discrete convolution
+    the trapezoid rule applied to the defining integral.  It is computed
+    through a real FFT zero-padded to the next power of two.  The exact
+    convolution of nonnegative samples is nonnegative, but FFT rounding
+    leaves values around -1e-19 in the far tails, so the output is clipped
+    at zero.
+    """
+    size = a.size + b.size - 1
+    nfft = 1 << (size - 1).bit_length()
+    spectrum = np.fft.rfft(_halved_ends(a), nfft) * np.fft.rfft(_halved_ends(b), nfft)
+    return np.clip(np.fft.irfft(spectrum, nfft)[:size], 0.0, None) * step
+
+
 def convolve_density(d: GridDensity, sigma2: float) -> GridDensity:
     """Density of X + N(0, sigma2) on a grid enlarged by 8 sigma per side.
 
-    Discrete convolution against a trapezoid-normalized Gaussian kernel;
-    mass is preserved within 1e-8.  Grids coarser than a quarter of the
-    noise deviation are rejected because the kernel would be undersampled.
+    Trapezoid-rule convolution against a trapezoid-normalized Gaussian
+    kernel, computed by FFT; mass is preserved within 1e-8.  The output is
+    clipped at zero, since FFT rounding leaves tiny negative values in the
+    far tails where the exact convolution is nonnegative.  Grids coarser
+    than a quarter of the noise deviation are rejected because the kernel
+    would be undersampled.
     """
     if not sigma2 > 0.0:
         raise InvalidParameter("noise variance must be positive")
@@ -306,10 +325,9 @@ def convolve_density(d: GridDensity, sigma2: float) -> GridDensity:
     t = np.arange(-m, m + 1) * step
     kernel = np.exp(-0.5 * t**2 / sigma2)
     kernel /= np.trapezoid(kernel, dx=step)
-    out = np.convolve(_halved_ends(d.values), _halved_ends(kernel)) * step
-    # The convolution of halved-end samples reproduces the trapezoid rule
-    # applied to the defining integral, so the product of the two unit
-    # masses carries over to the output.
+    out = _trapezoid_convolution(d.values, kernel, step)
+    # The trapezoid rule carries the product of the two unit masses over
+    # to the output.
     return GridDensity(d.support_lo - m * step, d.support_hi + m * step, out)
 
 
@@ -326,13 +344,15 @@ def _resample(d: GridDensity, step: float) -> GridDensity:
 def convolve_pair(d1: GridDensity, d2: GridDensity) -> GridDensity:
     """Density of the sum of two independent variables on d1's grid step.
 
-    ``d2`` is linearly resampled onto that step when the steps differ; the
-    trapezoid-rule convolution is renormalized to unit mass.
+    ``d2`` is linearly resampled onto that step when the steps differ.  The
+    trapezoid-rule convolution is computed by FFT, clipped at zero (FFT
+    rounding leaves tiny negative values in the far tails, where the exact
+    convolution is nonnegative) and renormalized to unit mass.
     """
     if abs(d2.step - d1.step) > 1e-12 * d1.step:
         d2 = _resample(d2, d1.step)
     step = d1.step
-    out = np.convolve(_halved_ends(d1.values), _halved_ends(d2.values)) * step
+    out = _trapezoid_convolution(d1.values, d2.values, step)
     mass = float(np.trapezoid(out, dx=step))
     return GridDensity(
         d1.support_lo + d2.support_lo, d1.support_hi + d2.support_hi, out / mass
@@ -345,18 +365,22 @@ def check_epi(d1: GridDensity, d2: GridDensity, tol: float = 1e-4) -> Verificati
     The comparison Gaussians carry the same individual entropies, so the
     right-hand side is the entropy of a normal whose variance is the sum
     of the two entropy powers.  The margin ``lhs - rhs`` must be
-    nonnegative up to quadrature tolerance.
+    nonnegative up to quadrature tolerance.  ``quad_error`` is the
+    Richardson error of each entropy weighted by its share of the margin:
+    one for the sum, the entropy-power shares for ``h1`` and ``h2``.
+    ``step`` is d1's grid step, on which the sum is computed.
     """
     t0 = time.perf_counter()
-    h1 = entropy_quadrature(d1).value
-    h2 = entropy_quadrature(d2).value
-    lhs = entropy_quadrature(convolve_pair(d1, d2)).value
+    h1, err1 = entropy_quadrature(d1)
+    h2, err2 = entropy_quadrature(d2)
+    lhs, err_sum = entropy_quadrature(convolve_pair(d1, d2))
     pow1 = math.exp(2.0 * h1) / (2.0 * math.pi * math.e)
     pow2 = math.exp(2.0 * h2) / (2.0 * math.pi * math.e)
     rhs = 0.5 * math.log(2.0 * math.pi * math.e * (pow1 + pow2))
+    quad_error = err_sum + (pow1 * err1 + pow2 * err2) / (pow1 + pow2)
     return _report(
         "epi", lhs, rhs, lhs - rhs, tol, 1, 0, t0,
-        {"h1": h1, "h2": h2, "n": 1},
+        {"h1": h1, "h2": h2, "n": 1, "quad_error": quad_error, "step": d1.step},
     )
 
 
@@ -378,23 +402,28 @@ def check_worst_noise(
     Both mutual informations are evaluated as entropy differences,
     ``h(X + all noise) - h(X + first noise)``, once for ``d_x`` and once
     for a Gaussian source with matching variance on the same grid.  The
-    non-Gaussian source must leak at least as much.
+    non-Gaussian source must leak at least as much.  ``quad_error`` sums
+    the Richardson errors of the four entropies; ``step`` is d_x's grid
+    step.
     """
     if s2_wt <= 0.0 or s2_wp <= 0.0:
         raise InvalidParameter("noise variances must be positive")
     t0 = time.perf_counter()
-    lhs = (
-        entropy_quadrature(convolve_density(d_x, s2_wt + s2_wp)).value
-        - entropy_quadrature(convolve_density(d_x, s2_wt)).value
-    )
-    g = _matched_gaussian(d_x)
-    rhs = (
-        entropy_quadrature(convolve_density(g, s2_wt + s2_wp)).value
-        - entropy_quadrature(convolve_density(g, s2_wt)).value
-    )
+
+    def leak(d):
+        (h_all, e_all), (h_wt, e_wt) = (
+            entropy_quadrature(convolve_density(d, s2)) for s2 in (s2_wt + s2_wp, s2_wt)
+        )
+        return h_all - h_wt, e_all + e_wt
+
+    lhs, err_x = leak(d_x)
+    rhs, err_g = leak(_matched_gaussian(d_x))
     return _report(
         "worst_noise", lhs, rhs, lhs - rhs, tol, 1, 0, t0,
-        {"s2_wt": s2_wt, "s2_wp": s2_wp, "variance": d_x.variance(), "n": 1},
+        {
+            "s2_wt": s2_wt, "s2_wp": s2_wp, "variance": d_x.variance(), "n": 1,
+            "quad_error": err_x + err_g, "step": d_x.step,
+        },
     )
 
 
@@ -412,7 +441,9 @@ def check_eei(
     compared against the dominating construction at the candidate's own
     variance.  With ``s2_v`` the two-noise objective is compared against
     the certified band optimum.  The margin ``rhs - lhs`` absorbs the
-    quadrature budget ``tol``.
+    quadrature budget ``tol``.  ``quad_error`` is the Richardson error of
+    the first entropy plus ``mu`` times that of the second; ``step`` is
+    d_x's grid step.
     """
     t0 = time.perf_counter()
     var = d_x.variance()
@@ -421,22 +452,22 @@ def check_eei(
             f"candidate variance {var:.6f} exceeds the budget {r:.6f}"
         )
     if s2_v is None:
-        lhs = (
-            entropy_quadrature(d_x).value
-            - mu * entropy_quadrature(convolve_density(d_x, s2_w)).value
-        )
+        h1, err1 = entropy_quadrature(d_x)
+        h2, err2 = entropy_quadrature(convolve_density(d_x, s2_w))
         cert = construct_l(np.array([[var]]), np.array([[s2_w]]), mu)
         rhs = objective_single_noise(cert.s_x_star, np.array([[s2_w]]), mu)
     else:
-        lhs = (
-            entropy_quadrature(convolve_density(d_x, s2_w)).value
-            - mu * entropy_quadrature(convolve_density(d_x, s2_v)).value
-        )
+        h1, err1 = entropy_quadrature(convolve_density(d_x, s2_w))
+        h2, err2 = entropy_quadrature(convolve_density(d_x, s2_v))
         instance = EEIInstance.from_scalars(mu, w=s2_w, r=r, v=s2_v)
         _, rhs, _ = eei_optimum(instance)
+    lhs = h1 - mu * h2
     return _report(
         "eei", lhs, rhs, rhs - lhs, tol, 1, 0, t0,
-        {"mu": mu, "s2_w": s2_w, "s2_v": s2_v, "r": r, "variance": var, "n": 1},
+        {
+            "mu": mu, "s2_w": s2_w, "s2_v": s2_v, "r": r, "variance": var, "n": 1,
+            "quad_error": err1 + mu * err2, "step": d_x.step,
+        },
     )
 
 

@@ -252,6 +252,25 @@ class TestFormatsAndReproducibility:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-eei", "--density", "uniform", "--mu", "2", "--w", "1", "--r", "1"),
+            ("verify-eei", "--density", "mixture:0.5,-2,1,2,1", "--mu", "2", "--w", "1",
+             "--v", "4", "--r", "10"),
+            ("verify-epi", "--density", "uniform", "--density2", "gaussian:0.5"),
+            ("verify-worst-noise", "--density", "uniform:0,2", "--w", "0.7", "--v", "0.4"),
+        ],
+        ids=["eei", "eei-two-noise", "epi", "worst-noise"],
+    )
+    def test_verify_reports_carry_quadrature_budget(self, capsys, argv):
+        _, first, _ = run_cli(capsys, *argv)
+        _, second, _ = run_cli(capsys, *argv)
+        assert first == second
+        result = json.loads(first)["result"]
+        assert math.isfinite(result["quad_error"]) and result["quad_error"] >= 0.0
+        assert math.isfinite(result["step"]) and result["step"] > 0.0
+
     def test_seed_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "123")
         _, blob = run_json(

@@ -149,7 +149,7 @@ class TestConstrainedOptimum:
         # one-dimensional calculus: derivative negative on [0, r], optimum at 0
         inst = EEIInstance.from_scalars(2.0, 1.0, 10.0, 2.0)
         s_star, obj, cert = eei_optimum(inst)
-        assert abs(s_star[0, 0]) <= 1e-6
+        assert s_star[0, 0] == 0.0
         expected = gaussian_entropy(np.array([[1.0]])) - 2.0 * gaussian_entropy(np.array([[2.0]]))
         assert obj == pytest.approx(expected, abs=1e-6)
         _cert_ok(cert, 10.0, tol=1e-6)

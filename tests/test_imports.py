@@ -1,8 +1,9 @@
-"""Import guards for the eeikit package and the demos.
+"""Import and call guards for the eeikit package and the demos.
 
 No package module imports a name it never uses, and no package module or
 demo imports an underscore-prefixed name from an eeikit module.  Test
-files may reach private helpers and are not checked.
+files may reach private helpers and are not checked.  No package module
+uses numpy's direct O(N*M) ``convolve``; the oracle convolves by FFT.
 """
 
 import ast
@@ -47,3 +48,19 @@ def test_no_private_eeikit_imports(path):
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_direct_convolution(path):
+    tree = ast.parse(path.read_text())
+    uses = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "convolve")
+        or (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "numpy"
+            and any(alias.name == "convolve" for alias in node.names)
+        )
+    ]
+    assert uses == []

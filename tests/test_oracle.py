@@ -22,7 +22,7 @@ from eeikit import (
     variational_first_residual,
     variational_second_form,
 )
-from eeikit.oracle import _capped_scales, _trial_directions, convolve_pair
+from eeikit.oracle import _capped_scales, _resample, _trial_directions, convolve_pair
 
 # Entropy references computed with adaptive quadrature (scipy.integrate.quad)
 # on the closed-form densities, frozen here so the grid code is tested against
@@ -104,7 +104,54 @@ class TestEntropyQuadrature:
         assert 3.5 <= ratio <= 4.5
 
 
+def _halved_ends(vals):
+    out = vals.copy()
+    out[[0, -1]] *= 0.5
+    return out
+
+
+def _direct_gaussian_convolution(d, sigma2):
+    """``(lo, hi, values)`` of d plus N(0, sigma2) by the O(N*M) direct sum."""
+    m = math.ceil(8.0 * math.sqrt(sigma2) / d.step)
+    t = np.arange(-m, m + 1) * d.step
+    kernel = np.exp(-0.5 * t**2 / sigma2)
+    kernel /= np.trapezoid(kernel, dx=d.step)
+    vals = np.convolve(_halved_ends(d.values), _halved_ends(kernel)) * d.step
+    return d.support_lo - m * d.step, d.support_hi + m * d.step, vals
+
+
+def _direct_pair_convolution(d1, d2):
+    d2 = _resample(d2, d1.step)
+    vals = np.convolve(_halved_ends(d1.values), _halved_ends(d2.values)) * d1.step
+    vals /= np.trapezoid(vals, dx=d1.step)
+    return d1.support_lo + d2.support_lo, d1.support_hi + d2.support_hi, vals
+
+
 class TestConvolution:
+    @pytest.mark.parametrize("points", [4001, 8001])
+    @pytest.mark.parametrize("kind", ["uniform", "mixture", "gaussian", "pair-resampled"])
+    def test_matches_direct_trapezoid_sum(self, kind, points):
+        if kind == "pair-resampled":
+            d1 = GridDensity.mixture(0.5, -2.0, 1.0, 2.0, 1.0, points)
+            d2 = GridDensity.gaussian(0.5, points=3001)
+            assert d2.step != d1.step
+            out = convolve_pair(d1, d2)
+            lo, hi, ref = _direct_pair_convolution(d1, d2)
+        else:
+            d, sigma2 = {
+                "uniform": (GridDensity.uniform(0.0, 1.0, points), 0.25),
+                "mixture": (GridDensity.mixture(0.5, -2.0, 1.0, 2.0, 1.0, points), 1.0),
+                "gaussian": (GridDensity.gaussian(2.0, points=points), 0.5),
+            }[kind]
+            out = convolve_density(d, sigma2)
+            lo, hi, ref = _direct_gaussian_convolution(d, sigma2)
+        assert out.points == ref.size
+        assert (out.support_lo, out.support_hi) == (lo, hi)
+        assert np.min(out.values) >= 0.0
+        assert np.max(np.abs(out.values - ref)) <= 1e-14 * np.max(ref)
+        direct = entropy_quadrature(GridDensity(lo, hi, ref)).value
+        assert entropy_quadrature(out).value == pytest.approx(direct, abs=1e-12)
+
     def test_uniform_plus_gaussian_reference(self):
         out = convolve_density(GridDensity.uniform(0.0, 1.0), 0.25)
         assert entropy_quadrature(out).value == pytest.approx(H_UNIFORM_PLUS_N025, abs=1e-7)
@@ -184,6 +231,31 @@ class TestEeiCheck:
         # the tiny noise keeps the convolution grid small should the check pass
         with pytest.raises(InvalidParameter, match="exceeds the budget"):
             check_eei(GridDensity.gaussian(5e-10), 2.0, 1e-9, 1e-10)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: check_eei(GridDensity.uniform(0.0, 1.0), 2.0, 1.0, 1.0),
+        lambda: check_eei(GridDensity.mixture(0.5, -2.0, 1.0, 2.0, 1.0), 2.0, 1.0, 10.0, s2_v=4.0),
+        lambda: check_epi(GridDensity.uniform(0.0, 1.0), GridDensity.gaussian(1.0)),
+        lambda: check_worst_noise(GridDensity.uniform(0.0, 2.0), 0.7, 0.4),
+    ],
+    ids=["eei-single-noise", "eei-two-noise", "epi", "worst-noise"],
+)
+def test_check_reports_quadrature_budget(run):
+    rep = run()
+    assert math.isfinite(rep.params["quad_error"]) and rep.params["quad_error"] >= 0.0
+    assert math.isfinite(rep.params["step"]) and rep.params["step"] > 0.0
+
+
+def test_eei_quadrature_budget_weights_second_entropy_by_mu():
+    d, mu = GridDensity.mixture(0.5, -2.0, 1.0, 2.0, 1.0), 2.0
+    rep = check_eei(d, mu, 1.0, 10.0, s2_v=4.0)
+    err_w = entropy_quadrature(convolve_density(d, 1.0)).error
+    err_v = entropy_quadrature(convolve_density(d, 4.0)).error
+    assert rep.params["quad_error"] == err_w + mu * err_v
+    assert rep.params["step"] == d.step
 
 
 def _matrix_instance():
