@@ -115,12 +115,16 @@ class BroadcastDesign:
 def design_private_message(inst: BroadcastInstance) -> BroadcastDesign:
     """Scale the transmit covariance until receiver 2 sits on the threshold.
 
-    The eavesdropper's posterior trace is continuous and strictly
-    increasing along the ray and saturates at ``Tr s_z2``, so thresholds
-    at or above that trace are rejected up front.  The scale solving
-    ``Tr mse_2(t) = Tr r`` is bracketed by doubling and then bisected
-    until the bracket is no wider than ``1e-12 * max(1, t)``; the intended
-    receiver must end up at or below the threshold.
+    With ``s_z2 = L L^T`` and ``L^-1 D L^-T = U diag(d) U^T`` for the
+    direction D, the eavesdropper's posterior trace along the ray is
+    ``sum_i c_i t d_i / (1 + t d_i)`` with ``c_i = ||L u_i||^2``: one
+    decomposition, then a scalar that is continuous, strictly increasing
+    in t and saturates at ``sum_{d_i > 0} c_i`` (``Tr s_z2`` when D is
+    nonsingular).  Thresholds at or above that trace are rejected up
+    front; eigenvalues d_i within rounding of zero count as zero.  The
+    scale solving ``Tr mse_2(t) = Tr r`` is bracketed by doubling and then
+    bisected until the bracket is no wider than ``1e-12 * max(1, t)``; the
+    intended receiver must end up at or below the threshold.
     """
     tr_r = float(np.trace(inst.r))
     tr_z2 = float(np.trace(inst.s_z2))
@@ -129,20 +133,24 @@ def design_private_message(inst: BroadcastInstance) -> BroadcastDesign:
             f"threshold trace {tr_r:.6g} is not below the receiver-2 "
             f"noise trace {tr_z2:.6g}"
         )
-
-    def rx2_trace(t: float) -> float:
-        return float(np.trace(gaussian_conditional_cov(t * inst.direction, inst.s_z2)))
-
-    hi = 1.0
-    for _ in range(400):
-        if rx2_trace(hi) >= tr_r:
-            break
-        hi *= 2.0
-    else:
-        # A singular direction can saturate below Tr s_z2.
+    chol = np.linalg.cholesky(inst.s_z2)
+    white = np.linalg.solve(chol, np.linalg.solve(chol, inst.direction).T)
+    d, u = np.linalg.eigh(symmetrize(white))
+    d = np.where(d > inst.dim * np.finfo(float).eps * d[-1], d, 0.0)
+    c = np.sum((chol @ u) ** 2, axis=0)
+    # rx2_trace reaches exactly this sum once every t * d_i saturates; it
+    # lies below Tr s_z2 only for a singular direction.
+    if float(np.sum(c * (d > 0.0))) <= tr_r:
         raise ThresholdUnreachable(
             "posterior trace saturates below the threshold along this direction"
         )
+
+    def rx2_trace(t: float) -> float:
+        return float(np.sum(c * (t * d) / (1.0 + t * d)))
+
+    hi = 1.0
+    while rx2_trace(hi) < tr_r:
+        hi *= 2.0
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -34,7 +34,6 @@ from .gaussmat import (
     LOG_2PI_E,
     MarkovTriple,
     cov_to_json,
-    eig_scale,
     gaussian_entropy,
     markov_residual,
     min_eig,
@@ -342,7 +341,9 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
 # Constrained two-noise optimum: one path.  The fixed-point noise split gives
 # the start, log-barrier Newton path following converges to the maximizer
 # from inside the band {0 <= S <= R}, and eigenvalues of S and of R - S left
-# at barrier distance from zero are pinned onto the boundary face.
+# at barrier distance from zero are pinned onto the boundary faces.  The
+# pinned faces carry the first-order multipliers K (on S = 0) and N (on
+# S = R), found by one linear solve of G + K - N = 0.
 # ---------------------------------------------------------------------------
 
 
@@ -362,61 +363,6 @@ def _project_band(s: NDArray, r: NDArray, max_sweeps: int = 30) -> NDArray:
     return x
 
 
-def _fit_active_multipliers(g: NDArray, u0: NDArray, u1: NDArray, iters: int = 300):
-    """Least-squares PSD multipliers supported on the active subspaces.
-
-    Minimizes ``||G + K - N||_F`` over K PSD supported on the columns of
-    u0 and N PSD supported on the columns of u1, by alternating cone
-    projections.  When the two subspaces are not orthogonal neither
-    multiplier can be read off a single block, so the joint fit is needed
-    for a faithful first-order residual.
-    """
-    k = np.zeros_like(g)
-    n_mat = np.zeros_like(g)
-    if not (u0.shape[1] or u1.shape[1]):
-        return k, n_mat
-    for _ in range(iters):
-        k_prev, n_prev = k, n_mat
-        if u0.shape[1]:
-            core = symmetrize(u0.T @ (n_mat - g) @ u0)
-            wc, qc = np.linalg.eigh(core)
-            k = symmetrize(u0 @ (qc @ (np.maximum(wc, 0.0)[:, None] * qc.T)) @ u0.T)
-        if u1.shape[1]:
-            core = symmetrize(u1.T @ (g + k) @ u1)
-            wc, qc = np.linalg.eigh(core)
-            n_mat = symmetrize(u1 @ (qc @ (np.maximum(wc, 0.0)[:, None] * qc.T)) @ u1.T)
-        if not (u0.shape[1] and u1.shape[1]):
-            break
-        delta = max(
-            float(np.max(np.abs(k - k_prev))), float(np.max(np.abs(n_mat - n_prev)))
-        )
-        if delta < 1e-15:
-            break
-    return k, n_mat
-
-
-def _active_bases(s: NDArray, r: NDArray, active_tol: float = 1e-7):
-    """Orthonormal bases of the near-null eigenspaces of S and of R - S."""
-    lam0, q0 = np.linalg.eigh(symmetrize(s))
-    lam1, q1 = np.linalg.eigh(symmetrize(r - s))
-    return q0[:, lam0 < active_tol * eig_scale(lam0)], q1[:, lam1 < active_tol * eig_scale(lam1)]
-
-
-def _tangent_residual(
-    s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, active_tol: float = 1e-7
-) -> float:
-    """Norm of the gradient part no PSD multiplier pair can absorb at S.
-
-    Vanilla first-order optimality for the band: the gradient must equal
-    N - K for PSD multipliers supported on the active eigenspaces of
-    R - S and of S respectively.  The returned value is the fit residual.
-    """
-    g = _grad_two_noise(s, w, v, mu)
-    u0, u1 = _active_bases(s, r, active_tol)
-    k, n_mat = _fit_active_multipliers(g, u0, u1)
-    return float(np.linalg.norm(symmetrize(g + k - n_mat)))
-
-
 def _sym_basis(f: NDArray) -> list[NDArray]:
     """Basis of symmetric matrices supported on the column span of f."""
     k = f.shape[1]
@@ -427,6 +373,25 @@ def _sym_basis(f: NDArray) -> list[NDArray]:
             e = np.outer(f[:, i], f[:, j])
             basis.append(e + e.T)
     return basis
+
+
+def _face_multipliers(g: NDArray, u0: NDArray, u1: NDArray):
+    """Least-squares solve of ``G + K - N = 0`` on the pinned faces.
+
+    K is a symmetric matrix on the span of u0 (the face S = 0) and N one
+    on the span of u1 (the face S = R), both expanded in
+    :func:`_sym_basis`.  The solution is unique, since a vector in both
+    spans would be a null vector of R.  Whether K and N are PSD is left
+    to the caller.
+    """
+    b0 = _sym_basis(u0)
+    design = np.array(b0 + [-b for b in _sym_basis(u1)]).reshape(-1, g.size).T
+    coef = np.linalg.lstsq(design, -g.ravel(), rcond=None)[0]
+    m = len(b0)
+    k = (design[:, :m] @ coef[:m]).reshape(g.shape)
+    n_mat = (design[:, m:] @ -coef[m:]).reshape(g.shape)
+    # Adding 0.0 turns a -0.0 entry (from a zero gradient) into 0.0.
+    return k + 0.0, n_mat + 0.0
 
 
 def _barrier_value(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, tau: float) -> float:
@@ -550,12 +515,19 @@ def _interior_newton(s0: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float)
     return _barrier_stage(s, w, v, r, mu, tau_floor, bstack, iters=60, center_tol=1e-3)
 
 
-def _pin_faces(s: NDArray, r: NDArray, tol: float) -> NDArray:
-    """Set the eigenvalues of S, then of R - S, that lie below tol to zero."""
+def _pin_faces(s: NDArray, r: NDArray, tol: float):
+    """Set the eigenvalues of S, then of R - S, that lie below tol to zero.
+
+    This is the one place that decides the active set.  Returns
+    ``(s, u0, u1)``: the pinned S and orthonormal bases of the pinned
+    faces, u0 of the null space of S and u1 of that of R - S.
+    """
     lam, q = np.linalg.eigh(symmetrize(s))
-    s = q @ (np.where(lam < tol, 0.0, lam)[:, None] * q.T)
+    face = lam < tol
+    s, u0 = q @ (np.where(face, 0.0, lam)[:, None] * q.T), q[:, face]
     lam, q = np.linalg.eigh(symmetrize(r - s))
-    return symmetrize(r - q @ (np.where(lam < tol, 0.0, lam)[:, None] * q.T))
+    face = lam < tol
+    return symmetrize(r - q @ (np.where(face, 0.0, lam)[:, None] * q.T)), u0, q[:, face]
 
 
 def _fixed_point_split(
@@ -585,19 +557,18 @@ def _fixed_point_split(
 
 
 def _optimum_certificate(
-    s_star: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float
+    s_star: NDArray, k: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float
 ) -> ConstructionCertificate:
-    """Noise-split certificate at the constrained maximizer.
+    """Noise-split certificate at the constrained maximizer, given K.
 
-    The multiplier is recovered from the gradient restricted to the null
-    space of the maximizer, which makes the zero-product and chain
-    residuals vanish identically; the noise-budget ordering is reported in
-    ``order_residual`` and is limited only by solver stationarity.
+    ``k`` is the first-order multiplier of the face S = 0 that
+    :func:`eei_optimum` solved for; it is checked, not refitted.  The
+    split uses ``2K`` (the multiplier of the entropy form without the
+    factor 1/2), so ``W~ = (W^-1 + 2K)^-1``.  ``zero_product_residual``
+    reads ``||2K S*||`` and ``order_residual`` the most negative
+    eigenvalue over the band, the split orderings and ``2K`` itself.
     """
-    g = _grad_two_noise(s_star, w, v, mu)
-    u0, u1 = _active_bases(s_star, r, active_tol=1e-8)
-    k_fit, _ = _fit_active_multipliers(g, u0, u1)
-    k_mat = 2.0 * k_fit
+    k_mat = 2.0 * k
     w_tilde = symmetrize(np.linalg.inv(np.linalg.inv(w) + k_mat))
     v_tilde = (mu - 1.0) * symmetrize(s_star + w_tilde)
     v_prime_gap = symmetrize(v - w_tilde - v_tilde)
@@ -635,9 +606,11 @@ def eei_optimum(instance: EEIInstance):
     exact.  Otherwise the solve starts from the fixed-point noise split
     projected onto the band, follows the log-barrier Newton path to the
     maximizer, and pins the eigenvalues of S and of R - S below
-    ``1e-9 * spectral_scale(W, V, R)`` to exactly zero.  A tangent gradient
-    residual above ``1e-6`` of the gradient scale raises
-    :class:`NoConvergence`.
+    ``1e-9 * spectral_scale(W, V, R)`` to exactly zero.  The multipliers K
+    on the face S = 0 and N on the face S = R then solve ``G + K - N = 0``
+    by least squares, G the gradient.  A first-order residual
+    ``max(||G + K - N||_F, -min_eig K, -min_eig N)`` above ``1e-6`` of the
+    gradient scale raises :class:`NoConvergence`.
 
     Returns ``(s_x_star, objective, certificate)``.
     """
@@ -646,15 +619,17 @@ def eei_optimum(instance: EEIInstance):
     w, v, r, mu = instance.s_w, instance.s_v, instance.r, instance.mu
     if instance.dim == 1:
         s = np.clip((v - mu * w) / (mu - 1.0), 0.0, r)
+        # The clip is exact, so its faces are read off without a pin.
+        one = np.ones((1, 1))
+        u0, u1 = one[:, s[0] == 0.0], one[:, s[0] == r[0]]
     else:
         # _interior_newton projects its start onto the band.
         s = _interior_newton(_fixed_point_split(w, v, mu), w, v, r, mu)
-        s = _pin_faces(s, r, 1e-9 * spectral_scale(w, v, r))
-    res = _tangent_residual(s, w, v, r, mu)
-    g_scale = max(1.0, float(np.max(np.abs(_grad_two_noise(s, w, v, mu)))))
-    if res > 1e-6 * g_scale:
-        raise NoConvergence(
-            f"barrier path stalled with tangent gradient residual {res:.3e}"
-        )
-    cert = _optimum_certificate(s, w, v, r, mu)
+        s, u0, u1 = _pin_faces(s, r, 1e-9 * spectral_scale(w, v, r))
+    g = _grad_two_noise(s, w, v, mu)
+    k, n_mat = _face_multipliers(g, u0, u1)
+    res = max(float(np.linalg.norm(g + k - n_mat)), -min_eig(k), -min_eig(n_mat))
+    if res > 1e-6 * max(1.0, float(np.max(np.abs(g)))):
+        raise NoConvergence(f"barrier path stalled with first-order residual {res:.3e}")
+    cert = _optimum_certificate(s, k, w, v, r, mu)
     return s, objective_two_noise(s, w, v, mu), cert

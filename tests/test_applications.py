@@ -113,6 +113,25 @@ class TestDesign:
         with pytest.raises(ThresholdUnreachable):
             design_private_message(inst)
 
+    @pytest.mark.parametrize(
+        "direction",
+        [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.2, 0.6], [0.6, 0.3]]],
+        ids=["axis", "diagonal", "skew"],
+    )
+    def test_singular_direction_is_unreachable(self, direction):
+        # Along a rank-one direction D = a a^T the posterior trace saturates
+        # at |a|^2 / (a^T Z2^-1 a), here 0.955, 1.59 and 1.22, below Tr r = 2
+        # although Tr Z2 = 3; rounding leaves the null eigenvalue of the
+        # whitened D at -7e-18, 3e-17 and 3e-18.
+        inst = BroadcastInstance(
+            0.4 * np.eye(2),
+            np.array([[1.0, 0.3], [0.3, 2.0]]),
+            np.diag([1.2, 0.8]),
+            direction=np.array(direction),
+        )
+        with pytest.raises(ThresholdUnreachable, match="saturates"):
+            design_private_message(inst)
+
     def test_matrix_instance(self):
         inst = BroadcastInstance(
             0.4 * np.eye(2),

@@ -1,18 +1,22 @@
 """Tests for the noise-split constructions and the constrained Gaussian optimum."""
 
-import math
+import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import eeikit
 from eeikit import (
     BadMu,
     DimensionMismatch,
     EEIInstance,
+    NoConvergence,
     NotPositiveDefinite,
     construct_k,
     construct_l,
+    cov_to_json,
     dominating_gaussian,
     eei_optimum,
     f_alpha,
@@ -25,6 +29,13 @@ from eeikit import (
     spectral_scale,
     symmetrize,
 )
+from eeikit import construct
+from eeikit.cli import main
+
+# Property tests draw a fixed example sequence, so the suite stays
+# deterministic; solves are too slow for hypothesis's default deadline.
+_PROPERTY = settings(derandomize=True, deadline=None, max_examples=10)
+_SEEDS = st.integers(0, 2**32 - 1)
 
 
 def _rand_pd(rng, n, lo=0.05):
@@ -169,6 +180,19 @@ class TestConstrainedOptimum:
         assert abs(s_star[0, 0]) <= 1e-6
         assert obj == pytest.approx((1.0 - 3.0) * gaussian_entropy(np.array([[1.5]])), abs=1e-6)
 
+    @staticmethod
+    def _check_battery_instance(inst, seed):
+        s_star, obj, cert = eei_optimum(inst)
+        scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
+        assert cert.markov_residual <= 1e-6 * scale
+        assert cert.zero_product_residual <= 1e-6 * scale
+        assert cert.order_residual >= -1e-6 * scale
+        assert obj == pytest.approx(
+            objective_two_noise(s_star, inst.s_w, inst.s_v, inst.mu), abs=1e-9
+        )
+        report = gaussian_search(inst, trials=400, seed=seed)
+        assert report.margin >= -1e-6
+
     def test_matrix_battery_certificates_and_domination(self):
         rng = np.random.default_rng(401)
         for i in range(25):
@@ -179,16 +203,20 @@ class TestConstrainedOptimum:
                 r=_rand_pd(rng, n, lo=0.5),
                 s_v=_rand_pd(rng, n, lo=0.2),
             )
-            s_star, obj, cert = eei_optimum(inst)
-            scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
-            assert cert.markov_residual <= 1e-6 * scale
-            assert cert.zero_product_residual <= 1e-6 * scale
-            assert cert.order_residual >= -1e-6 * scale
-            assert obj == pytest.approx(
-                objective_two_noise(s_star, inst.s_w, inst.s_v, inst.mu), abs=1e-9
-            )
-            report = gaussian_search(inst, trials=400, seed=1000 + i)
-            assert report.margin >= -1e-6
+            self._check_battery_instance(inst, 1000 + i)
+
+    @_PROPERTY
+    @given(seed=_SEEDS, n=st.sampled_from((2, 3)), mu=st.sampled_from((1.0 + 1e-6, 1e4)))
+    def test_matrix_battery_at_extreme_mu(self, seed, n, mu):
+        # mu just above 1 and mu large, the ends of the weight range
+        rng = np.random.default_rng(seed)
+        inst = EEIInstance(
+            mu=mu,
+            s_w=_rand_pd(rng, n, lo=0.2),
+            r=_rand_pd(rng, n, lo=0.5),
+            s_v=_rand_pd(rng, n, lo=0.2),
+        )
+        self._check_battery_instance(inst, seed % 1000)
 
     def test_determinism(self):
         inst = EEIInstance(
@@ -238,35 +266,141 @@ class TestOptimumGuardRails:
                 objective_two_noise(s_ref, inst.s_w, inst.s_v, mu), abs=1e-9
             )
 
-    def test_scale_covariance(self):
-        # S*(cW, cV, cR) = c S*(W, V, R)
-        rng = np.random.default_rng(602)
-        for n in (2, 3):
-            inst = self._random_instance(rng, n)
-            s_star, _, _ = eei_optimum(inst)
-            scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
-            for c in (1e-3, 1e3):
-                s_c, _, _ = eei_optimum(
-                    EEIInstance(inst.mu, c * inst.s_w, c * inst.r, c * inst.s_v)
-                )
-                assert float(np.max(np.abs(s_c / c - s_star))) <= 1e-7 * scale
+    @_PROPERTY
+    @given(seed=_SEEDS, n=st.sampled_from((2, 3)), log_c=st.floats(-6.0, 6.0))
+    @example(seed=602, n=2, log_c=-6.0)
+    @example(seed=602, n=3, log_c=6.0)
+    def test_scale_covariance(self, seed, n, log_c):
+        # S*(cW, cV, cR) = c S*(W, V, R), with c log-uniform in [1e-6, 1e6]
+        inst = self._random_instance(np.random.default_rng(seed), n)
+        c = 10.0**log_c
+        s_star, _, _ = eei_optimum(inst)
+        s_c, _, _ = eei_optimum(EEIInstance(inst.mu, c * inst.s_w, c * inst.r, c * inst.s_v))
+        scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
+        assert float(np.max(np.abs(s_c / c - s_star))) <= 1e-7 * scale
 
-    def test_orthogonal_invariance(self):
+    @_PROPERTY
+    @given(seed=_SEEDS, q_seed=_SEEDS, n=st.sampled_from((2, 3, 4)))
+    def test_orthogonal_invariance(self, seed, q_seed, n):
         # S*(Q W Q^T, Q V Q^T, Q R Q^T) = Q S*(W, V, R) Q^T
-        rng = np.random.default_rng(603)
-        for n in (2, 3, 4):
-            inst = self._random_instance(rng, n)
-            s_star, _, _ = eei_optimum(inst)
+        inst = self._random_instance(np.random.default_rng(seed), n)
+        q, _ = np.linalg.qr(np.random.default_rng(q_seed).normal(size=(n, n)))
+        s_star, _, _ = eei_optimum(inst)
+        turned = EEIInstance(
+            inst.mu,
+            symmetrize(q @ inst.s_w @ q.T),
+            symmetrize(q @ inst.r @ q.T),
+            symmetrize(q @ inst.s_v @ q.T),
+        )
+        s_q, _, _ = eei_optimum(turned)
+        scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
+        assert float(np.max(np.abs(s_q - q @ s_star @ q.T))) <= 1e-7 * scale
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NoConvergence,
+        reason="the band start is infeasible for ill-conditioned R",
+    )
+    def test_near_singular_constraint(self):
+        # R = Q diag(1, ..., 1e-6) Q^T: a band 1e-6 thin in one direction.
+        # _project_band leaves the start with a negative eigenvalue, where
+        # the barrier value is -inf, and the solve stalls.
+        rng = np.random.default_rng(5)
+        for n in (2, 2, 2, 3, 3, 3):
             q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            turned = EEIInstance(
-                inst.mu,
-                symmetrize(q @ inst.s_w @ q.T),
-                symmetrize(q @ inst.r @ q.T),
-                symmetrize(q @ inst.s_v @ q.T),
+            inst = EEIInstance(
+                mu=rng.uniform(1.1, 4.0),
+                s_w=_rand_pd(rng, n, lo=0.2),
+                r=symmetrize(q @ (np.geomspace(1.0, 1e-6, n)[:, None] * q.T)),
+                s_v=_rand_pd(rng, n, lo=0.2),
             )
-            s_q, _, _ = eei_optimum(turned)
-            scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
-            assert float(np.max(np.abs(s_q - q @ s_star @ q.T))) <= 1e-7 * scale
+            _, _, cert = eei_optimum(inst)
+            _cert_ok(cert, spectral_scale(inst.s_w, inst.s_v, inst.r), tol=1e-6)
+
+
+class TestOptimumChecksCanFail:
+    """Each check on the band optimum trips when its claim is broken."""
+
+    # W, V and R share the eigenvectors of a rotation Q.  Per mode the
+    # optimum is s = clip((v - mu w)/(mu - 1), 0, r) = (4/3, 0), so the
+    # second mode lies on the face S = 0, with multiplier
+    # K = (mu/v - 1/w)/2 = 17/24 there.
+    Q = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]])
+
+    @classmethod
+    def _turn(cls, d):
+        return symmetrize(cls.Q @ np.diag(d) @ cls.Q.T)
+
+    @classmethod
+    def _instance(cls):
+        return EEIInstance(
+            4.0, cls._turn([1.0, 0.8]), cls._turn([5.0, 3.0]), cls._turn([8.0, 1.5])
+        )
+
+    @classmethod
+    def _solved(cls):
+        inst = cls._instance()
+        s_star, _, cert = eei_optimum(inst)
+        scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
+        _cert_ok(cert, scale)
+        k = cert.multiplier / 2.0
+        np.testing.assert_allclose(k, cls._turn([0.0, 17.0 / 24.0]), atol=1e-9)
+        return inst, s_star, k, scale
+
+    def test_sign_flipped_multiplier_trips_order(self):
+        inst, s_star, k, scale = self._solved()
+        cert = construct._optimum_certificate(
+            s_star, -k, inst.s_w, inst.s_v, inst.r, inst.mu
+        )
+        assert cert.order_residual < -0.1 * scale
+
+    def test_multiplier_off_the_face_trips_zero_product(self):
+        inst, s_star, k, scale = self._solved()
+        inactive = self.Q[:, :1]
+        moved = np.linalg.norm(k) * (inactive @ inactive.T)
+        cert = construct._optimum_certificate(
+            s_star, moved, inst.s_w, inst.s_v, inst.r, inst.mu
+        )
+        assert cert.zero_product_residual > 0.1 * scale
+
+    @classmethod
+    def _lifted(cls):
+        # S* with its pinned eigenvalue lifted to 1e-3, far above the pin's
+        # tolerance: no face is found and the gradient on that direction is
+        # left unabsorbed.
+        _, s_star, _, _ = cls._solved()
+        face = cls.Q[:, 1:]
+        return s_star + 1e-3 * (face @ face.T)
+
+    @staticmethod
+    def _barrier_returns(monkeypatch, s):
+        monkeypatch.setattr(construct, "_interior_newton", lambda *args: s)
+
+    def test_lifted_face_trips_first_order_gate(self, monkeypatch):
+        self._barrier_returns(monkeypatch, self._lifted())
+        with pytest.raises(NoConvergence, match="first-order residual"):
+            eei_optimum(self._instance())
+
+    def test_negative_multiplier_trips_first_order_gate(self, monkeypatch):
+        # S = 0 pins both modes to the face S = 0, so G + K = 0 is solved
+        # exactly; but the first mode's gradient 1/2 - mu/(2v) = 1/4 asks
+        # for K = -1/4 there, which is not PSD.
+        self._barrier_returns(monkeypatch, np.zeros((2, 2)))
+        with pytest.raises(NoConvergence, match="first-order residual 2.500e-01"):
+            eei_optimum(self._instance())
+
+    def test_lifted_face_fails_cli_optimum(self, monkeypatch, tmp_path, capsys):
+        inst = self._instance()
+        self._barrier_returns(monkeypatch, self._lifted())
+        argv = ["optimum", "--mu", "4"]
+        for role, mat in (("w", inst.s_w), ("v", inst.s_v), ("r", inst.r)):
+            path = tmp_path / f"{role}.json"
+            path.write_text(json.dumps(cov_to_json(mat)))
+            argv += [f"--{role}", str(path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NoConvergence" in captured.err
 
 
 class TestErrorPaths:
