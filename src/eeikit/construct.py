@@ -363,16 +363,27 @@ def _project_band(s: NDArray, r: NDArray, max_sweeps: int = 30) -> NDArray:
     return x
 
 
-def _sym_basis(f: NDArray) -> list[NDArray]:
-    """Basis of symmetric matrices supported on the column span of f."""
-    k = f.shape[1]
-    basis = []
-    for i in range(k):
-        basis.append(np.outer(f[:, i], f[:, i]))
-        for j in range(i + 1, k):
-            e = np.outer(f[:, i], f[:, j])
-            basis.append(e + e.T)
-    return basis
+def _sym_coords(k: int):
+    """Coordinates (i, j, c) of k x k symmetric matrices over the upper triangle.
+
+    a moves ``B_a = c_a (E_ij + E_ji)``, c = 1/2 on the diagonal and 1 off it;
+    ``<G, B_a> = 2 c_a G_ij`` and ``sum_a delta_a B_a`` sets ``D_ij = D_ji = delta_a``.
+    """
+    i, j = np.triu_indices(k)
+    return i, j, np.where(i == j, 0.5, 1.0)
+
+
+def _trace_products(p: NDArray, i: NDArray, j: NDArray, c: NDArray) -> NDArray:
+    """``tr(P B_a P B_b) = 2 c_a c_b (P_ik P_jl + P_il P_jk)``, b = (k, l), for each P in p."""
+    pi, pj = p.take(i, 1), p.take(j, 1)
+    return 2.0 * np.outer(c, c) * (pi.take(i, 2) * pj.take(j, 2) + pi.take(j, 2) * pj.take(i, 2))
+
+
+def _face_columns(u: NDArray) -> NDArray:
+    """Columns ``vec(c_a (u_i u_j^T + u_j u_i^T))``: symmetric matrices on span u."""
+    i, j, c = _sym_coords(u.shape[1])
+    outer = u[:, None, i] * u[None, :, j]
+    return (c * (outer + outer.transpose(1, 0, 2))).reshape(u.shape[0] ** 2, i.size)
 
 
 def _face_multipliers(g: NDArray, u0: NDArray, u1: NDArray):
@@ -380,16 +391,15 @@ def _face_multipliers(g: NDArray, u0: NDArray, u1: NDArray):
 
     K is a symmetric matrix on the span of u0 (the face S = 0) and N one
     on the span of u1 (the face S = R), both expanded in
-    :func:`_sym_basis`.  The solution is unique, since a vector in both
+    :func:`_face_columns`.  The solution is unique, since a vector in both
     spans would be a null vector of R.  Whether K and N are PSD is left
     to the caller.
     """
-    b0 = _sym_basis(u0)
-    design = np.array(b0 + [-b for b in _sym_basis(u1)]).reshape(-1, g.size).T
-    coef = np.linalg.lstsq(design, -g.ravel(), rcond=None)[0]
-    m = len(b0)
-    k = (design[:, :m] @ coef[:m]).reshape(g.shape)
-    n_mat = (design[:, m:] @ -coef[m:]).reshape(g.shape)
+    d0, d1 = _face_columns(u0), _face_columns(u1)
+    coef = np.linalg.lstsq(np.hstack((d0, -d1)), -g.ravel(), rcond=None)[0]
+    m = d0.shape[1]
+    k = (d0 @ coef[:m]).reshape(g.shape)
+    n_mat = (d1 @ coef[m:]).reshape(g.shape)
     # Adding 0.0 turns a -0.0 entry (from a zero gradient) into 0.0.
     return k + 0.0, n_mat + 0.0
 
@@ -409,7 +419,6 @@ def _barrier_stage(
     r: NDArray,
     mu: float,
     tau: float,
-    bstack: NDArray,
     iters: int = 30,
     center_tol: float = 0.25,
 ) -> NDArray:
@@ -420,29 +429,23 @@ def _barrier_stage(
     every iterate strictly feasible without eigenvalue line searches and
     keeps the system well conditioned arbitrarily close to the boundary.
     Centering stops once the scaled gradient norm falls below
-    ``center_tol * sqrt(tau)``.
+    ``center_tol * sqrt(tau)``.  The coordinates are :func:`_sym_coords`;
+    ``log det`` at P^-1 has Hessian ``-tr(P B_a P B_b)`` in them.
     """
-    m = bstack.shape[0]
+    n = s.shape[0]
+    i, j, c = _sym_coords(n)
+    m = i.size
     phi = _barrier_value(s, w, v, r, mu, tau)
     root_tau = math.sqrt(tau)
     damp = 0.0
     for _ in range(iters):
-        si = np.linalg.inv(s)
-        ri = np.linalg.inv(r - s)
-        pw = np.linalg.inv(s + w)
-        pv = np.linalg.inv(s + v)
-        g_full = symmetrize(0.5 * pw - 0.5 * mu * pv + tau * (si - ri))
-        grad = np.einsum("kl,mkl->m", g_full, bstack)
-        h_bar = np.zeros((m, m))
-        for p in (si, ri):
-            pb = np.matmul(p[None], bstack)
-            h_bar += np.einsum("ikl,jlk->ij", pb, pb)
-        h_bar = 0.5 * (h_bar + h_bar.T)
-        h_f = np.zeros((m, m))
-        for p, coef in ((pw, -0.5), (pv, 0.5 * mu)):
-            pb = np.matmul(p[None], bstack)
-            h_f += coef * np.einsum("ikl,jlk->ij", pb, pb)
-        h_f = 0.5 * (h_f + h_f.T)
+        p = np.linalg.inv(np.stack((s, r - s, s + w, s + v)))
+        # inv is not exactly symmetric near a face; the gather needs it to be.
+        p = 0.5 * (p + p.transpose(0, 2, 1))
+        h = _trace_products(p, i, j, c)
+        si, ri, pw, pv = p
+        grad = 2.0 * c * (0.5 * pw - 0.5 * mu * pv + tau * (si - ri))[i, j]
+        h_bar = h[0] + h[1]
         try:
             chol = np.linalg.cholesky(
                 tau * h_bar + 1e-14 * tau * float(np.max(np.abs(h_bar))) * np.eye(m)
@@ -452,7 +455,7 @@ def _barrier_stage(
         g_t = np.linalg.solve(chol, grad)
         if float(np.linalg.norm(g_t)) <= center_tol * root_tau:
             break
-        h_phi = h_f - tau * h_bar
+        h_phi = 0.5 * mu * h[3] - 0.5 * h[2] - tau * h_bar
         h_t = np.linalg.solve(chol, np.linalg.solve(chol, h_phi.T).T)
         h_t = 0.5 * (h_t + h_t.T)
         top = float(np.linalg.eigvalsh(h_t)[-1])
@@ -470,8 +473,9 @@ def _barrier_stage(
             if norm_y > 0.8 * root_tau:
                 y_t = y_t * (0.8 * root_tau / norm_y)
             delta = np.linalg.solve(chol.T, y_t)
-            d_s = symmetrize(np.einsum("m,mkl->kl", delta, bstack))
-            cand = symmetrize(s + d_s)
+            d_s = np.zeros((n, n))
+            d_s[i, j] = d_s[j, i] = delta
+            cand = s + d_s
             phi_new = _barrier_value(cand, w, v, r, mu, tau)
             if phi_new >= phi - 1e-15:
                 s, phi, accepted = cand, phi_new, True
@@ -494,25 +498,19 @@ def _interior_newton(s0: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float)
     from inactive ones by many orders of magnitude; :func:`_pin_faces`
     moves the nearly active ones onto the boundary.
     """
-    n = s0.shape[0]
-    bstack = np.stack(_sym_basis(np.eye(n)))
     # Blend toward the center of the band for a strictly interior start.
     s = symmetrize(0.75 * _project_band(s0, r) + 0.125 * r)
     g0 = max(1.0, float(np.max(np.abs(_grad_two_noise(s, w, v, mu)))))
-    bar0 = max(
-        float(np.max(np.abs(np.linalg.inv(s)))),
-        float(np.max(np.abs(np.linalg.inv(r - s)))),
-        1e-30,
-    )
+    bar0 = max(float(np.max(np.abs(np.linalg.inv(np.stack((s, r - s)))))), 1e-30)
     tau = max(0.1 * g0 / bar0, 1e-14)
     tau_floor = min(1e-14, tau)
     for _ in range(40):
-        s = _barrier_stage(s, w, v, r, mu, tau, bstack)
+        s = _barrier_stage(s, w, v, r, mu, tau)
         if tau <= tau_floor:
             break
         tau = max(tau / 10.0, tau_floor)
     # Final tight centering pins down the analytic center of the optimum.
-    return _barrier_stage(s, w, v, r, mu, tau_floor, bstack, iters=60, center_tol=1e-3)
+    return _barrier_stage(s, w, v, r, mu, tau_floor, iters=60, center_tol=1e-3)
 
 
 def _pin_faces(s: NDArray, r: NDArray, tol: float):

@@ -59,13 +59,10 @@ _LOG_FLOOR = 1e-300
 # chosen so the square still stays inside the double range.
 _SQUARE_FLOOR = 1e-154
 _MASS_TOL = 1e-6
-
-
-def _trapezoid_weights(n: int) -> NDArray:
-    w = np.ones(n)
-    w[0] = 0.5
-    w[-1] = 0.5
-    return w
+# Gaussian and mixture grids span this many standard deviations each side.
+_HALF_WIDTH = 8.0
+# The variational probes subsample each grid to at most this many nodes.
+_MAX_NODES = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,14 +124,13 @@ class GridDensity:
         variance: float,
         mean: float = 0.0,
         points: int = 4001,
-        half_width: float = 8.0,
     ) -> "GridDensity":
-        """Normal density on ``mean +- half_width * sigma``."""
+        """Normal density on ``mean +- 8 sigma``."""
         if variance <= 0.0:
             raise InvalidParameter("variance must be positive")
         sigma = math.sqrt(variance)
-        lo = mean - half_width * sigma
-        hi = mean + half_width * sigma
+        lo = mean - _HALF_WIDTH * sigma
+        hi = mean + _HALF_WIDTH * sigma
         x = np.linspace(lo, hi, points)
         vals = np.exp(-0.5 * (x - mean) ** 2 / variance) / math.sqrt(
             2.0 * math.pi * variance
@@ -158,16 +154,15 @@ class GridDensity:
         mean_b: float,
         var_b: float,
         points: int = 4001,
-        half_width: float = 8.0,
     ) -> "GridDensity":
-        """Two-component normal mixture; ``weight`` goes to component a."""
+        """Two-component normal mixture on 8 sigma of each component; ``weight`` goes to a."""
         if not 0.0 <= weight <= 1.0:
             raise InvalidParameter("mixture weight must lie in [0, 1]")
         if var_a <= 0.0 or var_b <= 0.0:
             raise InvalidParameter("component variances must be positive")
         sa, sb = math.sqrt(var_a), math.sqrt(var_b)
-        lo = min(mean_a - half_width * sa, mean_b - half_width * sb)
-        hi = max(mean_a + half_width * sa, mean_b + half_width * sb)
+        lo = min(mean_a - _HALF_WIDTH * sa, mean_b - _HALF_WIDTH * sb)
+        hi = max(mean_a + _HALF_WIDTH * sa, mean_b + _HALF_WIDTH * sb)
         x = np.linspace(lo, hi, points)
         va = np.exp(-0.5 * (x - mean_a) ** 2 / var_a) / math.sqrt(
             2.0 * math.pi * var_a
@@ -560,8 +555,8 @@ def gaussian_search(
     )
 
 
-def _subsample(idx_count: int, max_nodes: int) -> slice:
-    stride = max(1, int(math.ceil(idx_count / max_nodes)))
+def _subsample(idx_count: int) -> slice:
+    stride = max(1, int(math.ceil(idx_count / _MAX_NODES)))
     return slice(0, idx_count, stride)
 
 
@@ -574,7 +569,6 @@ def variational_first_residual(
     fy: GridDensity,
     fv: GridDensity,
     mu: float,
-    max_nodes: int = 512,
 ) -> float:
     """Weighted RMS residual of the first-variation stationarity equation.
 
@@ -583,7 +577,8 @@ def variational_first_residual(
     constant, the entropy-constraint coefficient, and the quadratic
     moment coefficients) are fitted by least squares weighted by
     ``fx(x) * fv(y - x)``.  Gaussian triples satisfy the equation up to
-    grid error; non-stationary triples leave an order-one residual.
+    grid error; non-stationary triples leave an order-one residual.  Each
+    grid is subsampled to at most 512 nodes.
     """
     conv = convolve_pair(fx, fv)
     conv_on_fy = _interp_density(conv, fy.grid)
@@ -592,8 +587,8 @@ def variational_first_residual(
         raise InconsistentDensity(
             f"fy deviates from fx conv fv by {dev:.3e} in sup norm"
         )
-    sl_x = _subsample(fx.points, max_nodes)
-    sl_y = _subsample(fy.points, max_nodes)
+    sl_x = _subsample(fx.points)
+    sl_y = _subsample(fy.points)
     x = fx.grid[sl_x]
     y = fy.grid[sl_y]
     fxv = fx.values[sl_x]
@@ -638,7 +633,6 @@ def variational_second_form(
     hx: NDArray,
     hy: NDArray,
     alpha1: float,
-    max_nodes: int = 512,
 ) -> float:
     """Second-variation quadratic form for a perturbation pair.
 
@@ -647,7 +641,8 @@ def variational_second_form(
     - mu fx fv hy^2 / fy^2``
     over the tensor grid.  At ``alpha1 = 1 - mu`` the integrand is a
     completed square and the value cannot be positive beyond rounding;
-    the direction ``hx = fx * hy / fy`` annihilates it.
+    the direction ``hx = fx * hy / fy`` annihilates it.  Each grid is
+    subsampled to at most 512 nodes.
     """
     if alpha1 < 1.0 - mu - 1e-12:
         raise InvalidParameter("alpha1 must be at least 1 - mu")
@@ -655,8 +650,8 @@ def variational_second_form(
     hy = np.asarray(hy, dtype=float)
     if hx.shape != (fx.points,) or hy.shape != (fy.points,):
         raise InvalidParameter("perturbations must match the density grids")
-    sl_x = _subsample(fx.points, max_nodes)
-    sl_y = _subsample(fy.points, max_nodes)
+    sl_x = _subsample(fx.points)
+    sl_y = _subsample(fy.points)
     x = fx.grid[sl_x]
     y = fy.grid[sl_y]
     fxv = np.clip(fx.values[sl_x], _SQUARE_FLOOR, None)
@@ -670,6 +665,6 @@ def variational_second_form(
     integrand = term_xx + term_xy + term_yy
     dx = x[1] - x[0]
     dy = y[1] - y[0]
-    wx = _trapezoid_weights(x.size) * dx
-    wy = _trapezoid_weights(y.size) * dy
+    wx = _halved_ends(np.full(x.size, dx))
+    wy = _halved_ends(np.full(y.size, dy))
     return float(wx @ integrand @ wy)
