@@ -3,7 +3,8 @@ Constrained Gaussian optimum with two noises
 ============================================
 
 Maximize h(X + W) - mu * h(X + V) over Gaussian X with covariance capped
-by R.  The solver starts from a fixed-point noise split, follows a
+by R.  The solver starts from the unconstrained stationary point
+(V - mu W)/(mu - 1) clipped strictly inside the band, follows a
 log-barrier Newton path, and pins nearly active eigenvalues onto the
 faces of the band; a random sampler then tries (and fails) to beat it.
 """

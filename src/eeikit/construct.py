@@ -27,7 +27,6 @@ from .errors import (
     DominationFailed,
     InvalidParameter,
     NoConvergence,
-    NotPositiveDefinite,
     SplitInfeasible,
 )
 from .gaussmat import (
@@ -37,7 +36,6 @@ from .gaussmat import (
     gaussian_entropy,
     markov_residual,
     min_eig,
-    psd_project,
     simdiag,
     spectral_scale,
     symmetrize,
@@ -338,12 +336,14 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Constrained two-noise optimum: one path.  The fixed-point noise split gives
-# the start, log-barrier Newton path following converges to the maximizer
-# from inside the band {0 <= S <= R}, and eigenvalues of S and of R - S left
-# at barrier distance from zero are pinned onto the boundary faces.  The
-# pinned faces carry the first-order multipliers K (on S = 0) and N (on
-# S = R), found by one linear solve of G + K - N = 0.
+# Constrained two-noise optimum: one path.  The unconstrained stationary
+# point S0 = (V - mu W)/(mu - 1), where S + V = mu (S + W), clipped strictly
+# inside the band {0 <= S <= R} in R's whitened coordinates gives the start,
+# log-barrier Newton path following converges to the maximizer from inside
+# the band, and eigenvalues of S and of R - S left at barrier distance from
+# zero are pinned onto the boundary faces.  The pinned faces carry the
+# first-order multipliers K (on S = 0) and N (on S = R), found by one
+# linear solve of G + K - N = 0.
 # ---------------------------------------------------------------------------
 
 
@@ -351,16 +351,17 @@ def _grad_two_noise(s: NDArray, w: NDArray, v: NDArray, mu: float) -> NDArray:
     return symmetrize(0.5 * np.linalg.inv(s + w) - 0.5 * mu * np.linalg.inv(s + v))
 
 
-def _project_band(s: NDArray, r: NDArray, max_sweeps: int = 30) -> NDArray:
-    """Alternate eigenvalue clipping onto {S >= 0} and {S <= R}."""
-    x = symmetrize(s)
-    for _ in range(max_sweeps):
-        x1 = psd_project(x)
-        x2 = symmetrize(r - psd_project(r - x1))
-        if float(np.max(np.abs(x2 - x1))) < 1e-15:
-            return x2
-        x = x2
-    return x
+def _band_start(s0: NDArray, r: NDArray) -> NDArray:
+    """Strictly interior start: s0 clipped to the band in R's whitened coordinates.
+
+    With ``R = L L^T`` the band is ``0 <= X <= I`` for ``X = L^-1 S L^-T``.
+    The eigenvalues of ``L^-1 s0 L^-T`` are clipped to [0, 1] and mapped to
+    ``1/8 + 3/4 * clip``, so S and R - S are positive definite for any PD R.
+    """
+    l = np.linalg.cholesky(r)
+    lam, q = np.linalg.eigh(symmetrize(np.linalg.solve(l, np.linalg.solve(l, s0).T)))
+    y = l @ q
+    return symmetrize(y @ ((0.125 + 0.75 * np.clip(lam, 0.0, 1.0))[:, None] * y.T))
 
 
 def _sym_coords(k: int):
@@ -489,17 +490,16 @@ def _barrier_stage(
     return s
 
 
-def _interior_newton(s0: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float) -> NDArray:
+def _interior_newton(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float) -> NDArray:
     """Log-barrier path following for the band-constrained maximum.
 
+    Starts from a strictly interior S (:func:`_band_start`) and
     Newton-centers a sequence of barrier surrogates with geometrically
     decreasing weight.  The returned point is strictly feasible and close
     to the constrained maximizer, with nearly active eigenmodes separated
     from inactive ones by many orders of magnitude; :func:`_pin_faces`
     moves the nearly active ones onto the boundary.
     """
-    # Blend toward the center of the band for a strictly interior start.
-    s = symmetrize(0.75 * _project_band(s0, r) + 0.125 * r)
     g0 = max(1.0, float(np.max(np.abs(_grad_two_noise(s, w, v, mu)))))
     bar0 = max(float(np.max(np.abs(np.linalg.inv(np.stack((s, r - s)))))), 1e-30)
     tau = max(0.1 * g0 / bar0, 1e-14)
@@ -526,32 +526,6 @@ def _pin_faces(s: NDArray, r: NDArray, tol: float):
     lam, q = np.linalg.eigh(symmetrize(r - s))
     face = lam < tol
     return symmetrize(r - q @ (np.where(face, 0.0, lam)[:, None] * q.T)), u0, q[:, face]
-
-
-def _fixed_point_split(
-    w: NDArray, v: NDArray, mu: float, iters: int = 200, tol: float = 1e-10
-):
-    """Iterate the all-noise-used split V~ = V - W~ to a fixed point.
-
-    May oscillate for some inputs; the caller treats the result only as a
-    starting point for the barrier path.
-    """
-    n = w.shape[0]
-    v_t = v.copy()
-    w_t = np.zeros_like(w)
-    for _ in range(iters):
-        ridge = 1e-12 * max(1.0, float(np.max(np.abs(v_t))))
-        try:
-            k = _k_threshold(w, symmetrize(v_t) + ridge * np.eye(n), mu)
-        except NotPositiveDefinite:
-            break
-        w_t = symmetrize(np.linalg.inv(np.linalg.inv(w) + k))
-        v_next = psd_project(v - w_t)
-        if float(np.linalg.norm(v_next - v_t)) <= tol:
-            v_t = v_next
-            break
-        v_t = v_next
-    return v_t / (mu - 1.0) - w_t
 
 
 def _optimum_certificate(
@@ -600,13 +574,15 @@ def eei_optimum(instance: EEIInstance):
     """Maximize h(S + W) - mu * h(S + V) over the band 0 <= S <= R.
 
     In one dimension the derivative ``((1-mu)s + v - mu*w)/((s+w)(s+v))``
-    changes sign once, so ``s = clip((v - mu*w)/(mu - 1), 0, r)`` is
-    exact.  Otherwise the solve starts from the fixed-point noise split
-    projected onto the band, follows the log-barrier Newton path to the
-    maximizer, and pins the eigenvalues of S and of R - S below
-    ``1e-9 * spectral_scale(W, V, R)`` to exactly zero.  The multipliers K
-    on the face S = 0 and N on the face S = R then solve ``G + K - N = 0``
-    by least squares, G the gradient.  A first-order residual
+    changes sign once, so ``s = clip(s0, 0, r)`` with
+    ``s0 = (v - mu*w)/(mu - 1)`` is exact.  Otherwise the same ``s0``, the
+    point where ``S + V = mu (S + W)``, clipped strictly inside the band in
+    R's whitened coordinates (:func:`_band_start`) starts the solve, which
+    follows the log-barrier Newton path to the maximizer and pins the
+    eigenvalues of S and of R - S below ``1e-9 * spectral_scale(W, V, R)``
+    to exactly zero.  The multipliers K on the face S = 0 and N on the face
+    S = R then solve ``G + K - N = 0`` by least squares, G the gradient.
+    A first-order residual
     ``max(||G + K - N||_F, -min_eig K, -min_eig N)`` above ``1e-6`` of the
     gradient scale raises :class:`NoConvergence`.
 
@@ -615,14 +591,14 @@ def eei_optimum(instance: EEIInstance):
     if instance.s_v is None:
         raise InvalidParameter("instance must include s_v for the two-noise optimum")
     w, v, r, mu = instance.s_w, instance.s_v, instance.r, instance.mu
+    s0 = (v - mu * w) / (mu - 1.0)
     if instance.dim == 1:
-        s = np.clip((v - mu * w) / (mu - 1.0), 0.0, r)
+        s = np.clip(s0, 0.0, r)
         # The clip is exact, so its faces are read off without a pin.
         one = np.ones((1, 1))
         u0, u1 = one[:, s[0] == 0.0], one[:, s[0] == r[0]]
     else:
-        # _interior_newton projects its start onto the band.
-        s = _interior_newton(_fixed_point_split(w, v, mu), w, v, r, mu)
+        s = _interior_newton(_band_start(s0, r), w, v, r, mu)
         s, u0, u1 = _pin_faces(s, r, 1e-9 * spectral_scale(w, v, r))
     g = _grad_two_noise(s, w, v, mu)
     k, n_mat = _face_multipliers(g, u0, u1)

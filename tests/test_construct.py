@@ -351,12 +351,13 @@ class TestOptimumGuardRails:
     @pytest.mark.xfail(
         strict=True,
         raises=NoConvergence,
-        reason="the band start is infeasible for ill-conditioned R",
+        reason="barrier stages stop at their step cap for ill-conditioned R",
     )
     def test_near_singular_constraint(self):
         # R = Q diag(1, ..., 1e-6) Q^T: a band 1e-6 thin in one direction.
-        # _project_band leaves the start with a negative eigenvalue, where
-        # the barrier value is -inf, and the solve stalls.
+        # The start is strictly inside the band, but on four of the six
+        # instances every barrier stage stops at its step cap and the
+        # first-order residual is left at 1.7e-2 to 3.0e-1.
         rng = np.random.default_rng(5)
         for n in (2, 2, 2, 3, 3, 3):
             q, _ = np.linalg.qr(rng.normal(size=(n, n)))
@@ -368,6 +369,44 @@ class TestOptimumGuardRails:
             )
             _, _, cert = eei_optimum(inst)
             _cert_ok(cert, spectral_scale(inst.s_w, inst.s_v, inst.r), tol=1e-6)
+
+    def test_ill_conditioned_band_is_not_an_input_error(self, tmp_path):
+        # R = Q diag(1, ..., 1e-6) Q^T is PD, so neither the library nor the
+        # CLI may report an input error: the barrier path must stay inside
+        # the band, outside which S + W can be singular.
+        rng = np.random.default_rng([77, 8])
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        mu = rng.uniform(1.1, 4.0)
+        w, v = _rand_pd(rng, 4, lo=0.2), _rand_pd(rng, 4, lo=0.2)
+        r = symmetrize(q @ (np.geomspace(1.0, 1e-6, 4)[:, None] * q.T))
+        try:
+            eei_optimum(EEIInstance(mu=mu, s_w=w, r=r, s_v=v))
+        except NoConvergence:
+            pass
+        argv = ["optimum", "--mu", repr(mu)]
+        for role, mat in (("w", w), ("v", v), ("r", r)):
+            path = tmp_path / f"{role}.json"
+            path.write_text(json.dumps(cov_to_json(mat)))
+            argv += [f"--{role}", str(path)]
+        assert main(argv) != 2
+
+    def test_band_start_is_strictly_inside_the_band(self):
+        # For any PD R and any symmetric s0, S and R - S are PD.
+        rng = np.random.default_rng(808)
+        for _ in range(250):
+            n = int(rng.integers(2, 9))
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            lam = np.geomspace(1.0, 10.0 ** -rng.uniform(2, 10), n)
+            r = symmetrize(q @ (lam[:, None] * q.T))
+            # indefinite and far outside the band: eigenvalues -1e3, 1e3 and
+            # n - 2 more of that size
+            u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            d = 1e3 * np.concatenate(([-1.0, 1.0], rng.normal(size=n - 2)))
+            s = construct._band_start(symmetrize(u @ (d[:, None] * u.T)), r)
+            np.linalg.cholesky(s)
+            np.linalg.cholesky(r - s)
+        # inside the band the map is affine: R/2 goes to R/8 + 3/4 (R/2) = R/2
+        np.testing.assert_allclose(construct._band_start(r / 2.0, r), r / 2.0, atol=1e-12)
 
     @pytest.mark.xfail(
         strict=True,
