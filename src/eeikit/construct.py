@@ -374,10 +374,18 @@ def _sym_coords(k: int):
     return i, j, np.where(i == j, 0.5, 1.0)
 
 
-def _trace_products(p: NDArray, i: NDArray, j: NDArray, c: NDArray) -> NDArray:
-    """``tr(P B_a P B_b) = 2 c_a c_b (P_ik P_jl + P_il P_jk)``, b = (k, l), for each P in p."""
+def _trace_products(
+    p: NDArray, i: NDArray, j: NDArray, c: NDArray, weights: Optional[NDArray] = None
+) -> NDArray:
+    """``tr(P B_a P B_b) = 2 c_a c_b (P_ik P_jl + P_il P_jk)``, b = (k, l), for each P in p.
+
+    ``weights`` is ``2 c_a c_b``, built from c when not given; a barrier
+    stage builds it once for all its steps.
+    """
+    if weights is None:
+        weights = 2.0 * np.outer(c, c)
     pi, pj = p.take(i, 1), p.take(j, 1)
-    return 2.0 * np.outer(c, c) * (pi.take(i, 2) * pj.take(j, 2) + pi.take(j, 2) * pj.take(i, 2))
+    return weights * (pi.take(i, 2) * pj.take(j, 2) + pi.take(j, 2) * pj.take(i, 2))
 
 
 def _face_columns(u: NDArray) -> NDArray:
@@ -406,11 +414,19 @@ def _face_multipliers(g: NDArray, u0: NDArray, u1: NDArray):
 
 
 def _barrier_value(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, tau: float) -> float:
-    sign1, ld1 = np.linalg.slogdet(s)
-    sign2, ld2 = np.linalg.slogdet(r - s)
-    if sign1 <= 0 or sign2 <= 0:
+    """``h(S + W) - mu h(S + V) + tau (log det S + log det(R - S))``, -inf off the band.
+
+    One stacked ``eigvalsh`` of ``(S, R - S, S + W, S + V)`` gives every
+    term as a sum of logs of eigenvalues, as :func:`gaussian_entropy`
+    computes the entropies.  S lies in the band only if the smallest
+    eigenvalues of S and of R - S are positive.
+    """
+    lam = np.linalg.eigvalsh(np.stack((s, r - s, s + w, s + v)))
+    if lam[0, 0] <= 0.0 or lam[1, 0] <= 0.0:
         return -math.inf
-    return objective_two_noise(s, w, v, mu) + tau * (ld1 + ld2)
+    log_det = np.sum(np.log(lam), axis=1)
+    h_w, h_v = 0.5 * (s.shape[0] * LOG_2PI_E + log_det[2:])
+    return float((h_w - mu * h_v) + tau * (log_det[0] + log_det[1]))
 
 
 def _barrier_stage(
@@ -436,28 +452,30 @@ def _barrier_stage(
     n = s.shape[0]
     i, j, c = _sym_coords(n)
     m = i.size
+    eye, weights = np.eye(m), 2.0 * np.outer(c, c)
     phi = _barrier_value(s, w, v, r, mu, tau)
     root_tau = math.sqrt(tau)
     damp = 0.0
     for _ in range(iters):
-        p = np.linalg.inv(np.stack((s, r - s, s + w, s + v)))
-        # inv is not exactly symmetric near a face; the gather needs it to be.
-        p = 0.5 * (p + p.transpose(0, 2, 1))
-        h = _trace_products(p, i, j, c)
-        si, ri, pw, pv = p
-        grad = 2.0 * c * (0.5 * pw - 0.5 * mu * pv + tau * (si - ri))[i, j]
-        h_bar = h[0] + h[1]
         try:
-            chol = np.linalg.cholesky(
-                tau * h_bar + 1e-14 * tau * float(np.max(np.abs(h_bar))) * np.eye(m)
+            p = np.linalg.inv(np.stack((s, r - s, s + w, s + v)))
+            # inv is not exactly symmetric near a face; the gather needs it to be.
+            p = 0.5 * (p + p.transpose(0, 2, 1))
+            h = _trace_products(p, i, j, c, weights)
+            h_bar = h[0] + h[1]
+            # ci whitens: ci (tau H_bar) ci^T = I, up to the ridge.
+            ci = np.linalg.inv(
+                np.linalg.cholesky(tau * h_bar + 1e-14 * tau * float(np.max(np.abs(h_bar))) * eye)
             )
         except np.linalg.LinAlgError:
             break
-        g_t = np.linalg.solve(chol, grad)
+        si, ri, pw, pv = p
+        grad = 2.0 * c * (0.5 * pw - 0.5 * mu * pv + tau * (si - ri))[i, j]
+        g_t = ci @ grad
         if float(np.linalg.norm(g_t)) <= center_tol * root_tau:
             break
         h_phi = 0.5 * mu * h[3] - 0.5 * h[2] - tau * h_bar
-        h_t = np.linalg.solve(chol, np.linalg.solve(chol, h_phi.T).T)
+        h_t = ci @ h_phi @ ci.T
         h_t = 0.5 * (h_t + h_t.T)
         top = float(np.linalg.eigvalsh(h_t)[-1])
         t_scale = max(float(np.max(np.abs(h_t))), 1e-30)
@@ -466,14 +484,14 @@ def _barrier_stage(
         for _ in range(40):
             shift = max(0.0, top) + damp
             try:
-                y_t = np.linalg.solve(h_t - shift * np.eye(m), -g_t)
+                y_t = np.linalg.solve(h_t - shift * eye, -g_t)
             except np.linalg.LinAlgError:
                 damp *= 10.0
                 continue
             norm_y = float(np.linalg.norm(y_t))
             if norm_y > 0.8 * root_tau:
                 y_t = y_t * (0.8 * root_tau / norm_y)
-            delta = np.linalg.solve(chol.T, y_t)
+            delta = ci.T @ y_t
             d_s = np.zeros((n, n))
             d_s[i, j] = d_s[j, i] = delta
             cand = s + d_s

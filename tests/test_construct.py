@@ -283,6 +283,60 @@ class TestSymmetricCoordinates:
             np.testing.assert_array_equal(construct._face_columns(u), ref)
 
 
+class TestBarrierValue:
+    """The barrier surrogate the band solver maximizes, against its definition."""
+
+    def test_rejects_an_infeasible_s(self):
+        # S = -0.1 I has two negative eigenvalues, so det S > 0: a sign test
+        # on the determinant would accept it.
+        eye = np.eye(2)
+        value = construct._barrier_value(-0.1 * eye, eye, 2.0 * eye, eye, 2.0, 1e-3)
+        assert value == -np.inf
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_its_definition(self, n):
+        # h(S + W) - mu h(S + V) + tau (log det S + log det(R - S)) at S
+        # strictly inside the band: S = L X L^T with R = L L^T and the
+        # eigenvalues of X in [0.05, 0.95]
+        rng = np.random.default_rng([31, n])
+        for tau in (1e-14, 1e-6, 1e-2, 1.0):
+            mu = rng.uniform(1.1, 4.0)
+            w, v, r = (_rand_pd(rng, n, lo=lo) for lo in (0.2, 0.2, 0.5))
+            l = np.linalg.cholesky(r)
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            y = l @ q
+            s = symmetrize(y @ (rng.uniform(0.05, 0.95, n)[:, None] * y.T))
+            log_dets = [np.linalg.slogdet(m) for m in (s, r - s)]
+            assert all(sign == 1.0 for sign, _ in log_dets)
+            expected = objective_two_noise(s, w, v, mu) + tau * sum(ld for _, ld in log_dets)
+            value = construct._barrier_value(s, w, v, r, mu, tau)
+            assert value == pytest.approx(expected, rel=1e-12)
+
+
+def _kkt_residual(s, k, w, v, r, mu):
+    """KKT residual of S with K, the multiplier on the face S = 0, from scratch.
+
+    Stationarity ``G + K - N = 0`` leaves ``N = G + K`` for the face
+    S = R, G the gradient.  The residual is the worst of the band
+    violation of S, the negative parts of K and N, and the complementarity
+    products ``||K S||`` and ``||N (R - S)||``, each relative to the
+    gradient scale, the spectral scale or both.  It fits no faces, so it
+    does not depend on how the solver pinned them.
+    """
+    scale = spectral_scale(w, v, r)
+    g = symmetrize(0.5 * np.linalg.inv(s + w) - 0.5 * mu * np.linalg.inv(s + v))
+    g_scale = max(1.0, float(np.max(np.abs(g))))
+    n_mat = g + k
+    return max(
+        -float(np.linalg.eigvalsh(s)[0]) / scale,
+        -float(np.linalg.eigvalsh(r - s)[0]) / scale,
+        -float(np.linalg.eigvalsh(k)[0]) / g_scale,
+        -float(np.linalg.eigvalsh(n_mat)[0]) / g_scale,
+        float(np.linalg.norm(k @ s)) / (g_scale * scale),
+        float(np.linalg.norm(n_mat @ (r - s))) / (g_scale * scale),
+    )
+
+
 class TestOptimumGuardRails:
     """Closed forms and invariances the band optimum must reproduce."""
 
@@ -389,6 +443,26 @@ class TestOptimumGuardRails:
             path.write_text(json.dumps(cov_to_json(mat)))
             argv += [f"--{role}", str(path)]
         assert main(argv) != 2
+
+    @pytest.mark.parametrize("cond", [1e6, 1e8])
+    def test_only_no_convergence_on_valid_input(self, cond):
+        # R = Q diag(1, ..., 1/cond) Q^T is PD, so the solve either returns a
+        # first-order optimum or raises NoConvergence; a LinAlgError from a
+        # numerically singular step would be a ValueError, which the CLI
+        # reports as an input error.
+        for k in range(60):
+            n = 2 + k % 3
+            rng = np.random.default_rng([77, k])
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            mu = rng.uniform(1.1, 4.0)
+            w, v = _rand_pd(rng, n, lo=0.2), _rand_pd(rng, n, lo=0.2)
+            r = symmetrize(q @ (np.geomspace(1.0, 1.0 / cond, n)[:, None] * q.T))
+            try:
+                s, _, cert = eei_optimum(EEIInstance(mu=mu, s_w=w, r=r, s_v=v))
+            except NoConvergence:
+                continue
+            # the certificate's multiplier is 2K
+            assert _kkt_residual(s, cert.multiplier / 2.0, w, v, r, mu) <= 1e-6, k
 
     def test_band_start_is_strictly_inside_the_band(self):
         # For any PD R and any symmetric s0, S and R - S are PD.
