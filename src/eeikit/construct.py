@@ -252,12 +252,7 @@ def construct_l(s_x, s_w, mu: float) -> ConstructionCertificate:
     w_tilde = symmetrize(np.linalg.inv(np.linalg.inv(x + w) + l_mat) - x)
     x_star = w_tilde / (mu - 1.0)
     x_prime = symmetrize(x - x_star)
-    order = min(
-        min_eig(x_prime),
-        min_eig(w - w_tilde),
-        min_eig(w_tilde),
-        min_eig(l_mat),
-    )
+    order = min_eig(x_prime, w - w_tilde, w_tilde, l_mat)
     return ConstructionCertificate(
         multiplier=l_mat,
         s_w_tilde=w_tilde,
@@ -316,12 +311,7 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
     k_mat = _k_threshold(w, v_tilde, mu)
     w_tilde = symmetrize(np.linalg.inv(np.linalg.inv(w) + k_mat))
     x_star = symmetrize(v_tilde / (mu - 1.0) - w_tilde)
-    order = min(
-        min_eig(x_star),
-        min_eig(w - w_tilde),
-        min_eig(w_tilde),
-        min_eig(k_mat),
-    )
+    order = min_eig(x_star, w - w_tilde, w_tilde, k_mat)
     return ConstructionCertificate(
         multiplier=k_mat,
         s_w_tilde=w_tilde,
@@ -345,6 +335,9 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
 # first-order multipliers K (on S = 0) and N (on S = R), found by one
 # linear solve of G + K - N = 0.
 # ---------------------------------------------------------------------------
+
+# Barrier weight of the last stage and of the final tight centering.
+_TAU_FLOOR = 1e-14
 
 
 def _grad_two_noise(s: NDArray, w: NDArray, v: NDArray, mu: float) -> NDArray:
@@ -446,7 +439,10 @@ def _barrier_stage(
     every iterate strictly feasible without eigenvalue line searches and
     keeps the system well conditioned arbitrarily close to the boundary.
     Centering stops once the scaled gradient norm falls below
-    ``center_tol * sqrt(tau)``.  The coordinates are :func:`_sym_coords`;
+    ``center_tol * sqrt(tau)``, after an accepted step shorter than
+    ``1e-13 * sqrt(tau)``, or at the first step that leaves S unchanged bit
+    for bit: S is then as centred as rounding allows, and is returned
+    without scoring the candidate.  The coordinates are :func:`_sym_coords`;
     ``log det`` at P^-1 has Hessian ``-tr(P B_a P B_b)`` in them.
     """
     n = s.shape[0]
@@ -495,6 +491,8 @@ def _barrier_stage(
             d_s = np.zeros((n, n))
             d_s[i, j] = d_s[j, i] = delta
             cand = s + d_s
+            if np.array_equal(cand, s):
+                return s
             phi_new = _barrier_value(cand, w, v, r, mu, tau)
             if phi_new >= phi - 1e-15:
                 s, phi, accepted = cand, phi_new, True
@@ -520,15 +518,14 @@ def _interior_newton(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float) 
     """
     g0 = max(1.0, float(np.max(np.abs(_grad_two_noise(s, w, v, mu)))))
     bar0 = max(float(np.max(np.abs(np.linalg.inv(np.stack((s, r - s)))))), 1e-30)
-    tau = max(0.1 * g0 / bar0, 1e-14)
-    tau_floor = min(1e-14, tau)
+    tau = max(0.1 * g0 / bar0, _TAU_FLOOR)
     for _ in range(40):
         s = _barrier_stage(s, w, v, r, mu, tau)
-        if tau <= tau_floor:
+        if tau <= _TAU_FLOOR:
             break
-        tau = max(tau / 10.0, tau_floor)
+        tau = max(tau / 10.0, _TAU_FLOOR)
     # Final tight centering pins down the analytic center of the optimum.
-    return _barrier_stage(s, w, v, r, mu, tau_floor, iters=60, center_tol=1e-3)
+    return _barrier_stage(s, w, v, r, mu, _TAU_FLOOR, iters=60, center_tol=1e-3)
 
 
 def _pin_faces(s: NDArray, r: NDArray, tol: float):
@@ -562,19 +559,12 @@ def _optimum_certificate(
     w_tilde = symmetrize(np.linalg.inv(np.linalg.inv(w) + k_mat))
     v_tilde = (mu - 1.0) * symmetrize(s_star + w_tilde)
     v_prime_gap = symmetrize(v - w_tilde - v_tilde)
-    split_gap = min(min_eig(w - w_tilde), min_eig(v - w_tilde))
+    split_gap = min_eig(w - w_tilde, v - w_tilde)
     if split_gap < -1e-6 * spectral_scale(w, v):
         raise SplitInfeasible(
             f"no admissible reduced noise: ordering violated by {split_gap:.3e}"
         )
-    order = min(
-        min_eig(s_star),
-        min_eig(r - s_star),
-        min_eig(w - w_tilde),
-        min_eig(v_tilde),
-        min_eig(v_prime_gap),
-        min_eig(k_mat),
-    )
+    order = min_eig(s_star, r - s_star, w - w_tilde, v_tilde, v_prime_gap, k_mat)
     return ConstructionCertificate(
         multiplier=k_mat,
         s_w_tilde=w_tilde,
@@ -620,7 +610,7 @@ def eei_optimum(instance: EEIInstance):
         s, u0, u1 = _pin_faces(s, r, 1e-9 * spectral_scale(w, v, r))
     g = _grad_two_noise(s, w, v, mu)
     k, n_mat = _face_multipliers(g, u0, u1)
-    res = max(float(np.linalg.norm(g + k - n_mat)), -min_eig(k), -min_eig(n_mat))
+    res = max(float(np.linalg.norm(g + k - n_mat)), -min_eig(k, n_mat))
     if res > 1e-6 * max(1.0, float(np.max(np.abs(g)))):
         raise NoConvergence(f"barrier path stalled with first-order residual {res:.3e}")
     cert = _optimum_certificate(s, k, w, v, r, mu)

@@ -61,9 +61,15 @@ def eig_scale(evals: NDArray) -> float:
     return max(1.0, -float(evals[0]), float(evals[-1])) if evals.size else 1.0
 
 
-def min_eig(a) -> float:
-    """Smallest eigenvalue of the symmetric part of ``a``."""
-    return float(np.linalg.eigvalsh(symmetrize(a))[0])
+def min_eig(*mats) -> float:
+    """Smallest eigenvalue over the symmetric parts of same-shape matrices.
+
+    One ``eigvalsh`` of their stack answers every PSD claim at once; each
+    spectrum in the stack is the one a separate call would give, and ties
+    resolve as ``min`` over separate calls would (first argument first).
+    """
+    stack = np.asarray(mats, dtype=float)
+    return min(np.linalg.eigvalsh(0.5 * (stack + stack.transpose(0, 2, 1)))[:, 0].tolist())
 
 
 def validated_square(a, name: str = "matrix") -> NDArray:

@@ -14,6 +14,7 @@ from eeikit import (
     EEIInstance,
     NoConvergence,
     NotPositiveDefinite,
+    SplitInfeasible,
     construct_k,
     construct_l,
     cov_to_json,
@@ -313,6 +314,30 @@ class TestBarrierValue:
             assert value == pytest.approx(expected, rel=1e-12)
 
 
+class TestBarrierStage:
+    """Stopping rules of one Newton centering stage."""
+
+    @pytest.mark.parametrize("seed, n", [(2, 3), (0, 4)])
+    def test_stage_ends_at_its_first_no_op_step(self, monkeypatch, seed, n):
+        # Re-centring the solver's output at tau = 1e-14 proposes steps that
+        # round to no change of S; the first of them ends the stage.
+        inst = TestOptimumGuardRails._random_instance(np.random.default_rng(seed), n)
+        w, v, r, mu = inst.s_w, inst.s_v, inst.r, inst.mu
+        s0 = (v - mu * w) / (mu - 1.0)
+        s = construct._interior_newton(construct._band_start(s0, r), w, v, r, mu)
+        steps = []
+        gather = construct._trace_products
+
+        def counted(*args, **kwargs):
+            steps.append(None)
+            return gather(*args, **kwargs)
+
+        monkeypatch.setattr(construct, "_trace_products", counted)
+        again = construct._barrier_stage(s, w, v, r, mu, 1e-14, iters=60, center_tol=1e-3)
+        np.testing.assert_array_equal(again, s)
+        assert len(steps) < 60
+
+
 def _kkt_residual(s, k, w, v, r, mu):
     """KKT residual of S with K, the multiplier on the face S = 0, from scratch.
 
@@ -532,6 +557,13 @@ class TestOptimumChecksCanFail:
             s_star, -k, inst.s_w, inst.s_v, inst.r, inst.mu
         )
         assert cert.order_residual < -0.1 * scale
+
+    def test_noise_above_the_second_noise_is_split_infeasible(self):
+        # K = 0 keeps W~ = W = I, but V = 0.1 I lies below it: the split gap
+        # min_eig(V - W~) is -0.9.
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        with pytest.raises(SplitInfeasible, match="-9.000e-01"):
+            construct._optimum_certificate(zero, zero, eye, 0.1 * eye, eye, 2.0)
 
     def test_multiplier_off_the_face_trips_zero_product(self):
         inst, s_star, k, scale = self._solved()

@@ -32,6 +32,7 @@ from eeikit import (
     spectral_scale,
     symmetrize,
 )
+from eeikit.gaussmat import min_eig
 
 DIM = 4
 FACTOR_ELEMENTS = st.floats(min_value=-3.0, max_value=3.0)
@@ -133,6 +134,17 @@ def test_spectral_scale_takes_max_over_arguments():
     assert spectral_scale(a) == pytest.approx(3.0)
     assert spectral_scale(a, b) == pytest.approx(10.0)
     assert spectral_scale(np.zeros((2, 2))) >= 1.0  # floored so tolerances stay meaningful
+
+
+def test_min_eig_of_a_stack_is_the_least_of_separate_calls():
+    # One eigvalsh of the stack gives each matrix the spectrum a call of its
+    # own would, so the minimum matches bit for bit.
+    rng = np.random.default_rng(137)
+    for n in range(1, 7):
+        for count in range(1, 8):
+            mats = [rng.normal(size=(n, n)) for _ in range(count)]
+            separate = [float(np.linalg.eigvalsh(symmetrize(m))[0]) for m in mats]
+            assert min_eig(*mats) == min(separate)
 
 
 def test_cov_matrix_validation():
