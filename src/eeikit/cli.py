@@ -27,6 +27,7 @@ from .construct import (
     construct_k,
     construct_l,
     eei_optimum,
+    validated_mu,
 )
 from .errors import (
     DominationFailed,
@@ -374,9 +375,7 @@ def main(argv=None) -> int:
         mu = None
         if command.mu:
             _need(args, ("mu",), args.command)
-            mu = float(args.mu)
-            if not (mu > 1.0):
-                raise InvalidParameter(f"mu must exceed 1, got {args.mu}")
+            mu = validated_mu(args.mu)
         _need(args, command.flags, args.command)
         summary, result = command.run(args, mu, seed, tol)
         elapsed_ms = (

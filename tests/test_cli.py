@@ -158,6 +158,12 @@ class TestApplicationCommands:
         assert blob["summary"]["margin"] >= -1e-10
 
 
+def _non_finite_id(argv):
+    """Command and flag of the non-finite value, with ``-inf`` for infinity."""
+    bad = next(a for a in argv if a in ("nan", "inf"))
+    return argv[0] + argv[argv.index(bad) - 1] + ("-inf" if bad == "inf" else "")
+
+
 class TestExitCodes:
     def test_bad_mu_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "construct-l", "--x", "1", "--w", "1", "--mu", "1")
@@ -193,8 +199,12 @@ class TestExitCodes:
             ("verify-eei", "--density", "uniform:0,1", "--w", "1", "--r", "nan", "--mu", "2"),
             ("variational-check", "--density", "gaussian", "--mu", "nan"),
             ("construct-l", "--x", "1", "--w", "3", "--mu", "2", "--tol", "nan"),
+            ("construct-l", "--x", "1", "--w", "1", "--mu", "inf"),
+            ("construct-k", "--w", "2", "--v", "4", "--mu", "inf"),
+            ("optimum", "--w", "1", "--v", "4", "--r", "10", "--mu", "inf"),
+            ("variational-check", "--density", "gaussian", "--mu", "inf"),
         ],
-        ids=lambda argv: argv[0] + argv[argv.index("nan") - 1],
+        ids=_non_finite_id,
     )
     def test_non_finite_input_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
