@@ -333,18 +333,19 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
 # ---------------------------------------------------------------------------
 # Constrained two-noise optimum: one path.  The unconstrained stationary
 # point S0 = (V - mu W)/(mu - 1), where S + V = mu (S + W), clipped strictly
-# inside the band {0 <= S <= R} in R's whitened coordinates gives the start,
-# log-barrier path following with trust-region Newton steps converges to
-# the maximizer from inside the band, and eigenvalues of S and of R - S left
-# at barrier distance from zero are pinned onto the boundary faces.  The
-# pinned faces carry the first-order multipliers K (on S = 0) and N (on
-# S = R), found by one linear solve of G + K - N = 0.
+# inside the band {0 <= S <= R} in R's whitened coordinates gives the start.
+# A ladder of log-barrier stages, each centred by trust-region Newton steps
+# with the same stopping rules, follows the path to the maximizer from
+# inside the band; the last stage's iterate is the answer.  Eigenvalues of
+# S and of R - S left at barrier distance from zero are pinned onto the
+# boundary faces.  The pinned faces carry the first-order multipliers K (on
+# S = 0) and N (on S = R), found by one linear solve of G + K - N = 0.
 # ---------------------------------------------------------------------------
 
-# Barrier weight of the last stage and of the final tight centering.  Each
-# stage divides tau by 30.  Trust-region steps centre a stage well enough
-# for that cut: over 140 random instances, n = 2 to 8, cuts of 10, 30 and
-# 100 took 11960, 10444 and 10179 Newton steps, and none failed.
+# Barrier weight of the last stage.  Each stage divides tau by 30.
+# Trust-region steps centre a stage well enough for that cut: over 140
+# random instances, n = 2 to 8, cuts of 10, 30 and 100 took 11960, 10444
+# and 10179 Newton steps, and none failed.
 _TAU_FLOOR = 1e-14
 
 
@@ -454,16 +455,7 @@ def _trust_region_step(lam: NDArray, gq: NDArray, shift: float, radius: float):
     return z, shift
 
 
-def _barrier_stage(
-    s: NDArray,
-    w: NDArray,
-    v: NDArray,
-    r: NDArray,
-    mu: float,
-    tau: float,
-    iters: int = 30,
-    center_tol: float = 0.25,
-) -> NDArray:
+def _barrier_stage(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, tau: float) -> NDArray:
     """Trust-region Newton centering for the log-barrier surrogate.
 
     The Newton system is solved in coordinates whitened by the barrier
@@ -474,14 +466,13 @@ def _barrier_stage(
     system well conditioned arbitrarily close to the boundary.  The shift
     starts just above the top eigenvalue (or at zero); a step that does
     not raise the barrier value is retried with a larger shift, so the next
-    try is strictly shorter.  Centering stops once the scaled gradient norm
-    falls below ``center_tol * sqrt(tau)``, after an accepted step shorter
-    than ``1e-13 * sqrt(tau)``, at the first step that leaves S unchanged
-    bit for bit (returned without scoring the candidate), or at the first
-    candidate whose barrier value lies in ``[phi - 1e-15, phi]``: S is then
-    as centred as rounding allows.  The coordinates are
-    :func:`_sym_coords`; ``log det`` at P^-1 has Hessian ``-tr(P B_a P B_b)``
-    in them.
+    try is strictly shorter.  The stage ends once the scaled gradient norm
+    is at most ``0.25 * sqrt(tau)``, at the first candidate whose barrier
+    value lies in ``[phi - 1e-15, phi]`` (S is then as centred as rounding
+    allows; a candidate equal to S scores exactly phi), after 40 rejected
+    tries in a row, after 30 steps, or at a ``LinAlgError``.  The
+    coordinates are :func:`_sym_coords`; ``log det`` at P^-1 has Hessian
+    ``-tr(P B_a P B_b)`` in them.
     """
     n = s.shape[0]
     i, j, c = _sym_coords(n)
@@ -491,7 +482,7 @@ def _barrier_stage(
     root_tau = math.sqrt(tau)
     radius = 0.8 * root_tau
     damp = 0.0
-    for _ in range(iters):
+    for _ in range(30):
         try:
             p = np.linalg.inv(np.stack((s, r - s, s + w, s + v)))
             # inv is not exactly symmetric near a face; the gather needs it to be.
@@ -505,7 +496,7 @@ def _barrier_stage(
             si, ri, pw, pv = p
             grad = 2.0 * c * (0.5 * pw - 0.5 * mu * pv + tau * (si - ri))[i, j]
             g_t = ci @ grad
-            if float(np.linalg.norm(g_t)) <= center_tol * root_tau:
+            if float(np.linalg.norm(g_t)) <= 0.25 * root_tau:
                 break
             h_t = ci @ (0.5 * mu * h[3] - 0.5 * h[2] - tau * h_bar) @ ci.T
             h_t = 0.5 * (h_t + h_t.T)
@@ -516,26 +507,21 @@ def _barrier_stage(
         gq, back = vec.T @ g_t, ci.T @ vec
         t_scale = max(float(np.max(np.abs(h_t))), 1e-30)
         damp = max(damp, 1e-12 * t_scale)
-        accepted = False
         for _ in range(40):
             z, shift = _trust_region_step(lam, gq, top + damp, radius)
             d_s = np.zeros((n, n))
             d_s[i, j] = d_s[j, i] = back @ z
             cand = s + d_s
-            if np.array_equal(cand, s):
-                return s
             phi_new = _barrier_value(cand, w, v, r, mu, tau)
             if phi_new > phi:
-                s, phi, accepted = cand, phi_new, True
+                s, phi = cand, phi_new
                 damp = max(damp / 10.0, 1e-12 * t_scale)
                 break
             if phi_new >= phi - 1e-15:
                 return s
             damp = 10.0 * (shift - top)
-        if not accepted:
-            break
-        if float(np.linalg.norm(z)) < 1e-13 * root_tau:
-            break
+        else:
+            return s
     return s
 
 
@@ -544,11 +530,11 @@ def _interior_newton(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float) 
 
     Starts from a strictly interior S (:func:`_band_start`) and
     Newton-centers a sequence of barrier surrogates whose weight tau
-    shrinks 30-fold per stage down to ``_TAU_FLOOR``.  The returned point
-    is strictly feasible and close to the constrained maximizer, with
-    nearly active eigenmodes separated from inactive ones by many orders
-    of magnitude; :func:`_pin_faces` moves the nearly active ones onto the
-    boundary.
+    shrinks 30-fold per stage down to ``_TAU_FLOOR``, and returns the
+    iterate of that last stage.  It is strictly feasible and close to the
+    constrained maximizer, with nearly active eigenmodes separated from
+    inactive ones by many orders of magnitude; :func:`_pin_faces` moves
+    the nearly active ones onto the boundary.
     """
     g0 = max(1.0, float(np.max(np.abs(_grad_two_noise(s, w, v, mu)))))
     bar0 = max(float(np.max(np.abs(np.linalg.inv(np.stack((s, r - s)))))), 1e-30)
@@ -558,8 +544,7 @@ def _interior_newton(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float) 
         if tau <= _TAU_FLOOR:
             break
         tau = max(tau / 30.0, _TAU_FLOOR)
-    # Final tight centering pins down the analytic center of the optimum.
-    return _barrier_stage(s, w, v, r, mu, _TAU_FLOOR, iters=60, center_tol=1e-3)
+    return s
 
 
 def _pin_faces(s: NDArray, r: NDArray, tol: float):

@@ -63,6 +63,10 @@ _MASS_TOL = 1e-6
 _HALF_WIDTH = 8.0
 # The variational probes subsample each grid to at most this many nodes.
 _MAX_NODES = 512
+# variational_first_residual fits only on output nodes above this share of
+# the output density's peak: below about 1e-16 of it an FFT convolution is
+# rounding, whose logarithm would set the residual's floor.
+_FY_RESOLVED = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -578,7 +582,8 @@ def variational_first_residual(
     moment coefficients) are fitted by least squares weighted by
     ``fx(x) * fv(y - x)``.  Gaussian triples satisfy the equation up to
     grid error; non-stationary triples leave an order-one residual.  Each
-    grid is subsampled to at most 512 nodes.
+    grid is subsampled to at most 512 nodes, and only y nodes where fy
+    exceeds 1e-13 of its peak enter the fit.
     """
     conv = convolve_pair(fx, fv)
     conv_on_fy = _interp_density(conv, fy.grid)
@@ -590,14 +595,15 @@ def variational_first_residual(
     sl_x = _subsample(fx.points)
     sl_y = _subsample(fy.points)
     x = fx.grid[sl_x]
-    y = fy.grid[sl_y]
     fxv = fx.values[sl_x]
     fyv = fy.values[sl_y]
-    lam = -mu * conv_on_fy[sl_y] / np.clip(fyv, _LOG_FLOOR, None)
+    resolved = fyv > _FY_RESOLVED * float(np.max(fy.values))
+    y, fyv = fy.grid[sl_y][resolved], fyv[resolved]
+    lam = -mu * conv_on_fy[sl_y][resolved] / fyv
     fvxy = _interp_density(fv, y[None, :] - x[:, None])
     weight = fxv[:, None] * fvxy
     ln_fx = np.log(np.clip(fxv, _LOG_FLOOR, None))
-    ln_fy = np.log(np.clip(fyv, _LOG_FLOOR, None))
+    ln_fy = np.log(fyv)
     ln_fv = np.log(np.clip(fvxy, _LOG_FLOOR, None))
     raw = (
         mu * ln_fy[None, :]

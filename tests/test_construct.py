@@ -50,6 +50,24 @@ def _cert_ok(cert, scale, tol=1e-8):
     assert cert.order_residual >= -tol * scale
 
 
+def _assert_markov_follows_from_zero_product(cert, w, scale):
+    """``||M||_F <= 2 ||W~||_2 (1 + ||(X* + W)^-1 X*||_2) ||2K X*||_F``, plus rounding.
+
+    With ``W~ = (W^-1 + 2K)^-1`` (Woodbury), the Markov kernel of the chain
+    (X*; X* + W~; X* + W) is ``M = E + E^T`` for
+    ``E = W~ (2K X* - 2K X* (X* + W)^-1 X*)``, so a certificate whose
+    zero product vanishes has a vanishing Markov residual.
+    """
+    x = cert.s_x_star
+    bound = (
+        2.0
+        * np.linalg.norm(cert.s_w_tilde, 2)
+        * (1.0 + np.linalg.norm(np.linalg.solve(x + w, x), 2))
+        * cert.zero_product_residual
+    )
+    assert cert.markov_residual <= bound + 1e-13 * scale
+
+
 class TestScalarClosedForms:
     def test_construct_l_threshold(self):
         rng = np.random.default_rng(101)
@@ -113,6 +131,14 @@ class TestMatrixCertificates:
             # reduced noise sits below the original and below (mu-1)^-1 * v_tilde
             assert eeikit.psd_leq(cert.s_w_tilde, sw, tol=1e-8)
             assert eeikit.psd_leq(cert.s_w_tilde, svt / (mu - 1.0), tol=1e-8)
+
+    def test_construct_k_markov_residual_follows_from_zero_product(self):
+        rng = np.random.default_rng(204)
+        for _ in range(50):
+            n = int(rng.integers(2, 6))
+            sw, svt = _rand_pd(rng, n, lo=0.2), _rand_pd(rng, n, lo=0.2)
+            cert = construct_k(sw, svt, rng.uniform(1.1, 4.0))
+            _assert_markov_follows_from_zero_product(cert, sw, spectral_scale(sw, svt))
 
     def test_dominating_gaussian_battery(self):
         rng = np.random.default_rng(203)
@@ -318,24 +344,24 @@ class TestBarrierStage:
     """Stopping rules of one Newton centering stage."""
 
     @pytest.mark.parametrize("seed, n", [(2, 3), (0, 4)])
-    def test_stage_ends_at_its_first_no_op_step(self, monkeypatch, seed, n):
-        # Re-centring the solver's output at tau = 1e-14 proposes steps that
-        # round to no change of S; the first of them ends the stage.
+    def test_flat_candidate_ends_the_stage(self, monkeypatch, seed, n):
+        # Every candidate scores exactly phi, the start's barrier value, so
+        # none is accepted: the first one ends the stage, after the start's
+        # score and that candidate's.
         inst = TestOptimumGuardRails._random_instance(np.random.default_rng(seed), n)
         w, v, r, mu = inst.s_w, inst.s_v, inst.r, inst.mu
-        s0 = (v - mu * w) / (mu - 1.0)
-        s = construct._interior_newton(construct._band_start(s0, r), w, v, r, mu)
-        steps = []
-        gather = construct._trace_products
+        s = construct._band_start((v - mu * w) / (mu - 1.0), r)
+        phi = construct._barrier_value(s, w, v, r, mu, 1e-2)
+        calls = []
 
-        def counted(*args, **kwargs):
-            steps.append(None)
-            return gather(*args, **kwargs)
+        def flat(*args):
+            calls.append(None)
+            return phi
 
-        monkeypatch.setattr(construct, "_trace_products", counted)
-        again = construct._barrier_stage(s, w, v, r, mu, 1e-14, iters=60, center_tol=1e-3)
+        monkeypatch.setattr(construct, "_barrier_value", flat)
+        again = construct._barrier_stage(s, w, v, r, mu, 1e-2)
         np.testing.assert_array_equal(again, s)
-        assert len(steps) < 60
+        assert len(calls) == 2
 
 
 class TestTrustRegionStep:
@@ -421,6 +447,13 @@ class TestOptimumGuardRails:
             r=_rand_pd(rng, n, lo=0.5),
             s_v=_rand_pd(rng, n, lo=0.2),
         )
+
+    def test_markov_residual_follows_from_zero_product(self):
+        for seed in range(24):
+            inst = self._random_instance(np.random.default_rng(seed), 2 + seed % 4)
+            _, _, cert = eei_optimum(inst)
+            scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
+            _assert_markov_follows_from_zero_product(cert, inst.s_w, scale)
 
     def test_commuting_instances_match_per_mode_closed_form(self):
         # W, V, R share eigenvectors Q, so the band problem splits into one

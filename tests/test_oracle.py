@@ -365,6 +365,15 @@ class TestVariationalFirstResidual:
         fy = convolve_pair(fx, fv)
         assert variational_first_residual(fx, fy, fv, 2.0) <= 1e-3
 
+    def test_floor_is_not_set_by_fft_rounding(self):
+        # fy's far tails are FFT rounding, about 1e-16 of its peak; a fit
+        # that took their logarithm read 9.2e-8 here, where the direct-sum
+        # convolution reads 3.6e-10.
+        fx = GridDensity.gaussian(0.8)
+        fv = GridDensity.gaussian(0.8)
+        fy = convolve_pair(fx, fv)
+        assert variational_first_residual(fx, fy, fv, 3.0) <= 1e-9
+
     def test_non_gaussian_candidate_is_not(self):
         fv = GridDensity.gaussian(0.5)
         fx_good = GridDensity.gaussian(1.0)
