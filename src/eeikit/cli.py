@@ -166,9 +166,7 @@ def _certificate_outcome(cert, mu, *inputs):
     The gated value is its worst residual over the inputs' spectral scale.
     """
     worst = max(
-        cert.zero_product_residual,
-        cert.markov_residual,
-        max(0.0, -cert.order_residual),
+        cert.zero_product_residual, max(0.0, -cert.order_residual)
     ) / spectral_scale(*inputs)
     return (
         {"n": cert.s_x_star.shape[0], "mu": mu, "lhs": worst, "rhs": 0.0,

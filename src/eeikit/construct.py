@@ -8,8 +8,8 @@ Two Gaussian objectives appear throughout:
 
 The split constructions return a :class:`ConstructionCertificate` whose
 residuals numerically witness the algebra that makes a Gaussian input
-optimal: a PSD multiplier annihilating part of the split, a reduced noise
-below the original, and a vanishing Markov-chain factorization kernel.
+optimal: a PSD multiplier annihilating part of the split, which also
+zeroes its Markov-chain kernel, and a reduced noise below the original.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ from .errors import (
 )
 from .gaussmat import (
     LOG_2PI_E,
-    MarkovTriple,
     cov_to_json,
     gaussian_entropy,
-    markov_residual,
     min_eig,
     simdiag,
     spectral_scale,
@@ -129,11 +127,11 @@ class ConstructionCertificate:
         split.
     zero_product_residual:
         ``||multiplier @ annihilated||_F``; exact zero in exact arithmetic.
+        The split chain's Markov kernel is ``E + E^T`` with ``||E||`` at
+        most a matrix norm times this residual.
     order_residual:
         Most negative eigenvalue over all PSD claims of the certificate
         (positive when every claim holds strictly).
-    markov_residual:
-        Factorization-kernel norm of the associated Gaussian chain.
     """
 
     multiplier: NDArray
@@ -142,7 +140,6 @@ class ConstructionCertificate:
     s_complement: NDArray
     zero_product_residual: float
     order_residual: float
-    markov_residual: float
 
     def as_dict(self) -> dict:
         return {
@@ -152,7 +149,6 @@ class ConstructionCertificate:
             "s_complement": cov_to_json(self.s_complement),
             "zero_product_residual": float(self.zero_product_residual),
             "order_residual": float(self.order_residual),
-            "markov_residual": float(self.markov_residual),
         }
 
 
@@ -239,9 +235,9 @@ def construct_l(s_x, s_w, mu: float) -> ConstructionCertificate:
         d_l = (d_w - (mu - 1)) / (mu (1 + d_w))  otherwise.
 
     Then ``W~ = inv(inv(X + W) + L) - X``, ``X* = W~ / (mu - 1)`` and
-    ``X' = X - X*``.  The certificate checks L @ X' = 0, the PSD orderings
-    ``X* <= X`` and ``W~ <= W``, and the factorization kernel of the chain
-    (X'; X' + X* + W~; X + W).
+    ``X' = X - X*``.  The certificate checks L @ X' = 0 and the orderings
+    ``X* <= X`` and ``W~ <= W``; the chain (X'; X' + X* + W~; X + W) has
+    Markov kernel ``E + E^T`` with ``E = (X + W~) L X'``.
     """
     mu = validated_mu(mu)
     x = validated_pd(s_x, "s_x")
@@ -266,9 +262,6 @@ def construct_l(s_x, s_w, mu: float) -> ConstructionCertificate:
         s_complement=x_prime,
         zero_product_residual=float(np.linalg.norm(l_mat @ x_prime)),
         order_residual=order,
-        markov_residual=markov_residual(
-            MarkovTriple(x_prime, x_prime + x_star + w_tilde, x + w)
-        ),
     )
 
 
@@ -304,9 +297,10 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
     In the basis mapping V~ to the identity and W to ``diag(d_w)``, each
     mode gets ``d_k = 0`` if ``d_w <= 1/(mu-1)`` and
     ``d_k = mu - 1 - 1/d_w`` otherwise; then ``W~ = inv(inv(W) + K)`` and
-    ``X* = V~ / (mu - 1) - W~``.  The certificate checks K @ X* = 0, the
-    orderings ``W~ <= V~ / (mu - 1)`` and ``W~ <= W``, and the
-    factorization kernel of the chain (X*; X* + W~; X* + W).
+    ``X* = V~ / (mu - 1) - W~``.  The certificate checks K @ X* = 0 and the
+    orderings ``W~ <= V~ / (mu - 1)`` and ``W~ <= W``; the chain
+    (X*; X* + W~; X* + W) has Markov kernel ``E + E^T`` with
+    ``E = W~ K X* (I - inv(X* + W) X*)``.
     """
     mu = validated_mu(mu)
     w = validated_pd(s_w, "s_w")
@@ -324,9 +318,6 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
         s_complement=v_tilde,
         zero_product_residual=float(np.linalg.norm(k_mat @ x_star)),
         order_residual=order,
-        markov_residual=markov_residual(
-            MarkovTriple(x_star, x_star + w_tilde, x_star + w)
-        ),
     )
 
 
@@ -336,10 +327,10 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
 # inside the band {0 <= S <= R} in R's whitened coordinates gives the start.
 # A ladder of log-barrier stages, each centred by trust-region Newton steps
 # with the same stopping rules, follows the path to the maximizer from
-# inside the band; the last stage's iterate is the answer.  Eigenvalues of
-# S and of R - S left at barrier distance from zero are pinned onto the
-# boundary faces.  The pinned faces carry the first-order multipliers K (on
-# S = 0) and N (on S = R), found by one linear solve of G + K - N = 0.
+# inside the band; the last stage's iterate is the answer.  Its whitened
+# modes (S = Y diag(lam) Y^T, R = Y Y^T) at barrier distance from a face
+# are pinned onto it, which carries the multiplier K (S = 0) or N (S = R),
+# found by one linear solve of G + K - N = 0.
 # ---------------------------------------------------------------------------
 
 # Barrier weight of the last stage.  Each stage divides tau by 30.
@@ -353,16 +344,25 @@ def _grad_two_noise(s: NDArray, w: NDArray, v: NDArray, mu: float) -> NDArray:
     return symmetrize(0.5 * np.linalg.inv(s + w) - 0.5 * mu * np.linalg.inv(s + v))
 
 
+def _whitened_spectrum(s: NDArray, r: NDArray):
+    """``(lam, y)`` with ``R = Y Y^T`` and ``S = Y diag(lam) Y^T``.
+
+    With ``R = L L^T`` the band is ``0 <= X <= I`` for ``X = L^-1 S L^-T``;
+    ``lam`` and Q are the eigenvalues and eigenvectors of X, and ``Y = L Q``.
+    """
+    l = np.linalg.cholesky(r)
+    lam, q = np.linalg.eigh(symmetrize(np.linalg.solve(l, np.linalg.solve(l, s).T)))
+    return lam, l @ q
+
+
 def _band_start(s0: NDArray, r: NDArray) -> NDArray:
     """Strictly interior start: s0 clipped to the band in R's whitened coordinates.
 
-    With ``R = L L^T`` the band is ``0 <= X <= I`` for ``X = L^-1 S L^-T``.
-    The eigenvalues of ``L^-1 s0 L^-T`` are clipped to [0, 1] and mapped to
-    ``1/8 + 3/4 * clip``, so S and R - S are positive definite for any PD R.
+    The whitened eigenvalues of s0 (:func:`_whitened_spectrum`) are clipped
+    to [0, 1] and mapped to ``1/8 + 3/4 * clip``, so S and R - S are
+    positive definite for any PD R.
     """
-    l = np.linalg.cholesky(r)
-    lam, q = np.linalg.eigh(symmetrize(np.linalg.solve(l, np.linalg.solve(l, s0).T)))
-    y = l @ q
+    lam, y = _whitened_spectrum(s0, r)
     return symmetrize(y @ ((0.125 + 0.75 * np.clip(lam, 0.0, 1.0))[:, None] * y.T))
 
 
@@ -548,18 +548,20 @@ def _interior_newton(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float) 
 
 
 def _pin_faces(s: NDArray, r: NDArray, tol: float):
-    """Set the eigenvalues of S, then of R - S, that lie below tol to zero.
+    """Set the modes of S (:func:`_whitened_spectrum`) within tol of a face onto it.
 
-    This is the one place that decides the active set.  Returns
-    ``(s, u0, u1)``: the pinned S and orthonormal bases of the pinned
-    faces, u0 of the null space of S and u1 of that of R - S.
+    This is the one place that decides the active set: ``lam_i`` becomes 0
+    if ``lam_i ||y_i||^2 < tol``, else 1 if ``(1 - lam_i) ||y_i||^2 < tol``.
+    Returns ``(s, u0, u1)``: S rebuilt from that spectrum and the columns
+    of ``Y^-T`` at its 0s and 1s, exact null vectors of S and of R - S.
     """
-    lam, q = np.linalg.eigh(symmetrize(s))
-    face = lam < tol
-    s, u0 = q @ (np.where(face, 0.0, lam)[:, None] * q.T), q[:, face]
-    lam, q = np.linalg.eigh(symmetrize(r - s))
-    face = lam < tol
-    return symmetrize(r - q @ (np.where(face, 0.0, lam)[:, None] * q.T)), u0, q[:, face]
+    lam, y = _whitened_spectrum(s, r)
+    size = np.sum(y * y, axis=0)
+    on_zero = lam * size < tol
+    on_r = ~on_zero & ((1.0 - lam) * size < tol)
+    lam = np.where(on_zero, 0.0, np.where(on_r, 1.0, lam))
+    dual = np.linalg.inv(y).T
+    return symmetrize(y @ (lam[:, None] * y.T)), dual[:, on_zero], dual[:, on_r]
 
 
 def _optimum_certificate(
@@ -591,9 +593,6 @@ def _optimum_certificate(
         s_complement=v_tilde,
         zero_product_residual=float(np.linalg.norm(k_mat @ s_star)),
         order_residual=order,
-        markov_residual=markov_residual(
-            MarkovTriple(s_star, s_star + w_tilde, s_star + w)
-        ),
     )
 
 
@@ -605,10 +604,10 @@ def eei_optimum(instance: EEIInstance):
     ``s0 = (v - mu*w)/(mu - 1)`` is exact.  Otherwise the same ``s0``, the
     point where ``S + V = mu (S + W)``, clipped strictly inside the band in
     R's whitened coordinates (:func:`_band_start`) starts the solve, which
-    follows the log-barrier Newton path to the maximizer and pins the
-    eigenvalues of S and of R - S below ``1e-9 * spectral_scale(W, V, R)``
-    to exactly zero.  The multipliers K on the face S = 0 and N on the face
-    S = R then solve ``G + K - N = 0`` by least squares, G the gradient.
+    follows the log-barrier Newton path to the maximizer and pins the modes
+    within ``1e-9 * spectral_scale(W, V, R)`` of a face onto it
+    (:func:`_pin_faces`).  The multipliers K on the face S = 0 and N on the
+    face S = R then solve ``G + K - N = 0`` by least squares, G the gradient.
     A first-order residual
     ``max(||G + K - N||_F, -min_eig K, -min_eig N)`` above ``1e-6`` of the
     gradient scale raises :class:`NoConvergence`.

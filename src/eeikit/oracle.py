@@ -63,9 +63,10 @@ _MASS_TOL = 1e-6
 _HALF_WIDTH = 8.0
 # The variational probes subsample each grid to at most this many nodes.
 _MAX_NODES = 512
-# variational_first_residual fits only on output nodes above this share of
-# the output density's peak: below about 1e-16 of it an FFT convolution is
-# rounding, whose logarithm would set the residual's floor.
+# The variational probes use only output nodes above this share of the
+# output density's peak: below about 1e-16 of it an FFT convolution is
+# rounding (or exact zero), whose logarithm would set the first residual's
+# floor and whose square would blow up the second form.
 _FY_RESOLVED = 1e-13
 
 
@@ -648,7 +649,8 @@ def variational_second_form(
     over the tensor grid.  At ``alpha1 = 1 - mu`` the integrand is a
     completed square and the value cannot be positive beyond rounding;
     the direction ``hx = fx * hy / fy`` annihilates it.  Each grid is
-    subsampled to at most 512 nodes.
+    subsampled to at most 512 nodes, and only y nodes where fy exceeds
+    1e-13 of its peak enter the integral.
     """
     if alpha1 < 1.0 - mu - 1e-12:
         raise InvalidParameter("alpha1 must be at least 1 - mu")
@@ -660,17 +662,19 @@ def variational_second_form(
     sl_y = _subsample(fy.points)
     x = fx.grid[sl_x]
     y = fy.grid[sl_y]
+    dy = y[1] - y[0]
     fxv = np.clip(fx.values[sl_x], _SQUARE_FLOOR, None)
-    fyv = np.clip(fy.values[sl_y], _SQUARE_FLOOR, None)
+    fyv = fy.values[sl_y]
+    resolved = fyv > _FY_RESOLVED * float(np.max(fy.values))
+    y, fyv = y[resolved], fyv[resolved]
     hxv = hx[sl_x]
-    hyv = hy[sl_y]
+    hyv = hy[sl_y][resolved]
     fvxy = _interp_density(fv, y[None, :] - x[:, None])
     term_xx = -(1.0 - alpha1) * (hxv**2 / fxv)[:, None] * fvxy
     term_xy = 2.0 * mu * hxv[:, None] * hyv[None, :] * fvxy / fyv[None, :]
     term_yy = -mu * fxv[:, None] * fvxy * (hyv**2 / fyv**2)[None, :]
     integrand = term_xx + term_xy + term_yy
     dx = x[1] - x[0]
-    dy = y[1] - y[0]
     wx = _halved_ends(np.full(x.size, dx))
     wy = _halved_ends(np.full(y.size, dy))
     return float(wx @ integrand @ wy)

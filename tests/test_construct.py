@@ -24,6 +24,7 @@ from eeikit import (
     f_alpha_argmax,
     gaussian_entropy,
     gaussian_search,
+    markov_residual,
     matched_alpha,
     objective_single_noise,
     objective_two_noise,
@@ -44,9 +45,21 @@ def _rand_pd(rng, n, lo=0.05):
     return symmetrize(f @ f.T) + lo * np.eye(n)
 
 
-def _cert_ok(cert, scale, tol=1e-8):
+def _l_chain(cert, x, w):
+    """The source split's Markov chain (X'; X' + X* + W~; X + W)."""
+    x_prime = cert.s_complement
+    return x_prime, x_prime + cert.s_x_star + cert.s_w_tilde, x + w
+
+
+def _k_chain(cert, w):
+    """The noise split's and band optimum's Markov chain (X*; X* + W~; X* + W)."""
+    x = cert.s_x_star
+    return x, x + cert.s_w_tilde, x + w
+
+
+def _cert_ok(cert, scale, chain, tol=1e-8):
     assert cert.zero_product_residual <= tol * scale
-    assert cert.markov_residual <= tol * scale
+    assert markov_residual(chain) <= tol * scale
     assert cert.order_residual >= -tol * scale
 
 
@@ -65,7 +78,7 @@ def _assert_markov_follows_from_zero_product(cert, w, scale):
         * (1.0 + np.linalg.norm(np.linalg.solve(x + w, x), 2))
         * cert.zero_product_residual
     )
-    assert cert.markov_residual <= bound + 1e-13 * scale
+    assert markov_residual(_k_chain(cert, w)) <= bound + 1e-13 * scale
 
 
 class TestScalarClosedForms:
@@ -91,17 +104,19 @@ class TestScalarClosedForms:
 
     def test_construct_l_clipped_scalar_example(self):
         # wide noise: the split removes the excess above (mu-1)*x
-        cert = construct_l(np.array([[1.0]]), np.array([[3.0]]), 2.0)
+        x, w = np.array([[1.0]]), np.array([[3.0]])
+        cert = construct_l(x, w, 2.0)
         assert cert.multiplier[0, 0] == pytest.approx(0.25, abs=1e-12)
         assert cert.s_w_tilde[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert cert.s_x_star[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert cert.s_complement[0, 0] == pytest.approx(0.0, abs=1e-12)
-        _cert_ok(cert, 3.0)
+        _cert_ok(cert, 3.0, _l_chain(cert, x, w))
 
     def test_construct_l_interior_scalar_keeps_noise(self):
-        cert = construct_l(np.array([[1.0]]), np.array([[1.0]]), 2.0)
+        one = np.array([[1.0]])
+        cert = construct_l(one, one, 2.0)
         assert cert.s_w_tilde[0, 0] == pytest.approx(1.0, abs=1e-12)
-        _cert_ok(cert, 1.0)
+        _cert_ok(cert, 1.0, _l_chain(cert, one, one))
 
 
 class TestMatrixCertificates:
@@ -113,7 +128,7 @@ class TestMatrixCertificates:
             sw = _rand_pd(rng, n)
             mu = rng.uniform(1.05, 5.0)
             cert = construct_l(sx, sw, mu)
-            _cert_ok(cert, spectral_scale(sx, sw))
+            _cert_ok(cert, spectral_scale(sx, sw), _l_chain(cert, sx, sw))
             # s_x_star + s_complement recovers the source
             np.testing.assert_allclose(
                 cert.s_x_star + cert.s_complement, sx, atol=1e-9 * spectral_scale(sx)
@@ -127,7 +142,7 @@ class TestMatrixCertificates:
             svt = _rand_pd(rng, n)
             mu = rng.uniform(1.05, 5.0)
             cert = construct_k(sw, svt, mu)
-            _cert_ok(cert, spectral_scale(sw, svt))
+            _cert_ok(cert, spectral_scale(sw, svt), _k_chain(cert, sw))
             # reduced noise sits below the original and below (mu-1)^-1 * v_tilde
             assert eeikit.psd_leq(cert.s_w_tilde, sw, tol=1e-8)
             assert eeikit.psd_leq(cert.s_w_tilde, svt / (mu - 1.0), tol=1e-8)
@@ -139,6 +154,23 @@ class TestMatrixCertificates:
             sw, svt = _rand_pd(rng, n, lo=0.2), _rand_pd(rng, n, lo=0.2)
             cert = construct_k(sw, svt, rng.uniform(1.1, 4.0))
             _assert_markov_follows_from_zero_product(cert, sw, spectral_scale(sw, svt))
+
+    def test_construct_l_markov_residual_follows_from_zero_product(self):
+        # X + W~ = (inv(X + W) + L)^-1, so the Markov kernel of the chain
+        # (X'; X + W~; X + W) is E + E^T with E = (X + W~) L X', and
+        # ||M||_F <= 2 ||X + W~||_2 ||L X'||_F.
+        rng = np.random.default_rng(205)
+        for _ in range(50):
+            n = int(rng.integers(2, 6))
+            sx, sw = _rand_pd(rng, n, lo=0.2), _rand_pd(rng, n, lo=0.2)
+            cert = construct_l(sx, sw, rng.uniform(1.1, 4.0))
+            bound = (
+                2.0
+                * np.linalg.norm(sx + cert.s_w_tilde, 2)
+                * cert.zero_product_residual
+            )
+            kernel = markov_residual(_l_chain(cert, sx, sw))
+            assert kernel <= bound + 1e-13 * spectral_scale(sx, sw)
 
     def test_dominating_gaussian_battery(self):
         rng = np.random.default_rng(203)
@@ -190,7 +222,7 @@ class TestConstrainedOptimum:
         assert s_star[0, 0] == 0.0
         expected = gaussian_entropy(np.array([[1.0]])) - 2.0 * gaussian_entropy(np.array([[2.0]]))
         assert obj == pytest.approx(expected, abs=1e-6)
-        _cert_ok(cert, 10.0, tol=1e-6)
+        _cert_ok(cert, 10.0, _k_chain(cert, inst.s_w), tol=1e-6)
 
     def test_scalar_interior_instance(self):
         # stationarity 1/(s+1) = 2/(s+4) gives s = 2 inside (0, 10)
@@ -199,7 +231,7 @@ class TestConstrainedOptimum:
         assert s_star[0, 0] == pytest.approx(2.0, abs=1e-6)
         expected = gaussian_entropy(np.array([[3.0]])) - 2.0 * gaussian_entropy(np.array([[6.0]]))
         assert obj == pytest.approx(expected, abs=1e-8)
-        _cert_ok(cert, 10.0, tol=1e-6)
+        _cert_ok(cert, 10.0, _k_chain(cert, inst.s_w), tol=1e-6)
 
     def test_equal_noises_collapse_to_zero(self):
         inst = EEIInstance.from_scalars(3.0, 1.5, 8.0, 1.5)
@@ -211,7 +243,7 @@ class TestConstrainedOptimum:
     def _check_battery_instance(inst, seed):
         s_star, obj, cert = eei_optimum(inst)
         scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
-        assert cert.markov_residual <= 1e-6 * scale
+        assert markov_residual(_k_chain(cert, inst.s_w)) <= 1e-6 * scale
         assert cert.zero_product_residual <= 1e-6 * scale
         assert cert.order_residual >= -1e-6 * scale
         assert obj == pytest.approx(
@@ -453,6 +485,8 @@ class TestOptimumGuardRails:
             inst = self._random_instance(np.random.default_rng(seed), 2 + seed % 4)
             _, _, cert = eei_optimum(inst)
             scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
+            # the faces are exact null vectors of S*, so K S* is rounding
+            assert cert.zero_product_residual <= 1e-14 * scale
             _assert_markov_follows_from_zero_product(cert, inst.s_w, scale)
 
     def test_commuting_instances_match_per_mode_closed_form(self):
@@ -520,7 +554,8 @@ class TestOptimumGuardRails:
                 s_v=_rand_pd(rng, n, lo=0.2),
             )
             _, _, cert = eei_optimum(inst)
-            _cert_ok(cert, spectral_scale(inst.s_w, inst.s_v, inst.r), tol=1e-6)
+            scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
+            _cert_ok(cert, scale, _k_chain(cert, inst.s_w), tol=1e-6)
 
     def test_ill_conditioned_band_is_not_an_input_error(self, tmp_path):
         # R = Q diag(1, ..., 1e-6) Q^T is PD, so neither the library nor the
@@ -566,7 +601,7 @@ class TestOptimumGuardRails:
             except NoConvergence:
                 continue
             # the certificate's multiplier is 2K
-            assert _kkt_residual(s, cert.multiplier / 2.0, w, v, r, mu) <= 1e-6, k
+            assert _kkt_residual(s, cert.multiplier / 2.0, w, v, r, mu) <= 1e-8, k
 
     @pytest.mark.parametrize("cond", [1e4, 1e6])
     def test_thin_bands_mostly_solve(self, cond):
@@ -637,7 +672,7 @@ class TestOptimumChecksCanFail:
         inst = cls._instance()
         s_star, _, cert = eei_optimum(inst)
         scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
-        _cert_ok(cert, scale)
+        _cert_ok(cert, scale, _k_chain(cert, inst.s_w))
         k = cert.multiplier / 2.0
         np.testing.assert_allclose(k, cls._turn([0.0, 17.0 / 24.0]), atol=1e-9)
         return inst, s_star, k, scale

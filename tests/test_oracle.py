@@ -407,6 +407,30 @@ class TestVariationalSecondForm:
             hy = self._smooth(rng, fy.grid)
             assert variational_second_form(fx, fy, fv, mu, hx, hy, 1.0 - mu) <= 1e-10
 
+    def test_unresolved_output_nodes_do_not_swamp_the_form(self):
+        # demos/04's pairs: the FFT convolution leaves fy at exactly 0 on
+        # hundreds of far-tail nodes, where hy^2 / fy^2 would dominate.
+        mu = 2.0
+        fx = GridDensity.gaussian(1.0)
+        fv = GridDensity.gaussian(0.5)
+        fy = convolve_pair(fx, fv)
+        rng = np.random.default_rng(21)
+        for _ in range(12):
+            hx = np.sin(rng.uniform(0.3, 2.0) * fx.grid + rng.normal()) * np.exp(-(fx.grid**2) / 4.0)
+            hy = np.cos(rng.uniform(0.3, 2.0) * fy.grid + rng.normal()) * np.exp(-(fy.grid**2) / 4.0)
+            val = variational_second_form(fx, fy, fv, mu, hx, hy, 1.0 - mu)
+            assert -1e4 <= val <= 1e-10
+
+    def test_positive_above_the_critical_weight(self):
+        # alpha1 > 1 turns the hx^2 term positive; with hy = 0 it is all
+        # that is left, so the "never positive" check can fail.
+        mu = 2.0
+        fx = GridDensity.gaussian(1.0)
+        fv = GridDensity.gaussian(0.5)
+        fy = convolve_pair(fx, fv)
+        hx = np.exp(-(fx.grid**2) / 4.0)
+        assert variational_second_form(fx, fy, fv, mu, hx, np.zeros(fy.points), 1.5) > 0.1
+
     def test_null_ray_vanishes(self):
         mu = 3.0
         fx = GridDensity.gaussian(1.0)
