@@ -29,6 +29,7 @@ from .construct import (
     construct_l,
     eei_optimum,
     objective_single_noise,
+    validated_mu,
 )
 from .errors import (
     GridTooCoarse,
@@ -569,6 +570,21 @@ def _interp_density(d: GridDensity, points: NDArray) -> NDArray:
     return np.interp(points, d.grid, d.values, left=0.0, right=0.0)
 
 
+def _tensor_grid(fx: GridDensity, fy: GridDensity, fv: GridDensity):
+    """Kept nodes of the variational probes and ``F[i, j] = fv(y_j - x_i)``.
+
+    Each grid keeps every k-th node, k the least stride that leaves at
+    most ``_MAX_NODES``; fy's grid then keeps only the nodes where fy
+    exceeds ``_FY_RESOLVED`` of its peak.  Returns the kept indices ``ix``
+    and ``iy`` into fx's and fy's grids, and F, zero outside fv's support.
+    """
+    ix = np.arange(fx.points)[_subsample(fx.points)]
+    iy = np.arange(fy.points)[_subsample(fy.points)]
+    iy = iy[fy.values[iy] > _FY_RESOLVED * float(np.max(fy.values))]
+    fvxy = _interp_density(fv, fy.grid[iy][None, :] - fx.grid[ix][:, None])
+    return ix, iy, fvxy
+
+
 def variational_first_residual(
     fx: GridDensity,
     fy: GridDensity,
@@ -581,11 +597,19 @@ def variational_first_residual(
     ``-mu * (fx conv fv)(y) / fy(y)``; the remaining multipliers (the
     constant, the entropy-constraint coefficient, and the quadratic
     moment coefficients) are fitted by least squares weighted by
-    ``fx(x) * fv(y - x)``.  Gaussian triples satisfy the equation up to
-    grid error; non-stationary triples leave an order-one residual.  Each
-    grid is subsampled to at most 512 nodes, and only y nodes where fy
-    exceeds 1e-13 of its peak enter the fit.
+    ``fx(x) * fv(y - x)`` on the nodes of :func:`_tensor_grid`.  Gaussian
+    triples satisfy the equation up to grid error; non-stationary triples
+    leave an order-one residual.
+
+    The weighted basis columns and target fill one six-column design, of
+    which only the R factor is formed: a QR per x node's rows, then one of
+    the stacked factors.  The squared residual is then
+    ``R[5, 5]^2 + ||R5 c - r5||^2`` with ``R5, r5 = R[:5, :5], R[:5, 5]``
+    and c the least-squares solution of ``R5 c = r5`` under the full
+    design's rank cutoff: for Gaussian fx, ``-ln fx`` is a combination of
+    the columns 1 and x^2, so R5 is singular up to rounding.
     """
+    mu = validated_mu(mu)
     conv = convolve_pair(fx, fv)
     conv_on_fy = _interp_density(conv, fy.grid)
     dev = float(np.max(np.abs(fy.values - conv_on_fy)))
@@ -593,43 +617,23 @@ def variational_first_residual(
         raise InconsistentDensity(
             f"fy deviates from fx conv fv by {dev:.3e} in sup norm"
         )
-    sl_x = _subsample(fx.points)
-    sl_y = _subsample(fy.points)
-    x = fx.grid[sl_x]
-    fxv = fx.values[sl_x]
-    fyv = fy.values[sl_y]
-    resolved = fyv > _FY_RESOLVED * float(np.max(fy.values))
-    y, fyv = fy.grid[sl_y][resolved], fyv[resolved]
-    lam = -mu * conv_on_fy[sl_y][resolved] / fyv
-    fvxy = _interp_density(fv, y[None, :] - x[:, None])
-    weight = fxv[:, None] * fvxy
+    ix, iy, fvxy = _tensor_grid(fx, fy, fv)
+    x, fxv = fx.grid[ix][:, None], fx.values[ix][:, None]
+    y, fyv = fy.grid[iy], fy.values[iy]
     ln_fx = np.log(np.clip(fxv, _LOG_FLOOR, None))
-    ln_fy = np.log(fyv)
-    ln_fv = np.log(np.clip(fvxy, _LOG_FLOOR, None))
-    raw = (
-        mu * ln_fy[None, :]
-        - ln_fx[:, None]
-        - mu * (mu - 1.0) * ln_fv
-        - lam[None, :]
-    )
-    ones = np.ones_like(weight)
-    basis = np.stack(
-        [
-            ones,
-            -ln_fx[:, None] * ones,
-            x[:, None] * y[None, :] - (x**2)[:, None] * ones,
-            (x**2)[:, None] * ones,
-            ones * (y**2)[None, :],
-        ],
-        axis=-1,
-    )
-    sqw = np.sqrt(weight).ravel()
-    design = basis.reshape(-1, 5) * sqw[:, None]
-    target = -(raw.ravel() * sqw)
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    resid = design @ coef - target
-    total = float(np.sum(weight))
-    return float(math.sqrt(float(np.sum(resid**2)) / total))
+    weight = fxv * fvxy
+    # the basis 1, -ln fx, xy - x^2, x^2, y^2 and the target
+    # -(mu ln fy - ln fx - mu (mu - 1) ln fv - lam), each times sqrt(weight)
+    a = np.empty((6,) + weight.shape)
+    a[0], a[1], a[2], a[3], a[4] = 1.0, -ln_fx, x * y - x**2, x**2, y**2
+    a[5] = mu * (mu - 1.0) * np.log(np.clip(fvxy, _LOG_FLOOR, None)) + ln_fx
+    a[5] -= mu * (np.log(fyv) + conv_on_fy[iy] / fyv)
+    a *= np.sqrt(weight)
+    r = np.linalg.qr(a.transpose(1, 2, 0), mode="r").reshape(-1, 6)
+    r = np.linalg.qr(r, mode="r")
+    coef, *_ = np.linalg.lstsq(r[:5, :5], r[:5, 5], rcond=np.finfo(float).eps * weight.size)
+    fit = r[:5, :5] @ coef - r[:5, 5]
+    return math.sqrt((r[5, 5] ** 2 + float(fit @ fit)) / float(np.sum(weight)))
 
 
 def variational_second_form(
@@ -646,35 +650,28 @@ def variational_second_form(
     Evaluates the double integral of
     ``-(1 - alpha1) fv hx^2 / fx + 2 mu fv hx hy / fy
     - mu fx fv hy^2 / fy^2``
-    over the tensor grid.  At ``alpha1 = 1 - mu`` the integrand is a
-    completed square and the value cannot be positive beyond rounding;
-    the direction ``hx = fx * hy / fy`` annihilates it.  Each grid is
-    subsampled to at most 512 nodes, and only y nodes where fy exceeds
-    1e-13 of its peak enter the integral.
+    by the trapezoid rule on the nodes of :func:`_tensor_grid`.  At
+    ``alpha1 = 1 - mu`` the integrand is a completed square and the value
+    cannot be positive beyond rounding; the direction ``hx = fx * hy / fy``
+    annihilates it.
+
+    The integrand is ``F_ij (a_i + b_i c_j + d_i e_j)`` with
+    ``a = -(1 - alpha1) hx^2 / fx``, ``b = 2 mu hx``, ``c = hy / fy``,
+    ``d = -mu fx`` and ``e = c^2``: three bilinear forms in F and the
+    trapezoid weights, read from one ``(nx, ny) @ (ny, 3)`` product.
     """
+    mu = validated_mu(mu)
     if alpha1 < 1.0 - mu - 1e-12:
         raise InvalidParameter("alpha1 must be at least 1 - mu")
     hx = np.asarray(hx, dtype=float)
     hy = np.asarray(hy, dtype=float)
     if hx.shape != (fx.points,) or hy.shape != (fy.points,):
         raise InvalidParameter("perturbations must match the density grids")
-    sl_x = _subsample(fx.points)
-    sl_y = _subsample(fy.points)
-    x = fx.grid[sl_x]
-    y = fy.grid[sl_y]
-    dy = y[1] - y[0]
-    fxv = np.clip(fx.values[sl_x], _SQUARE_FLOOR, None)
-    fyv = fy.values[sl_y]
-    resolved = fyv > _FY_RESOLVED * float(np.max(fy.values))
-    y, fyv = y[resolved], fyv[resolved]
-    hxv = hx[sl_x]
-    hyv = hy[sl_y][resolved]
-    fvxy = _interp_density(fv, y[None, :] - x[:, None])
-    term_xx = -(1.0 - alpha1) * (hxv**2 / fxv)[:, None] * fvxy
-    term_xy = 2.0 * mu * hxv[:, None] * hyv[None, :] * fvxy / fyv[None, :]
-    term_yy = -mu * fxv[:, None] * fvxy * (hyv**2 / fyv**2)[None, :]
-    integrand = term_xx + term_xy + term_yy
-    dx = x[1] - x[0]
-    wx = _halved_ends(np.full(x.size, dx))
-    wy = _halved_ends(np.full(y.size, dy))
-    return float(wx @ integrand @ wy)
+    ix, iy, fvxy = _tensor_grid(fx, fy, fv)
+    fxv, hxv = np.clip(fx.values[ix], _SQUARE_FLOOR, None), hx[ix]
+    c = hy[iy] / fy.values[iy]
+    rows = np.stack([-(1.0 - alpha1) * hxv**2 / fxv, 2.0 * mu * hxv, -mu * fxv], axis=1)
+    cols = np.stack([np.ones_like(c), c, c**2], axis=1)
+    wx = _halved_ends(np.full(ix.size, fx.step * _subsample(fx.points).step))
+    wy = _halved_ends(np.full(iy.size, fy.step * _subsample(fy.points).step))
+    return float(np.sum(wx[:, None] * rows * (fvxy @ (wy[:, None] * cols))))

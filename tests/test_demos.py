@@ -17,7 +17,7 @@ def test_demo_runs(path):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, str(path)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(path)],
         cwd=ROOT,
         env=env,
         capture_output=True,

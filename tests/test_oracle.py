@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from eeikit import (
+    BadMu,
     EEIInstance,
     GridDensity,
     GridTooCoarse,
@@ -22,7 +23,18 @@ from eeikit import (
     variational_first_residual,
     variational_second_form,
 )
-from eeikit.oracle import _capped_scales, _resample, _trial_directions, convolve_pair
+from eeikit.oracle import (
+    _FY_RESOLVED,
+    _LOG_FLOOR,
+    _SQUARE_FLOOR,
+    _capped_scales,
+    _halved_ends,
+    _interp_density,
+    _resample,
+    _subsample,
+    _trial_directions,
+    convolve_pair,
+)
 
 # Entropy references computed with adaptive quadrature (scipy.integrate.quad)
 # on the closed-form densities, frozen here so the grid code is tested against
@@ -452,6 +464,108 @@ class TestVariationalSecondForm:
         fy = convolve_pair(fx, fv)
         with pytest.raises(InvalidParameter):
             variational_second_form(fx, fy, fv, 2.0, np.zeros(7), np.zeros(fy.points), -1.0)
+
+
+def _direct_nodes(fx, fy, fv):
+    """The probes' tensor grid, selected as the direct formulas below read it."""
+    sl_x, sl_y = _subsample(fx.points), _subsample(fy.points)
+    x, y = fx.grid[sl_x], fy.grid[sl_y]
+    dx, dy = x[1] - x[0], y[1] - y[0]
+    resolved = fy.values[sl_y] > _FY_RESOLVED * float(np.max(fy.values))
+    y, fyv = y[resolved], fy.values[sl_y][resolved]
+    fvxy = _interp_density(fv, y[None, :] - x[:, None])
+    return sl_x, sl_y, resolved, x, y, fyv, fvxy, dx, dy
+
+
+def _direct_second_form(fx, fy, fv, mu, hx, hy, alpha1):
+    """The second variation as the elementwise integrand summed by wx @ . @ wy."""
+    sl_x, sl_y, resolved, x, y, fyv, fvxy, dx, dy = _direct_nodes(fx, fy, fv)
+    fxv = np.clip(fx.values[sl_x], _SQUARE_FLOOR, None)
+    hxv, hyv = hx[sl_x], hy[sl_y][resolved]
+    term_xx = -(1.0 - alpha1) * (hxv**2 / fxv)[:, None] * fvxy
+    term_xy = 2.0 * mu * hxv[:, None] * hyv[None, :] * fvxy / fyv[None, :]
+    term_yy = -mu * fxv[:, None] * fvxy * (hyv**2 / fyv**2)[None, :]
+    wx = _halved_ends(np.full(x.size, dx))
+    wy = _halved_ends(np.full(y.size, dy))
+    return float(wx @ (term_xx + term_xy + term_yy) @ wy)
+
+
+def _direct_first_residual(fx, fy, fv, mu):
+    """The first residual from np.linalg.lstsq on the full weighted design."""
+    sl_x, sl_y, resolved, x, y, fyv, fvxy, _, _ = _direct_nodes(fx, fy, fv)
+    conv_on_fy = _interp_density(convolve_pair(fx, fv), fy.grid)[sl_y][resolved]
+    fxv = fx.values[sl_x]
+    weight = fxv[:, None] * fvxy
+    ln_fx = np.log(np.clip(fxv, _LOG_FLOOR, None))
+    raw = (
+        mu * np.log(fyv)[None, :]
+        - ln_fx[:, None]
+        - mu * (mu - 1.0) * np.log(np.clip(fvxy, _LOG_FLOOR, None))
+        + (mu * conv_on_fy / fyv)[None, :]
+    )
+    ones = np.ones_like(weight)
+    basis = np.stack(
+        [
+            ones,
+            -ln_fx[:, None] * ones,
+            x[:, None] * y[None, :] - (x**2)[:, None] * ones,
+            (x**2)[:, None] * ones,
+            ones * (y**2)[None, :],
+        ],
+        axis=-1,
+    )
+    sqw = np.sqrt(weight).ravel()
+    design = basis.reshape(-1, 5) * sqw[:, None]
+    target = -(raw.ravel() * sqw)
+    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
+    resid = design @ coef - target
+    return math.sqrt(float(np.sum(resid**2)) / float(np.sum(weight)))
+
+
+def _reference_triples():
+    """Criterion 8's four Gaussian triples, then a uniform and a mixture candidate."""
+    for mu, var_x, var_v in [(2.0, 1.0, 0.5), (1.5, 2.0, 1.0), (3.0, 0.8, 0.8), (2.5, 1.2, 0.4)]:
+        yield mu, GridDensity.gaussian(var_x), GridDensity.gaussian(var_v)
+    yield 2.0, GridDensity.uniform(-math.sqrt(3.0), math.sqrt(3.0)), GridDensity.gaussian(0.5)
+    yield 2.0, GridDensity.mixture(0.3, -1.0, 0.5, 1.5, 2.0), GridDensity.gaussian(0.7)
+
+
+class TestVariationalProbeReferences:
+    """The probes against the direct formulas they were rewritten from."""
+
+    def test_first_residual_matches_full_lstsq(self):
+        # Reading |R[5, 5]| without the 5x5 correction is off by 9.3e-8 to
+        # 1.1e-5 on the Gaussian triples, whose design is rank-deficient.
+        for mu, fx, fv in _reference_triples():
+            fy = convolve_pair(fx, fv)
+            got = variational_first_residual(fx, fy, fv, mu)
+            assert got == pytest.approx(_direct_first_residual(fx, fy, fv, mu), rel=5e-8, abs=0.0)
+
+    def test_second_form_matches_elementwise_integrand(self):
+        rng = np.random.default_rng(1408)
+        for mu, fx, fv in _reference_triples():
+            fy = convolve_pair(fx, fv)
+            for alpha1 in (1.0 - mu, 0.5, 1.5):
+                hx = np.sin(rng.uniform(0.3, 2.0) * fx.grid + rng.normal()) * np.exp(
+                    -(fx.grid**2) / rng.uniform(2.0, 9.0)
+                )
+                hy = np.cos(rng.uniform(0.3, 2.0) * fy.grid + rng.normal()) * np.exp(
+                    -(fy.grid**2) / rng.uniform(2.0, 9.0)
+                )
+                got = variational_second_form(fx, fy, fv, mu, hx, hy, alpha1)
+                want = _direct_second_form(fx, fy, fv, mu, hx, hy, alpha1)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("mu", [math.nan, math.inf, 1.0])
+def test_variational_probes_reject_invalid_mu(mu):
+    fx = GridDensity.gaussian(1.0)
+    fv = GridDensity.gaussian(0.5)
+    fy = convolve_pair(fx, fv)
+    with pytest.raises(BadMu):
+        variational_first_residual(fx, fy, fv, mu)
+    with pytest.raises(BadMu):
+        variational_second_form(fx, fy, fv, mu, fx.values, fy.values, 0.5)
 
 
 def test_report_json_line_is_sorted_and_parseable():
