@@ -185,44 +185,13 @@ def f_alpha(alpha: float, instance: EEIInstance) -> float:
     return gaussian_entropy(alpha * w) - instance.mu * gaussian_entropy((alpha + 1.0) * w)
 
 
-def _golden_max(fn, lo: float, mid: float, hi: float, iters: int = 200) -> float:
-    """Golden-section maximization given a bracket lo < mid < hi."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = fn(x1), fn(x2)
-    for _ in range(iters):
-        if b - a <= 1e-14 * max(1.0, abs(a) + abs(b)):
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = fn(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = fn(x1)
-    return 0.5 * (a + b)
-
-
 def f_alpha_argmax(instance: EEIInstance) -> float:
     """Argmax of :func:`f_alpha`, which is ``1 / (mu - 1)``.
 
-    The closed form is cross-checked by a golden-section search over a log
-    grid; disagreement beyond 1e-6 raises :class:`NoConvergence`.
+    ``f_alpha = (n/2)(ln alpha - mu ln(alpha + 1)) + const``, whose
+    derivative ``(n/2)(1/alpha - mu/(alpha + 1))`` vanishes only there.
     """
-    closed = 1.0 / (instance.mu - 1.0)
-    grid = np.geomspace(1e-6, 1e6, 241)
-    vals = np.array([f_alpha(a, instance) for a in grid])
-    i = int(np.argmax(vals))
-    i = min(max(i, 1), len(grid) - 2)
-    searched = _golden_max(lambda a: f_alpha(a, instance), grid[i - 1], grid[i], grid[i + 1])
-    if abs(searched - closed) > 1e-6 * max(1.0, abs(closed)):
-        raise NoConvergence(
-            f"scale-search cross-check failed: closed form {closed}, search {searched}"
-        )
-    return closed
+    return 1.0 / (instance.mu - 1.0)
 
 
 def construct_l(s_x, s_w, mu: float) -> ConstructionCertificate:
@@ -376,16 +345,12 @@ def _sym_coords(k: int):
     return i, j, np.where(i == j, 0.5, 1.0)
 
 
-def _trace_products(
-    p: NDArray, i: NDArray, j: NDArray, c: NDArray, weights: Optional[NDArray] = None
-) -> NDArray:
+def _trace_products(p: NDArray, i: NDArray, j: NDArray, weights: NDArray) -> NDArray:
     """``tr(P B_a P B_b) = 2 c_a c_b (P_ik P_jl + P_il P_jk)``, b = (k, l), for each P in p.
 
-    ``weights`` is ``2 c_a c_b``, built from c when not given; a barrier
-    stage builds it once for all its steps.
+    ``weights`` is ``2 c_a c_b``; a barrier stage builds it once for all
+    its steps.
     """
-    if weights is None:
-        weights = 2.0 * np.outer(c, c)
     pi, pj = p.take(i, 1), p.take(j, 1)
     return weights * (pi.take(i, 2) * pj.take(j, 2) + pi.take(j, 2) * pj.take(i, 2))
 
@@ -487,7 +452,7 @@ def _barrier_stage(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, ta
             p = np.linalg.inv(np.stack((s, r - s, s + w, s + v)))
             # inv is not exactly symmetric near a face; the gather needs it to be.
             p = 0.5 * (p + p.transpose(0, 2, 1))
-            h = _trace_products(p, i, j, c, weights)
+            h = _trace_products(p, i, j, weights)
             h_bar = h[0] + h[1]
             # ci whitens: ci (tau H_bar) ci^T = I, up to the ridge.
             ci = np.linalg.inv(

@@ -2,11 +2,17 @@
 
 Every error raised by eeikit derives from :class:`EEIKitError` so callers
 (and the CLI) can distinguish library failures from programming errors.
+The subclasses of :class:`CheckFailed` are the failed mathematical checks;
+every other :class:`EEIKitError` is an input error.
 """
 
 
 class EEIKitError(Exception):
     """Base class for all eeikit errors."""
+
+
+class CheckFailed(EEIKitError):
+    """A mathematical check failed (CLI exit 1)."""
 
 
 class DimensionMismatch(EEIKitError):
@@ -29,15 +35,15 @@ class InvalidParameter(EEIKitError):
     """A scalar parameter is outside its documented domain."""
 
 
-class NoConvergence(EEIKitError):
+class NoConvergence(CheckFailed):
     """An iterative solver stalled above its stated tolerance."""
 
 
-class SplitInfeasible(EEIKitError):
+class SplitInfeasible(CheckFailed):
     """No admissible noise split exists within tolerance (defensive)."""
 
 
-class DominationFailed(EEIKitError):
+class DominationFailed(CheckFailed):
     """A constructed optimum failed its own domination inequality."""
 
 
@@ -53,9 +59,9 @@ class InconsistentDensity(EEIKitError):
     """An output density does not match the convolution of its inputs."""
 
 
-class ThresholdUnreachable(EEIKitError):
+class ThresholdUnreachable(CheckFailed):
     """The receiver-2 error trace saturates below the requested threshold."""
 
 
-class SeparationFailed(EEIKitError):
+class SeparationFailed(CheckFailed):
     """Receiver 1's error trace exceeds the threshold meant to separate it."""

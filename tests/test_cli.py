@@ -4,11 +4,13 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from eeikit import cov_to_json
+import eeikit.cli
+from eeikit import CheckFailed, cov_to_json, errors
 from eeikit.cli import COMMANDS, CSV_HEADER, SEED_ENV_VAR, main
 
 
@@ -164,7 +166,104 @@ def _non_finite_id(argv):
     return argv[0] + argv[argv.index(bad) - 1] + ("-inf" if bad == "inf" else "")
 
 
+# One passing invocation per command, with every numeric flag it reads.
+_VALID_FLAGS = {
+    "construct-l": {"x": "1", "w": "3", "mu": "2"},
+    "construct-k": {"w": "1", "v": "4", "mu": "2"},
+    "optimum": {"w": "1", "v": "4", "r": "10", "mu": "2"},
+    "verify-eei": {"density": "uniform", "w": "1", "v": "4", "r": "1", "mu": "2"},
+    "verify-epi": {"density": "uniform", "density2": "gaussian:0.5"},
+    "verify-worst-noise": {"density": "uniform:0,2", "w": "0.5", "v": "0.4"},
+    "search": {"w": "1", "v": "4", "r": "10", "mu": "2", "trials": "50"},
+    "broadcast-design": {"z1": "0.5", "z2": "2", "r": "0.5", "direction": "1"},
+    "lmmse-bound": {"x": "1", "r": "1"},
+    "variational-check": {"density": "gaussian", "density2": "gaussian:0.5", "mu": "2"},
+}
+
+# Each parameter of each density family in turn; {} is the non-finite value.
+_DENSITY_SPECS = (
+    "gaussian:{}", "gaussian:1,{}", "uniform:{},1", "uniform:0,{}",
+    "mixture:{},-2,1,2,1", "mixture:0.5,{},1,2,1", "mixture:0.5,-2,{},2,1",
+    "mixture:0.5,-2,1,{},1", "mixture:0.5,-2,1,2,{}",
+)
+
+
+def _argv(command, flags):
+    return [command] + [token for name, value in flags.items() for token in (f"--{name}", value)]
+
+
+def _non_finite_flags():
+    for command in COMMANDS:
+        flags = _VALID_FLAGS[command]
+        for name in [*flags, "tol", "seed", "grid-points"]:
+            specs = _DENSITY_SPECS if name.startswith("density") else ("{}",)
+            yield pytest.param(command, name, specs, id=f"{command}--{name}")
+
+
+def _assert_input_error(capsys, argv):
+    """Exit 2, no report, no warning, and stderr that is only the error.
+
+    Stderr starts with ``eeikit: error:``; where argparse itself rejects a
+    non-integer it is argparse's usage block followed by that line.  An
+    exception escaping main is what the console script prints as a
+    traceback; a warning is recorded here instead of printed.
+    """
+    rejected_by_argparse = False
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code, rejected_by_argparse = exc.code, True
+    out, err = capsys.readouterr()
+    assert code == 2, argv
+    assert out == "", argv
+    if rejected_by_argparse:
+        assert err.startswith("usage: eeikit"), (argv, err)
+        assert err.splitlines()[-1].startswith("eeikit: error:"), (argv, err)
+    else:
+        assert err.startswith("eeikit: error:"), (argv, err)
+    assert "Traceback" not in err and "Warning" not in err, (argv, err)
+    assert not caught, (argv, [str(w.message) for w in caught])
+
+
+_ERROR_CLASSES = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.EEIKitError)
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_valid_flags_pass(self, capsys, command):
+        code, _, err = run_cli(capsys, *_argv(command, _VALID_FLAGS[command]))
+        assert (code, err) == (0, "")
+
+    @pytest.mark.parametrize("command, name, specs", _non_finite_flags())
+    def test_every_non_finite_number_is_an_input_error(self, capsys, command, name, specs):
+        for spec in specs:
+            for value in ("nan", "inf", "-inf"):
+                flags = dict(_VALID_FLAGS[command], **{name: spec.format(value)})
+                _assert_input_error(capsys, _argv(command, flags))
+
+    @pytest.mark.parametrize("error", _ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_exit_code_follows_error_class(self, capsys, monkeypatch, error):
+        def fail(*args):
+            raise error("injected")
+
+        monkeypatch.setattr(eeikit.cli, "mi_lower_bound", fail)
+        code, out, err = run_cli(capsys, "lmmse-bound", "--x", "1", "--r", "1")
+        assert code == (1 if issubclass(error, CheckFailed) else 2)
+        assert out == ""
+        assert "injected" in err
+
+    def test_check_failures_are_the_five_math_errors(self):
+        failed = {cls.__name__ for cls in _ERROR_CLASSES if issubclass(cls, CheckFailed)}
+        assert failed == {
+            "CheckFailed", "NoConvergence", "SplitInfeasible", "DominationFailed",
+            "ThresholdUnreachable", "SeparationFailed",
+        }
+
     def test_bad_mu_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "construct-l", "--x", "1", "--w", "1", "--mu", "1")
         assert code == 2
@@ -207,10 +306,7 @@ class TestExitCodes:
         ids=_non_finite_id,
     )
     def test_non_finite_input_is_usage_error(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("eeikit: error:")
+        _assert_input_error(capsys, argv)
 
     def test_math_failure_exit_one(self, capsys):
         code, _, err = run_cli(

@@ -192,17 +192,19 @@ class TestUnconstrainedProfile:
         assert f_alpha(1.0, inst) == pytest.approx(-2.112085713764618, abs=1e-12)
 
     def test_argmax_closed_form(self):
-        for mu in (1.1, 1.5, 2.0, 3.0, 10.0):
+        for mu in (1.1, 1.5, 2.0, 3.0, 10.0, 1.0 + 1e-9, 1.0 + 1e-6, 1.0002, 1.0005, 1e4, 1e9):
             inst = EEIInstance.from_scalars(mu, 1.0, 10.0)
             assert f_alpha_argmax(inst) == pytest.approx(1.0 / (mu - 1.0), rel=1e-12)
 
     def test_argmax_is_local_max(self):
-        inst = EEIInstance(2.5, np.diag([1.0, 2.0]), 10.0 * np.eye(2))
-        a_star = f_alpha_argmax(inst)
-        best = f_alpha(a_star, inst)
-        for delta in (1e-3, 1e-2, 0.1):
-            assert best >= f_alpha(a_star + delta, inst)
-            assert best >= f_alpha(max(a_star - delta, 1e-6), inst)
+        # Steps relative to the argmax, which runs from 1e-9 to 1e9 over these mu.
+        for mu in (2.5, 1.0 + 1e-9, 1.0 + 1e-6, 1.0002, 1.0005, 1e4, 1e9):
+            inst = EEIInstance(mu, np.diag([1.0, 2.0]), 10.0 * np.eye(2))
+            a_star = f_alpha_argmax(inst)
+            best = f_alpha(a_star, inst)
+            for rel in (1e-3, 1e-2, 0.1):
+                assert best >= f_alpha(a_star * (1.0 + rel), inst), (mu, rel)
+                assert best >= f_alpha(a_star * (1.0 - rel), inst), (mu, rel)
 
     def test_matched_alpha_round_trip(self):
         rng = np.random.default_rng(301)
@@ -317,7 +319,8 @@ class TestSymmetricCoordinates:
             np.testing.assert_array_equal(c[a] * (e_ij + e_ij.T), b_a)
         p = np.stack([symmetrize(rng.normal(size=(n, n))) for _ in range(4)])
         trace = np.array([[[np.trace(q @ b_a @ q @ b_b) for b_b in basis] for b_a in basis] for q in p])
-        np.testing.assert_allclose(construct._trace_products(p, i, j, c), trace, rtol=1e-12, atol=1e-12)
+        weights = 2.0 * np.outer(c, c)
+        np.testing.assert_allclose(construct._trace_products(p, i, j, weights), trace, rtol=1e-12, atol=1e-12)
         # gradient map <G, B_a> = 2 c_a G_ij and step sum_a delta_a B_a
         g = p[0]
         np.testing.assert_array_equal(2.0 * c * g[i, j], [np.sum(g * b_a) for b_a in basis])
