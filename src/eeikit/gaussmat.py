@@ -34,7 +34,6 @@ __all__ = [
     "symmetrize",
     "spectral_scale",
     "psd_leq",
-    "psd_project",
     "simdiag",
     "gaussian_entropy",
     "gaussian_conditional_cov",
@@ -179,15 +178,6 @@ def psd_leq(a, b, tol: float = DEFAULT_PSD_TOL) -> bool:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
     evals = np.linalg.eigvalsh(symmetrize(b - a))
     return bool(evals[0] >= -tol * eig_scale(evals))
-
-
-def psd_project(a) -> NDArray:
-    """Nearest PSD matrix in Frobenius norm: clip negative eigenvalues to 0."""
-    a = symmetrize(a)
-    w, q = np.linalg.eigh(a)
-    if w.size == 0 or w[0] >= 0.0:
-        return a
-    return symmetrize(q @ (np.maximum(w, 0.0)[:, None] * q.T))
 
 
 def simdiag(a, b) -> SimDiagResult:

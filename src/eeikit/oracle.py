@@ -15,6 +15,7 @@ partitioned across workers in any way without changing the result.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -76,7 +77,9 @@ class GridDensity:
 
     ``values[i]`` is the density at ``support_lo + i * step``.  The
     trapezoidal integral must equal one within ``1e-6`` and all samples
-    must be nonnegative; violations raise at construction time.
+    must be nonnegative; violations raise at construction time.  The
+    samples are a read-only copy of the input, so a density cannot change
+    after it is validated.
     """
 
     support_lo: float
@@ -84,7 +87,8 @@ class GridDensity:
     values: NDArray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
+        vals.setflags(write=False)
         if vals.ndim != 1 or vals.size < 3:
             raise InvalidParameter("density needs a 1-D grid with at least 3 nodes")
         if not (np.isfinite(self.support_lo) and np.isfinite(self.support_hi)):
@@ -565,19 +569,32 @@ def _interp_density(d: GridDensity, points: NDArray) -> NDArray:
     return np.interp(points, d.grid, d.values, left=0.0, right=0.0)
 
 
+@functools.lru_cache(maxsize=1)
 def _tensor_grid(fx: GridDensity, fy: GridDensity, fv: GridDensity):
-    """Kept nodes of the variational probes and ``F[i, j] = fv(y_j - x_i)``.
+    """Kept nodes, kernel ``F[i, j] = fv(y_j - x_i)`` and weights of the probes.
 
     Each grid keeps every k-th node, k the least stride that leaves at
     most ``_MAX_NODES``; fy's grid then keeps only the nodes where fy
     exceeds ``_FY_RESOLVED`` of its peak.  Returns the kept indices ``ix``
-    and ``iy`` into fx's and fy's grids, and F, zero outside fv's support.
+    and ``iy`` into fx's and fy's grids, F (zero outside fv's support) and
+    the trapezoid weights ``wx`` and ``wy`` of the kept nodes.
+
+    A triple's kernel is built once and reused: the last triple's arrays
+    are kept, keyed on the three densities' identities, and shared by both
+    probes and every repeated call.  That is sound because a
+    :class:`GridDensity` compares by identity and its samples are
+    read-only; the returned arrays are read-only too.
     """
-    ix = np.arange(fx.points)[_subsample(fx.points)]
-    iy = np.arange(fy.points)[_subsample(fy.points)]
+    sx, sy = _subsample(fx.points), _subsample(fy.points)
+    ix = np.arange(fx.points)[sx]
+    iy = np.arange(fy.points)[sy]
     iy = iy[fy.values[iy] > _FY_RESOLVED * float(np.max(fy.values))]
     fvxy = _interp_density(fv, fy.grid[iy][None, :] - fx.grid[ix][:, None])
-    return ix, iy, fvxy
+    wx = _halved_ends(np.full(ix.size, fx.step * sx.step))
+    wy = _halved_ends(np.full(iy.size, fy.step * sy.step))
+    for a in (ix, iy, fvxy, wx, wy):
+        a.setflags(write=False)
+    return ix, iy, fvxy, wx, wy
 
 
 def variational_first_residual(
@@ -612,7 +629,7 @@ def variational_first_residual(
         raise InconsistentDensity(
             f"fy deviates from fx conv fv by {dev:.3e} in sup norm"
         )
-    ix, iy, fvxy = _tensor_grid(fx, fy, fv)
+    ix, iy, fvxy, _, _ = _tensor_grid(fx, fy, fv)
     x, fxv = fx.grid[ix][:, None], fx.values[ix][:, None]
     y, fyv = fy.grid[iy], fy.values[iy]
     ln_fx = np.log(np.clip(fxv, _LOG_FLOOR, None))
@@ -654,6 +671,9 @@ def variational_second_form(
     ``a = -(1 - alpha1) hx^2 / fx``, ``b = 2 mu hx``, ``c = hy / fy``,
     ``d = -mu fx`` and ``e = c^2``: three bilinear forms in F and the
     trapezoid weights, read from one ``(nx, ny) @ (ny, 3)`` product.
+    F and the weights come from :func:`_tensor_grid`, which builds them
+    once per triple, so repeated calls on one triple cost only that
+    product.
     """
     mu = validated_mu(mu)
     if not 1.0 - mu - 1e-12 <= alpha1 < math.inf:
@@ -662,11 +682,9 @@ def variational_second_form(
     hy = np.asarray(hy, dtype=float)
     if hx.shape != (fx.points,) or hy.shape != (fy.points,):
         raise InvalidParameter("perturbations must match the density grids")
-    ix, iy, fvxy = _tensor_grid(fx, fy, fv)
+    ix, iy, fvxy, wx, wy = _tensor_grid(fx, fy, fv)
     fxv, hxv = np.clip(fx.values[ix], _SQUARE_FLOOR, None), hx[ix]
     c = hy[iy] / fy.values[iy]
     rows = np.stack([-(1.0 - alpha1) * hxv**2 / fxv, 2.0 * mu * hxv, -mu * fxv], axis=1)
     cols = np.stack([np.ones_like(c), c, c**2], axis=1)
-    wx = _halved_ends(np.full(ix.size, fx.step * _subsample(fx.points).step))
-    wy = _halved_ends(np.full(iy.size, fy.step * _subsample(fy.points).step))
     return float(np.sum(wx[:, None] * rows * (fvxy @ (wy[:, None] * cols))))

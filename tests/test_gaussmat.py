@@ -27,7 +27,6 @@ from eeikit import (
     load_cov,
     markov_residual,
     psd_leq,
-    psd_project,
     simdiag,
     spectral_scale,
     symmetrize,
@@ -40,20 +39,6 @@ FACTOR_ELEMENTS = st.floats(min_value=-3.0, max_value=3.0)
 
 def _pd_from_factor(f):
     return f @ f.T + 1e-3 * np.eye(f.shape[0])
-
-
-@seed(1)
-@given(f=arrays(np.float64, (DIM, DIM), elements=FACTOR_ELEMENTS))
-def test_psd_project_fixed_point_and_cone_membership(f):
-    a = _pd_from_factor(f)
-    # already PSD: projection changes nothing
-    np.testing.assert_allclose(psd_project(a), a, atol=1e-10)
-    # generic symmetric input lands in the cone
-    b = symmetrize(f)
-    p = psd_project(b)
-    assert np.linalg.eigvalsh(p).min() >= -1e-10
-    # projection residual b - p is negative semidefinite
-    assert np.linalg.eigvalsh(b - p).max() <= 1e-10
 
 
 @seed(1)

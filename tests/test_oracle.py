@@ -32,6 +32,7 @@ from eeikit.oracle import (
     _interp_density,
     _resample,
     _subsample,
+    _tensor_grid,
     _trial_directions,
     convolve_pair,
 )
@@ -84,6 +85,15 @@ class TestGridDensity:
         bad[3] = -0.5
         with pytest.raises(InvalidParameter):
             GridDensity(0.0, 1.0, bad)
+
+    def test_samples_are_a_read_only_copy(self):
+        # a source changed after validation must not show through
+        src = np.full(101, 1.0 / 1.5)
+        d = GridDensity(0.25, 1.75, src)
+        src[:] = -7.0
+        assert d.values.min() == d.values.max() == 1.0 / 1.5
+        with pytest.raises(ValueError):
+            d.values[0] = -7.0
 
 
 class TestEntropyQuadrature:
@@ -579,6 +589,76 @@ class TestVariationalProbeReferences:
                 got = variational_second_form(fx, fy, fv, mu, hx, hy, alpha1)
                 want = _direct_second_form(fx, fy, fv, mu, hx, hy, alpha1)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _memo_triple(name):
+    """Freshly built probe inputs; "a" and "b" share fx and every grid shape.
+
+    Only fv's samples differ, so a kernel left over from the other triple
+    would be read without any shape error.
+    """
+    mu = 2.0
+    fx = GridDensity.gaussian(1.0)
+    fv = GridDensity.gaussian(0.5)
+    if name == "b":
+        fv = GridDensity.from_callable(lambda t: np.exp(-(t**2) / 0.6), fv.support_lo, fv.support_hi)
+    fy = convolve_pair(fx, fv)
+    hx = np.sin(1.3 * fx.grid + 0.2) * np.exp(-(fx.grid**2) / 4.0)
+    hy = np.cos(0.7 * fy.grid - 0.4) * np.exp(-(fy.grid**2) / 5.0)
+    return fx, fy, fv, mu, hx, hy
+
+
+def _first(fx, fy, fv, mu, hx, hy):
+    return variational_first_residual(fx, fy, fv, mu)
+
+
+def _second(fx, fy, fv, mu, hx, hy):
+    return variational_second_form(fx, fy, fv, mu, hx, hy, 1.0 - mu)
+
+
+def _cold(probe, name):
+    """The probe on freshly built densities with the kernel memo emptied."""
+    args = _memo_triple(name)
+    _tensor_grid.cache_clear()
+    return probe(*args)
+
+
+class TestTensorGridMemo:
+    """The probes' shared kernel is built once per triple and never read stale."""
+
+    @pytest.mark.parametrize("probe", [_first, _second])
+    def test_repeated_call_equals_cold(self, probe):
+        args = _memo_triple("a")
+        assert probe(*args) == probe(*args) == _cold(probe, "a")
+
+    @pytest.mark.parametrize("probe", [_first, _second])
+    def test_alternating_triples_read_their_own_kernel(self, probe):
+        cold_a, cold_b = _cold(probe, "a"), _cold(probe, "b")
+        assert cold_a != cold_b
+        a, b = _memo_triple("a"), _memo_triple("b")
+        assert [probe(*a), probe(*b), probe(*a)] == [cold_a, cold_b, cold_a]
+
+    def test_first_then_second_builds_one_kernel(self):
+        cold = [_cold(_first, "a"), _cold(_second, "a")]
+        args = _memo_triple("a")
+        _tensor_grid.cache_clear()
+        warm = [_first(*args)] + [_second(*args) for _ in range(3)]
+        assert warm == cold + cold[1:] * 2
+        info = _tensor_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert not any(a.flags.writeable for a in _tensor_grid(*args[:3]))
+
+    def test_mutated_source_changes_nothing(self):
+        fx, fy, fv, mu, hx, hy = _memo_triple("a")
+        src = fx.values.copy()
+        fx = GridDensity(fx.support_lo, fx.support_hi, src)
+        before = [_first(fx, fy, fv, mu, hx, hy), _second(fx, fy, fv, mu, hx, hy)]
+        src[:] = -7.0
+        assert fx.values.min() >= 0.0
+        for probe, want in zip((_first, _second), before):
+            assert probe(fx, fy, fv, mu, hx, hy) == want
+            _tensor_grid.cache_clear()
+            assert probe(fx, fy, fv, mu, hx, hy) == want
 
 
 @pytest.mark.parametrize("mu", [math.nan, math.inf, 1.0])
