@@ -291,21 +291,17 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Constrained two-noise optimum: one path.  The unconstrained stationary
-# point S0 = (V - mu W)/(mu - 1), where S + V = mu (S + W), clipped strictly
-# inside the band {0 <= S <= R} in R's whitened coordinates gives the start.
-# A ladder of log-barrier stages, each centred by trust-region Newton steps
-# with the same stopping rules, follows the path to the maximizer from
-# inside the band; the last stage's iterate is the answer.  Its whitened
-# modes (S = Y diag(lam) Y^T, R = Y Y^T) at barrier distance from a face
-# are pinned onto it, which carries the multiplier K (S = 0) or N (S = R),
-# found by one linear solve of G + K - N = 0.
+# Constrained two-noise optimum: one path, in R's whitened coordinates
+# (S = Y diag(lam) Y^T, R = Y Y^T).  The unconstrained stationary point
+# S0 = (V - mu W)/(mu - 1), where S + V = mu (S + W), clipped strictly inside
+# the band {0 <= S <= R} gives the start.  A ladder of log-barrier stages,
+# each centred by trust-region Newton steps, follows the path to the
+# maximizer from inside the band.  The last stage's modes at barrier
+# distance from a face are pinned onto it, which carries the multiplier K
+# (S = 0) or N (S = R), found by one linear solve of G + K - N = 0.
 # ---------------------------------------------------------------------------
 
 # Barrier weight of the last stage.  Each stage divides tau by 30.
-# Trust-region steps centre a stage well enough for that cut: over 140
-# random instances, n = 2 to 8, cuts of 10, 30 and 100 took 11960, 10444
-# and 10179 Newton steps, and none failed.
 _TAU_FLOOR = 1e-14
 
 
@@ -313,14 +309,13 @@ def _grad_two_noise(s: NDArray, w: NDArray, v: NDArray, mu: float) -> NDArray:
     return symmetrize(0.5 * np.linalg.inv(s + w) - 0.5 * mu * np.linalg.inv(s + v))
 
 
-def _whitened_spectrum(s: NDArray, r: NDArray):
+def _whitened_spectrum(s: NDArray, l: NDArray, l_inv: NDArray):
     """``(lam, y)`` with ``R = Y Y^T`` and ``S = Y diag(lam) Y^T``.
 
-    With ``R = L L^T`` the band is ``0 <= X <= I`` for ``X = L^-1 S L^-T``;
-    ``lam`` and Q are the eigenvalues and eigenvectors of X, and ``Y = L Q``.
+    With R's Cholesky factor ``l`` and its inverse, the band is ``0 <= X <= I``
+    for ``X = L^-1 S L^-T``; ``lam`` and Q are the eigenpairs of X, ``Y = L Q``.
     """
-    l = np.linalg.cholesky(r)
-    lam, q = np.linalg.eigh(symmetrize(np.linalg.solve(l, np.linalg.solve(l, s).T)))
+    lam, q = np.linalg.eigh(symmetrize(l_inv @ s @ l_inv.T))
     return lam, l @ q
 
 
@@ -331,7 +326,8 @@ def _band_start(s0: NDArray, r: NDArray) -> NDArray:
     to [0, 1] and mapped to ``1/8 + 3/4 * clip``, so S and R - S are
     positive definite for any PD R.
     """
-    lam, y = _whitened_spectrum(s0, r)
+    l = np.linalg.cholesky(r)
+    lam, y = _whitened_spectrum(s0, l, np.linalg.inv(l))
     return symmetrize(y @ ((0.125 + 0.75 * np.clip(lam, 0.0, 1.0))[:, None] * y.T))
 
 
@@ -348,11 +344,21 @@ def _sym_coords(k: int):
 def _trace_products(p: NDArray, i: NDArray, j: NDArray, weights: NDArray) -> NDArray:
     """``tr(P B_a P B_b) = 2 c_a c_b (P_ik P_jl + P_il P_jk)``, b = (k, l), for each P in p.
 
-    ``weights`` is ``2 c_a c_b``; a barrier stage builds it once for all
-    its steps.
+    ``weights`` is ``2 c_a c_b``, built once per barrier stage.
     """
     pi, pj = p.take(i, 1), p.take(j, 1)
     return weights * (pi.take(i, 2) * pj.take(j, 2) + pi.take(j, 2) * pj.take(i, 2))
+
+
+def _band_barrier(lam: NDArray, i: NDArray, j: NDArray, c: NDArray):
+    """``(h, d)``: the band barrier ``log det S + log det(R - S)`` moved by ``Y E Y^T``.
+
+    That is ``log det(diag(lam) + E) + log det(I - diag(lam) - E)`` plus a constant: gradient
+    ``diag(d)``, ``d = 1/lam - 1/(1 - lam)``, and Hessian ``-diag(h)`` in :func:`_sym_coords`,
+    ``h_a = 2 c_a (1/(lam_i lam_j) + 1/((1 - lam_i)(1 - lam_j)))``.
+    """
+    a, b = 1.0 / lam, 1.0 / (1.0 - lam)
+    return 2.0 * c * (a[i] * a[j] + b[i] * b[j]), a - b
 
 
 def _face_columns(u: NDArray) -> NDArray:
@@ -423,60 +429,53 @@ def _trust_region_step(lam: NDArray, gq: NDArray, shift: float, radius: float):
 def _barrier_stage(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, tau: float) -> NDArray:
     """Trust-region Newton centering for the log-barrier surrogate.
 
-    The Newton system is solved in coordinates whitened by the barrier
-    Hessian, from one ``eigh`` of the whitened Hessian per step.  Each step
-    is the trust-region step (:func:`_trust_region_step`) inside the Dikin
-    ellipsoid of radius ``0.8 sqrt(tau)``, which keeps every iterate
-    strictly feasible without eigenvalue line searches and keeps the
-    system well conditioned arbitrarily close to the boundary.  The shift
-    starts just above the top eigenvalue (or at zero); a step that does
-    not raise the barrier value is retried with a larger shift, so the next
-    try is strictly shorter.  The stage ends once the scaled gradient norm
-    is at most ``0.25 * sqrt(tau)``, at the first candidate whose barrier
-    value lies in ``[phi - 1e-15, phi]`` (S is then as centred as rounding
-    allows; a candidate equal to S scores exactly phi), after 40 rejected
-    tries in a row, after 30 steps, or at a ``LinAlgError``.  The
-    coordinates are :func:`_sym_coords`; ``log det`` at P^-1 has Hessian
-    ``-tr(P B_a P B_b)`` in them.
+    Each step moves ``S = Y diag(lam) Y^T`` (:func:`_whitened_spectrum`) by
+    ``Y E Y^T``, E in :func:`_sym_coords`, where the barrier Hessian is
+    diagonal (:func:`_band_barrier`) and whitens the Newton system exactly.
+    One ``eigh`` of the whitened Hessian gives the trust-region step
+    (:func:`_trust_region_step`) inside the Dikin ellipsoid of radius
+    ``0.8 sqrt(tau)``, which keeps every iterate strictly feasible; its shift
+    starts just above the top eigenvalue (or at zero), and a step that does
+    not raise the barrier value is retried with a larger shift.  The stage
+    ends once the scaled gradient norm is at most ``0.25 sqrt(tau)``, at the
+    first candidate whose barrier value lies in ``[phi - 1e-15, phi]`` (S is
+    as centred as rounding allows), after 40 rejected tries in a row, after
+    30 steps, or at a ``LinAlgError`` or a whitened spectrum outside (0, 1).
     """
-    n = s.shape[0]
-    i, j, c = _sym_coords(n)
-    m = i.size
-    eye, weights = np.eye(m), 2.0 * np.outer(c, c)
+    i, j, c = _sym_coords(s.shape[0])
+    l = np.linalg.cholesky(r)
+    weights, l_inv = 2.0 * np.outer(c, c), np.linalg.inv(l)
     phi = _barrier_value(s, w, v, r, mu, tau)
     root_tau = math.sqrt(tau)
-    radius = 0.8 * root_tau
     damp = 0.0
     for _ in range(30):
         try:
-            p = np.linalg.inv(np.stack((s, r - s, s + w, s + v)))
-            # inv is not exactly symmetric near a face; the gather needs it to be.
+            lam, y = _whitened_spectrum(s, l, l_inv)
+            if not (lam[0] > 0.0 and lam[-1] < 1.0):
+                break
+            p = y.T @ np.linalg.inv(np.stack((s + w, s + v))) @ y
+            # Y^T P Y is not exactly symmetric; the gather needs it to be.
             p = 0.5 * (p + p.transpose(0, 2, 1))
-            h = _trace_products(p, i, j, weights)
-            h_bar = h[0] + h[1]
-            # ci whitens: ci (tau H_bar) ci^T = I, up to the ridge.
-            ci = np.linalg.inv(
-                np.linalg.cholesky(tau * h_bar + 1e-14 * tau * float(np.max(np.abs(h_bar))) * eye)
-            )
-            si, ri, pw, pv = p
-            grad = 2.0 * c * (0.5 * pw - 0.5 * mu * pv + tau * (si - ri))[i, j]
-            g_t = ci @ grad
+            h_bar, d = _band_barrier(lam, i, j, c)
+            ci = 1.0 / np.sqrt(tau * h_bar)
+            g_t = ci * 2.0 * c * (0.5 * p[0] - 0.5 * mu * p[1] + tau * np.diag(d))[i, j]
             if float(np.linalg.norm(g_t)) <= 0.25 * root_tau:
                 break
-            h_t = ci @ (0.5 * mu * h[3] - 0.5 * h[2] - tau * h_bar) @ ci.T
-            h_t = 0.5 * (h_t + h_t.T)
-            lam, vec = np.linalg.eigh(h_t)
+            h = _trace_products(p, i, j, weights)
+            # ci turns the barrier Hessian -tau diag(h_bar) into -I: a shift by -1.
+            lam_t, vec = np.linalg.eigh(ci[:, None] * (0.5 * mu * h[1] - 0.5 * h[0]) * ci)
+            lam_t -= 1.0
         except np.linalg.LinAlgError:
             break
-        top = max(0.0, float(lam[-1]))
-        gq, back = vec.T @ g_t, ci.T @ vec
-        t_scale = max(float(np.max(np.abs(h_t))), 1e-30)
+        top = max(0.0, float(lam_t[-1]))
+        gq, back = vec.T @ g_t, ci[:, None] * vec
+        t_scale = max(-float(lam_t[0]), float(lam_t[-1]), 1e-30)
         damp = max(damp, 1e-12 * t_scale)
         for _ in range(40):
-            z, shift = _trust_region_step(lam, gq, top + damp, radius)
-            d_s = np.zeros((n, n))
-            d_s[i, j] = d_s[j, i] = back @ z
-            cand = s + d_s
+            z, shift = _trust_region_step(lam_t, gq, top + damp, 0.8 * root_tau)
+            e = np.zeros_like(s)
+            e[i, j] = e[j, i] = back @ z
+            cand = s + symmetrize(y @ e @ y.T)
             phi_new = _barrier_value(cand, w, v, r, mu, tau)
             if phi_new > phi:
                 s, phi = cand, phi_new
@@ -520,7 +519,8 @@ def _pin_faces(s: NDArray, r: NDArray, tol: float):
     Returns ``(s, u0, u1)``: S rebuilt from that spectrum and the columns
     of ``Y^-T`` at its 0s and 1s, exact null vectors of S and of R - S.
     """
-    lam, y = _whitened_spectrum(s, r)
+    l = np.linalg.cholesky(r)
+    lam, y = _whitened_spectrum(s, l, np.linalg.inv(l))
     size = np.sum(y * y, axis=0)
     on_zero = lam * size < tol
     on_r = ~on_zero & ((1.0 - lam) * size < tol)

@@ -375,6 +375,39 @@ class TestBarrierValue:
             assert value == pytest.approx(expected, rel=1e-12)
 
 
+class TestWhitenedBarrier:
+    """The barrier's closed form in R's whitened frame against its definition.
+
+    At ``S = Y diag(lam) Y^T``, ``R = Y Y^T`` a move ``Y E Y^T`` has barrier
+    Hessian ``-tr(P B_a P B_b)`` summed over ``P = Y^T S^-1 Y`` and
+    ``Y^T (R - S)^-1 Y``, and gradient ``Y^T (S^-1 - (R - S)^-1) Y``.
+    """
+
+    @pytest.mark.parametrize("band", ["random", "cond 1e8"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_the_trace_products(self, n, band):
+        # The thin band is axis-aligned: a rotated one rounds S in
+        # coordinates where R^-1 is 1e8, which moves the whitened spectrum
+        # by about 1e-16 * 1e8, whatever computes it.
+        rng = np.random.default_rng([43, n])
+        i, j, c = construct._sym_coords(n)
+        for _ in range(10):
+            r = _rand_pd(rng, n, lo=0.5) if band == "random" else np.diag(np.geomspace(1.0, 1e-8, n))
+            l = np.linalg.cholesky(r)
+            y0 = l @ np.linalg.qr(rng.normal(size=(n, n)))[0]
+            s = symmetrize(y0 @ (rng.uniform(0.05, 0.95, n)[:, None] * y0.T))
+            lam, y = construct._whitened_spectrum(s, l, np.linalg.inv(l))
+            p = y.T @ np.linalg.inv(np.stack((s, r - s))) @ y
+            p = 0.5 * (p + p.transpose(0, 2, 1))
+            trace = construct._trace_products(p, i, j, 2.0 * np.outer(c, c)).sum(axis=0)
+            h, d = construct._band_barrier(lam, i, j, c)
+            # exactly diagonal: the off-diagonal trace products vanish
+            np.testing.assert_allclose(np.diag(h), trace, rtol=1e-10, atol=1e-10 * np.max(h))
+            grad = 2.0 * c * (p[0] - p[1])[i, j]
+            atol = 1e-10 * np.max(np.abs(grad))
+            np.testing.assert_allclose(2.0 * c * np.diag(d)[i, j], grad, rtol=1e-10, atol=atol)
+
+
 class TestBarrierStage:
     """Stopping rules of one Newton centering stage."""
 
@@ -606,7 +639,7 @@ class TestOptimumGuardRails:
             # the certificate's multiplier is 2K
             assert _kkt_residual(s, cert.multiplier / 2.0, w, v, r, mu) <= 1e-8, k
 
-    @pytest.mark.parametrize("cond", [1e4, 1e6])
+    @pytest.mark.parametrize("cond", [1e4, 1e6, 1e8])
     def test_thin_bands_mostly_solve(self, cond):
         # At least 50 of the 60 draws return a first-order optimum.
         passed = 0
