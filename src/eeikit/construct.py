@@ -295,10 +295,10 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
 # (S = Y diag(lam) Y^T, R = Y Y^T).  The unconstrained stationary point
 # S0 = (V - mu W)/(mu - 1), where S + V = mu (S + W), clipped strictly inside
 # the band {0 <= S <= R} gives the start.  A ladder of log-barrier stages,
-# each centred by trust-region Newton steps, follows the path to the
-# maximizer from inside the band.  The last stage's modes at barrier
-# distance from a face are pinned onto it, which carries the multiplier K
-# (S = 0) or N (S = R), found by one linear solve of G + K - N = 0.
+# each centred by trust-region Newton steps (most from the secant of the last
+# two centres), follows the path to the maximizer from inside the band.  The
+# last stage's modes at barrier distance from a face are pinned onto it,
+# which carries K (S = 0) or N (S = R), found by one solve of G + K - N = 0.
 # ---------------------------------------------------------------------------
 
 # Barrier weight of the last stage.  Each stage divides tau by 30.
@@ -319,15 +319,14 @@ def _whitened_spectrum(s: NDArray, l: NDArray, l_inv: NDArray):
     return lam, l @ q
 
 
-def _band_start(s0: NDArray, r: NDArray) -> NDArray:
+def _band_start(s0: NDArray, l: NDArray, l_inv: NDArray) -> NDArray:
     """Strictly interior start: s0 clipped to the band in R's whitened coordinates.
 
     The whitened eigenvalues of s0 (:func:`_whitened_spectrum`) are clipped
     to [0, 1] and mapped to ``1/8 + 3/4 * clip``, so S and R - S are
     positive definite for any PD R.
     """
-    l = np.linalg.cholesky(r)
-    lam, y = _whitened_spectrum(s0, l, np.linalg.inv(l))
+    lam, y = _whitened_spectrum(s0, l, l_inv)
     return symmetrize(y @ ((0.125 + 0.75 * np.clip(lam, 0.0, 1.0))[:, None] * y.T))
 
 
@@ -426,7 +425,10 @@ def _trust_region_step(lam: NDArray, gq: NDArray, shift: float, radius: float):
     return z, shift
 
 
-def _barrier_stage(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, tau: float) -> NDArray:
+def _barrier_stage(
+    s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, tau: float, l: NDArray,
+    l_inv: NDArray,
+) -> NDArray:
     """Trust-region Newton centering for the log-barrier surrogate.
 
     Each step moves ``S = Y diag(lam) Y^T`` (:func:`_whitened_spectrum`) by
@@ -443,8 +445,7 @@ def _barrier_stage(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, ta
     30 steps, or at a ``LinAlgError`` or a whitened spectrum outside (0, 1).
     """
     i, j, c = _sym_coords(s.shape[0])
-    l = np.linalg.cholesky(r)
-    weights, l_inv = 2.0 * np.outer(c, c), np.linalg.inv(l)
+    weights = 2.0 * np.outer(c, c)
     phi = _barrier_value(s, w, v, r, mu, tau)
     root_tau = math.sqrt(tau)
     damp = 0.0
@@ -489,7 +490,9 @@ def _barrier_stage(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, ta
     return s
 
 
-def _interior_newton(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float) -> NDArray:
+def _interior_newton(
+    s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, l: NDArray, l_inv: NDArray
+) -> NDArray:
     """Log-barrier path following for the band-constrained maximum.
 
     Starts from a strictly interior S (:func:`_band_start`) and
@@ -498,20 +501,31 @@ def _interior_newton(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float) 
     iterate of that last stage.  It is strictly feasible and close to the
     constrained maximizer, with nearly active eigenmodes separated from
     inactive ones by many orders of magnitude; :func:`_pin_faces` moves
-    the nearly active ones onto the boundary.
+    the nearly active ones onto the boundary.  From the third stage on, a
+    stage starts from the secant of the last two centres (on the path
+    ``S(tau) ~ S* + tau D``) when that scores strictly higher than the
+    centre at the new tau (-inf off the band), but not at tau <=
+    ``1e3 * _TAU_FLOOR``: there the guess's error in the face-free cross
+    block, which the centring test's ``1/sqrt(tau h)`` weights hide, is
+    worth less to phi than its rounding.
     """
     g0 = max(1.0, float(np.max(np.abs(_grad_two_noise(s, w, v, mu)))))
     bar0 = max(float(np.max(np.abs(np.linalg.inv(np.stack((s, r - s)))))), 1e-30)
-    tau = max(0.1 * g0 / bar0, _TAU_FLOOR)
+    tau, prev = max(0.1 * g0 / bar0, _TAU_FLOOR), None
     for _ in range(40):
-        s = _barrier_stage(s, w, v, r, mu, tau)
+        s = _barrier_stage(s, w, v, r, mu, tau, l, l_inv)
         if tau <= _TAU_FLOOR:
             break
-        tau = max(tau / 30.0, _TAU_FLOOR)
+        centre, tau_next = s, max(tau / 30.0, _TAU_FLOOR)
+        if prev is not None and tau_next > 1e3 * _TAU_FLOOR:
+            guess = s + (s - prev[0]) * ((tau - tau_next) / (prev[1] - tau))
+            phi = [_barrier_value(x, w, v, r, mu, tau_next) for x in (guess, s)]
+            s = guess if phi[0] > phi[1] else s
+        prev, tau = (centre, tau), tau_next
     return s
 
 
-def _pin_faces(s: NDArray, r: NDArray, tol: float):
+def _pin_faces(s: NDArray, l: NDArray, l_inv: NDArray, tol: float):
     """Set the modes of S (:func:`_whitened_spectrum`) within tol of a face onto it.
 
     This is the one place that decides the active set: ``lam_i`` becomes 0
@@ -519,8 +533,7 @@ def _pin_faces(s: NDArray, r: NDArray, tol: float):
     Returns ``(s, u0, u1)``: S rebuilt from that spectrum and the columns
     of ``Y^-T`` at its 0s and 1s, exact null vectors of S and of R - S.
     """
-    l = np.linalg.cholesky(r)
-    lam, y = _whitened_spectrum(s, l, np.linalg.inv(l))
+    lam, y = _whitened_spectrum(s, l, l_inv)
     size = np.sum(y * y, axis=0)
     on_zero = lam * size < tol
     on_r = ~on_zero & ((1.0 - lam) * size < tol)
@@ -589,8 +602,10 @@ def eei_optimum(instance: EEIInstance):
         one = np.ones((1, 1))
         u0, u1 = one[:, s[0] == 0.0], one[:, s[0] == r[0]]
     else:
-        s = _interior_newton(_band_start(s0, r), w, v, r, mu)
-        s, u0, u1 = _pin_faces(s, r, 1e-9 * spectral_scale(w, v, r))
+        l = np.linalg.cholesky(r)
+        l_inv = np.linalg.inv(l)
+        s = _interior_newton(_band_start(s0, l, l_inv), w, v, r, mu, l, l_inv)
+        s, u0, u1 = _pin_faces(s, l, l_inv, 1e-9 * spectral_scale(w, v, r))
     g = _grad_two_noise(s, w, v, mu)
     k, n_mat = _face_multipliers(g, u0, u1)
     res = max(float(np.linalg.norm(g + k - n_mat)), -min_eig(k, n_mat))

@@ -418,7 +418,9 @@ class TestBarrierStage:
         # score and that candidate's.
         inst = TestOptimumGuardRails._random_instance(np.random.default_rng(seed), n)
         w, v, r, mu = inst.s_w, inst.s_v, inst.r, inst.mu
-        s = construct._band_start((v - mu * w) / (mu - 1.0), r)
+        l = np.linalg.cholesky(r)
+        l_inv = np.linalg.inv(l)
+        s = construct._band_start((v - mu * w) / (mu - 1.0), l, l_inv)
         phi = construct._barrier_value(s, w, v, r, mu, 1e-2)
         calls = []
 
@@ -427,9 +429,55 @@ class TestBarrierStage:
             return phi
 
         monkeypatch.setattr(construct, "_barrier_value", flat)
-        again = construct._barrier_stage(s, w, v, r, mu, 1e-2)
+        again = construct._barrier_stage(s, w, v, r, mu, 1e-2, l, l_inv)
         np.testing.assert_array_equal(again, s)
         assert len(calls) == 2
+
+
+class TestCentralPathWarmStart:
+    """Each barrier stage starts from the secant of the last two centres or from the last one."""
+
+    def test_stage_starts_at_the_centre_or_higher(self, monkeypatch):
+        stage = construct._barrier_stage
+        guesses = 0
+        for seed in range(10):
+            inst = TestOptimumGuardRails._random_instance(np.random.default_rng(seed), 2 + seed % 5)
+            w, v, r, mu = inst.s_w, inst.s_v, inst.r, inst.mu
+            stages = []
+
+            def recorded(s, *args):
+                centre = stage(s, *args)
+                # args are (w, v, r, mu, tau, l, l_inv)
+                stages.append((s, args[4], centre))
+                return centre
+
+            monkeypatch.setattr(construct, "_barrier_stage", recorded)
+            eei_optimum(inst)
+            for (_, _, centre), (start, tau, _) in zip(stages, stages[1:]):
+                if np.array_equal(start, centre):
+                    continue
+                guesses += 1
+                # the floor's last stages never start from a guess
+                assert tau > 1e3 * construct._TAU_FLOOR, seed
+                phi = [construct._barrier_value(x, w, v, r, mu, tau) for x in (start, centre)]
+                assert phi[0] > phi[1], seed
+        # the warm start is taken, not merely allowed
+        assert guesses >= 10
+
+    def test_newton_step_budget(self, monkeypatch):
+        # One _trace_products call per Newton step: 1208 steps over these
+        # 20 solves when every stage starts from the last centre.
+        products = construct._trace_products
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return products(*args)
+
+        monkeypatch.setattr(construct, "_trace_products", counted)
+        for seed in range(20):
+            eei_optimum(TestOptimumGuardRails._random_instance(np.random.default_rng(seed), 2 + seed % 5))
+        assert len(calls) <= 1100
 
 
 class TestTrustRegionStep:
@@ -641,7 +689,7 @@ class TestOptimumGuardRails:
 
     @pytest.mark.parametrize("cond", [1e4, 1e6, 1e8])
     def test_thin_bands_mostly_solve(self, cond):
-        # At least 50 of the 60 draws return a first-order optimum.
+        # At least 56 of the 60 draws return a first-order optimum.
         passed = 0
         for _, mu, w, v, r in self._thin_band_draws(cond):
             try:
@@ -649,7 +697,7 @@ class TestOptimumGuardRails:
             except NoConvergence:
                 continue
             passed += _kkt_residual(s, cert.multiplier / 2.0, w, v, r, mu) <= 1e-6
-        assert passed >= 50
+        assert passed >= 56
 
     def test_band_start_is_strictly_inside_the_band(self):
         # For any PD R and any symmetric s0, S and R - S are PD.
@@ -663,11 +711,13 @@ class TestOptimumGuardRails:
             # n - 2 more of that size
             u, _ = np.linalg.qr(rng.normal(size=(n, n)))
             d = 1e3 * np.concatenate(([-1.0, 1.0], rng.normal(size=n - 2)))
-            s = construct._band_start(symmetrize(u @ (d[:, None] * u.T)), r)
+            l = np.linalg.cholesky(r)
+            s = construct._band_start(symmetrize(u @ (d[:, None] * u.T)), l, np.linalg.inv(l))
             np.linalg.cholesky(s)
             np.linalg.cholesky(r - s)
         # inside the band the map is affine: R/2 goes to R/8 + 3/4 (R/2) = R/2
-        np.testing.assert_allclose(construct._band_start(r / 2.0, r), r / 2.0, atol=1e-12)
+        half = construct._band_start(r / 2.0, l, np.linalg.inv(l))
+        np.testing.assert_allclose(half, r / 2.0, atol=1e-12)
 
     def test_random_instance_n12(self):
         rng = np.random.default_rng(3)
