@@ -294,14 +294,15 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
 # Constrained two-noise optimum: one path, in R's whitened coordinates
 # (S = Y diag(lam) Y^T, R = Y Y^T).  The unconstrained stationary point
 # S0 = (V - mu W)/(mu - 1), where S + V = mu (S + W), clipped strictly inside
-# the band {0 <= S <= R} gives the start.  A ladder of log-barrier stages,
-# each centred by trust-region Newton steps (most from the secant of the last
-# two centres), follows the path to the maximizer from inside the band.  The
+# the band {0 <= S <= R} gives the start.  A fixed ladder of log-barrier
+# stages, each centred by trust-region Newton steps (most from the secant of
+# the last two centres), follows the path to the maximizer in the band.  The
 # last stage's modes at barrier distance from a face are pinned onto it,
 # which carries K (S = 0) or N (S = R), found by one solve of G + K - N = 0.
 # ---------------------------------------------------------------------------
 
-# Barrier weight of the last stage.  Each stage divides tau by 30.
+# First and last barrier weights; each stage divides tau by 30 (ten stages).
+_TAU_START = 3e-2
 _TAU_FLOOR = 1e-14
 
 
@@ -426,14 +427,16 @@ def _trust_region_step(lam: NDArray, gq: NDArray, shift: float, radius: float):
 
 
 def _barrier_stage(
-    s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, tau: float, l: NDArray,
+    starts: tuple, w: NDArray, v: NDArray, r: NDArray, mu: float, tau: float, l: NDArray,
     l_inv: NDArray,
 ) -> NDArray:
     """Trust-region Newton centering for the log-barrier surrogate.
 
-    Each step moves ``S = Y diag(lam) Y^T`` (:func:`_whitened_spectrum`) by
-    ``Y E Y^T``, E in :func:`_sym_coords`, where the barrier Hessian is
-    diagonal (:func:`_band_barrier`) and whitens the Newton system exactly.
+    It begins from the one of ``starts`` that :func:`_barrier_value` at
+    tau scores highest, the first on ties.  Each step moves
+    ``S = Y diag(lam) Y^T`` (:func:`_whitened_spectrum`) by ``Y E Y^T``,
+    E in :func:`_sym_coords`, where the barrier Hessian is diagonal
+    (:func:`_band_barrier`) and whitens the Newton system exactly.
     One ``eigh`` of the whitened Hessian gives the trust-region step
     (:func:`_trust_region_step`) inside the Dikin ellipsoid of radius
     ``0.8 sqrt(tau)``, which keeps every iterate strictly feasible; its shift
@@ -444,9 +447,10 @@ def _barrier_stage(
     as centred as rounding allows), after 40 rejected tries in a row, after
     30 steps, or at a ``LinAlgError`` or a whitened spectrum outside (0, 1).
     """
-    i, j, c = _sym_coords(s.shape[0])
+    i, j, c = _sym_coords(w.shape[0])
     weights = 2.0 * np.outer(c, c)
-    phi = _barrier_value(s, w, v, r, mu, tau)
+    scores = [_barrier_value(x, w, v, r, mu, tau) for x in starts]
+    s, phi = starts[int(np.argmax(scores))], max(scores)
     root_tau = math.sqrt(tau)
     damp = 0.0
     for _ in range(30):
@@ -495,34 +499,25 @@ def _interior_newton(
 ) -> NDArray:
     """Log-barrier path following for the band-constrained maximum.
 
-    Starts from a strictly interior S (:func:`_band_start`) and
-    Newton-centers a sequence of barrier surrogates whose weight tau
-    shrinks 30-fold per stage down to ``_TAU_FLOOR``, and returns the
-    iterate of that last stage.  It is strictly feasible and close to the
-    constrained maximizer, with nearly active eigenmodes separated from
-    inactive ones by many orders of magnitude; :func:`_pin_faces` moves
-    the nearly active ones onto the boundary.  From the third stage on, a
-    stage starts from the secant of the last two centres (on the path
-    ``S(tau) ~ S* + tau D``) when that scores strictly higher than the
-    centre at the new tau (-inf off the band), but not at tau <=
-    ``1e3 * _TAU_FLOOR``: there the guess's error in the face-free cross
-    block, which the centring test's ``1/sqrt(tau h)`` weights hide, is
-    worth less to phi than its rounding.
+    From a strictly interior S (:func:`_band_start`), Newton-centers barrier
+    surrogates whose weight tau falls 30-fold per stage from ``_TAU_START``
+    to ``_TAU_FLOOR`` and returns the last centre: strictly feasible, near
+    the maximizer, its nearly active modes orders of magnitude from the
+    inactive ones, for :func:`_pin_faces` to pin.  From the third stage on,
+    a stage is also offered the secant ``S_k + (S_k - S_k-1) / 30`` of the
+    path ``S(tau) ~ S* + tau D``, except at tau <= ``1e3 * _TAU_FLOOR``,
+    where the guess's error in the face-free cross block, hidden by the
+    centring test's ``1/sqrt(tau h)`` weights, is worth less to phi than
+    its rounding.
     """
-    g0 = max(1.0, float(np.max(np.abs(_grad_two_noise(s, w, v, mu)))))
-    bar0 = max(float(np.max(np.abs(np.linalg.inv(np.stack((s, r - s)))))), 1e-30)
-    tau, prev = max(0.1 * g0 / bar0, _TAU_FLOOR), None
-    for _ in range(40):
-        s = _barrier_stage(s, w, v, r, mu, tau, l, l_inv)
+    tau, prev, starts = _TAU_START, None, (s,)
+    while True:
+        s = _barrier_stage(starts, w, v, r, mu, tau, l, l_inv)
         if tau <= _TAU_FLOOR:
-            break
-        centre, tau_next = s, max(tau / 30.0, _TAU_FLOOR)
-        if prev is not None and tau_next > 1e3 * _TAU_FLOOR:
-            guess = s + (s - prev[0]) * ((tau - tau_next) / (prev[1] - tau))
-            phi = [_barrier_value(x, w, v, r, mu, tau_next) for x in (guess, s)]
-            s = guess if phi[0] > phi[1] else s
-        prev, tau = (centre, tau), tau_next
-    return s
+            return s
+        tau = max(tau / 30.0, _TAU_FLOOR)
+        secant = prev is not None and tau > 1e3 * _TAU_FLOOR
+        starts, prev = ((s, s + (s - prev) / 30.0) if secant else (s,)), s
 
 
 def _pin_faces(s: NDArray, l: NDArray, l_inv: NDArray, tol: float):

@@ -272,9 +272,6 @@ def entropy_quadrature(d: GridDensity) -> EntropyEstimate:
     any bias in the density samples themselves.
     """
     vals = d.values
-    mass = float(np.trapezoid(vals, dx=d.step))
-    if abs(mass - 1.0) > _MASS_TOL:
-        raise UnnormalizedDensity(f"density mass {mass:.8f} is not 1 within {_MASS_TOL}")
     integrand = np.where(
         vals > 0.0, -vals * np.log(np.clip(vals, _LOG_FLOOR, None)), 0.0
     )
