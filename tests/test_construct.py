@@ -1,5 +1,6 @@
 """Tests for the noise-split constructions and the constrained Gaussian optimum."""
 
+import functools
 import json
 
 import numpy as np
@@ -695,25 +696,49 @@ class TestOptimumGuardRails:
             r = symmetrize(q @ (np.geomspace(1.0, 1.0 / cond, n)[:, None] * q.T))
             yield k, mu, w, v, r
 
+    @staticmethod
+    @functools.cache
+    def _thin_band_residuals(cond):
+        """KKT residual of each thin-band draw's optimum, None where it raised NoConvergence.
+
+        Cached, so the three thin-band tests below share one set of solves.
+        """
+        residuals = []
+        for _, mu, w, v, r in TestOptimumGuardRails._thin_band_draws(cond):
+            try:
+                s, _, cert = eei_optimum(EEIInstance(mu=mu, s_w=w, r=r, s_v=v))
+            except NoConvergence:
+                residuals.append(None)
+                continue
+            # the certificate's multiplier is 2K
+            residuals.append(_kkt_residual(s, cert.multiplier / 2.0, w, v, r, mu))
+        return tuple(residuals)
+
+    @pytest.mark.parametrize("cond", [1e6, 1e8])
+    def test_only_no_convergence_on_valid_input(self, cond):
+        # R = Q diag(1, ..., 1/cond) Q^T is PD, so the solve either returns a
+        # first-order optimum or raises NoConvergence; a LinAlgError from a
+        # numerically singular step would be a ValueError, which the CLI
+        # reports as an input error.
+        for k, res in enumerate(self._thin_band_residuals(cond)):
+            assert res is None or res <= 1e-8, k
+
+    @pytest.mark.parametrize("cond", [1e4, 1e6, 1e8])
+    def test_thin_bands_mostly_solve(self, cond):
+        # At least 56 of the 60 draws return a first-order optimum.
+        residuals = self._thin_band_residuals(cond)
+        assert sum(res is not None and res <= 1e-6 for res in residuals) >= 56
+
     @pytest.mark.parametrize(
         "cond",
         [1e4, 1e6, 1e8, pytest.param(1e9, marks=pytest.mark.xfail(strict=True, raises=AssertionError))],
     )
     def test_thin_bands_solve(self, cond):
-        # R = Q diag(1, ..., 1/cond) Q^T is PD, so every draw must return a
-        # first-order optimum.  A LinAlgError from a numerically singular step
-        # would be a ValueError, which the CLI reports as an input error.  At
-        # cond 1e9, 22 of the 60 draws still fail (ROADMAP item 3).
-        failed = []
-        for k, mu, w, v, r in self._thin_band_draws(cond):
-            try:
-                s, _, cert = eei_optimum(EEIInstance(mu=mu, s_w=w, r=r, s_v=v))
-            except NoConvergence:
-                failed.append(k)
-                continue
-            # the certificate's multiplier is 2K
-            if _kkt_residual(s, cert.multiplier / 2.0, w, v, r, mu) > 1e-8:
-                failed.append(k)
+        # Every draw returns a first-order optimum: no NoConvergence and a
+        # residual within 1e-8.  At cond 1e9, 22 of the 60 draws still fail
+        # (ROADMAP item 3).
+        residuals = self._thin_band_residuals(cond)
+        failed = [k for k, res in enumerate(residuals) if res is None or res > 1e-8]
         assert failed == []
 
     def test_band_start_is_strictly_inside_the_band(self):
