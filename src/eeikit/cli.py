@@ -55,7 +55,7 @@ def _parse_matrix(text: str | None, role: str) -> np.ndarray | None:
     except ValueError:
         pass
     try:
-        return np.asarray(load_cov(text).entries)
+        return load_cov(text)
     except OSError as exc:
         raise InvalidParameter(f"cannot read {role} matrix: {exc}") from exc
 

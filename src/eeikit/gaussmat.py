@@ -1,7 +1,6 @@
 """Dense symmetric-matrix primitives and Gaussian information quantities.
 
-All covariances are real symmetric positive-semidefinite numpy arrays.
-Functions accept either a plain ``ndarray`` or a :class:`CovMatrix`;
+All covariances are real symmetric positive-semidefinite numpy arrays;
 results are plain arrays unless stated otherwise.  Entropies are in nats.
 
 This module owns covariance input validation: every module checks matrix
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -28,9 +26,7 @@ from .errors import (
 )
 
 __all__ = [
-    "CovMatrix",
     "SimDiagResult",
-    "MarkovTriple",
     "symmetrize",
     "spectral_scale",
     "psd_leq",
@@ -118,53 +114,11 @@ def spectral_scale(*matrices) -> float:
     )
 
 
-@dataclass(frozen=True)
-class CovMatrix:
-    """A validated covariance matrix: symmetric and PSD within tolerance.
-
-    Construction applies :func:`validated_psd` and also rejects matrices
-    that are asymmetric beyond 1e-12 (relative to the largest entry).
-    Instances are immutable; ``entries`` is a read-only array.
-    """
-
-    entries: NDArray
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        raw = np.asarray(self.entries, dtype=float)
-        a = validated_psd(raw, "covariance")
-        scale = max(1.0, float(np.max(np.abs(raw)))) if raw.size else 1.0
-        if float(np.max(np.abs(raw - raw.T))) > _SYM_RTOL * scale:
-            raise NotPositiveDefinite("matrix is not symmetric within tolerance")
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "dim", a.shape[0])
-
-    @classmethod
-    def from_array(cls, a) -> "CovMatrix":
-        return cls(np.array(a, dtype=float))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.entries, dtype=dtype)
-
-
 class SimDiagResult(NamedTuple):
     """Congruence transform Q with Q.T @ a @ Q = I and Q.T @ b @ Q = diag(d)."""
 
     q: NDArray
     d: NDArray
-
-
-class MarkovTriple(NamedTuple):
-    """Covariances of three jointly Gaussian vectors (Y1, Y2, Y3).
-
-    Built by independent summation, the candidate chain claims Y1 and Y2
-    are conditionally independent given Y3; see :func:`markov_residual`.
-    """
-
-    s_y1: NDArray
-    s_y2: NDArray
-    s_y3: NDArray
 
 
 def psd_leq(a, b, tol: float = DEFAULT_PSD_TOL) -> bool:
@@ -249,10 +203,11 @@ def gaussian_conditional_cov(s_x, s_z) -> NDArray:
     return symmetrize(x - x @ np.linalg.solve(s_y, x))
 
 
-def markov_residual(t: MarkovTriple | Sequence) -> float:
+def markov_residual(t: Sequence) -> float:
     """Frobenius norm of the kernel certifying Y1 -- Y3 -- Y2 factorization.
 
-    For jointly Gaussian (Y1, Y2, Y3) built by independent summation, the
+    ``t`` holds the covariances ``(S1, S2, S3)`` of three vectors.  For
+    jointly Gaussian (Y1, Y2, Y3) built by independent summation, the
     moment-generating-function factorization that makes Y1 and Y2
     conditionally independent given Y3 holds iff the symmetrized matrix
 
@@ -272,11 +227,12 @@ def markov_residual(t: MarkovTriple | Sequence) -> float:
     return float(np.linalg.norm(symmetrize(m)))
 
 
-def cov_from_json(source) -> CovMatrix:
+def cov_from_json(source) -> NDArray:
     """Parse the shared matrix JSON format ``{"dim": n, "rows": [[...], ...]}``.
 
-    Accepts a JSON string or an already-decoded mapping.  The matrix is
-    symmetrized and PSD-validated like any :class:`CovMatrix`.
+    Accepts a JSON string or an already-decoded mapping.  Returns the
+    read-only symmetric part after :func:`validated_psd`; rows asymmetric
+    beyond 1e-12, relative to the largest entry, are rejected.
     """
     obj = json.loads(source) if isinstance(source, (str, bytes)) else source
     if not isinstance(obj, dict) or "rows" not in obj:
@@ -286,9 +242,12 @@ def cov_from_json(source) -> CovMatrix:
         a = np.array(rows, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidParameter(f"matrix rows are not numeric: {exc}") from exc
-    m = CovMatrix.from_array(a)
-    dim = obj.get("dim", m.dim)
-    if int(dim) != m.dim:
+    m = validated_psd(a, "covariance")
+    if float(np.max(np.abs(a - a.T))) > _SYM_RTOL * max(1.0, float(np.max(np.abs(a)))):
+        raise NotPositiveDefinite("matrix is not symmetric within tolerance")
+    m.setflags(write=False)
+    dim = obj.get("dim", m.shape[0])
+    if int(dim) != m.shape[0]:
         raise DimensionMismatch(
             f"declared dim {dim} does not match rows shape {a.shape}"
         )
@@ -301,7 +260,7 @@ def cov_to_json(m) -> dict:
     return {"dim": int(a.shape[0]), "rows": [[float(v) for v in row] for row in a]}
 
 
-def load_cov(path) -> CovMatrix:
+def load_cov(path) -> NDArray:
     """Read a matrix JSON file from disk."""
     with open(path, "r", encoding="utf-8") as fh:
         return cov_from_json(fh.read())

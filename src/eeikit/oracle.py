@@ -8,9 +8,9 @@ package offers, so none of these checks may call back into the formulas
 they are meant to validate.
 
 Reports are emitted as :class:`VerificationReport` records which
-serialize to JSON lines.  Random-search trial ``i`` reads a fixed block
-of one counter-based Philox stream keyed by the seed, so a batch can be
-partitioned across workers in any way without changing the result.
+serialize to JSON lines.  The random search reads two numpy streams keyed
+by the seed, ``default_rng([seed, 0])`` for its normals and
+``default_rng([seed, 1])`` for its scale fractions, both in trial order.
 """
 
 from __future__ import annotations
@@ -69,6 +69,14 @@ _MAX_NODES = 512
 # rounding (or exact zero), whose logarithm would set the first residual's
 # floor and whose square would blow up the second form.
 _FY_RESOLVED = 1e-13
+# A grid sized from the inputs has at most this many nodes (128 MiB of
+# doubles); a larger one is an input error, raised before it is allocated.
+_MAX_POINTS = 1 << 24
+
+
+def _check_points(points, what: str) -> None:
+    if not points <= _MAX_POINTS:  # NaN fails too
+        raise InvalidParameter(f"{what} needs {points:.6g} grid nodes, over {_MAX_POINTS}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +145,7 @@ class GridDensity:
         """Normal density on ``mean +- 8 sigma``."""
         if not (0.0 < variance < math.inf and math.isfinite(mean)):
             raise InvalidParameter("variance must be positive and finite, mean finite")
+        _check_points(points, "the gaussian density")
         sigma = math.sqrt(variance)
         lo = mean - _HALF_WIDTH * sigma
         hi = mean + _HALF_WIDTH * sigma
@@ -151,6 +160,7 @@ class GridDensity:
         """Uniform density with the support endpoints placed on grid nodes."""
         if not hi > lo:
             raise InvalidParameter("uniform support needs hi > lo")
+        _check_points(points, "the uniform density")
         vals = np.full(points, 1.0 / (hi - lo))
         return cls(lo, hi, vals)
 
@@ -170,6 +180,7 @@ class GridDensity:
         if not (0.0 < var_a < math.inf and 0.0 < var_b < math.inf
                 and math.isfinite(mean_a) and math.isfinite(mean_b)):
             raise InvalidParameter("component variances must be positive and finite, means finite")
+        _check_points(points, "the mixture density")
         sa, sb = math.sqrt(var_a), math.sqrt(var_b)
         lo = min(mean_a - _HALF_WIDTH * sa, mean_b - _HALF_WIDTH * sb)
         hi = max(mean_a + _HALF_WIDTH * sa, mean_b + _HALF_WIDTH * sb)
@@ -189,20 +200,18 @@ class GridDensity:
         lo: float,
         hi: float,
         points: int = 4001,
-        normalize: bool = True,
     ) -> "GridDensity":
-        """Sample ``fn`` on the grid, optionally renormalizing its mass."""
+        """Sample ``fn`` on the grid and renormalize its mass to one."""
+        _check_points(points, "the sampled density")
         x = np.linspace(lo, hi, points)
         vals = np.asarray(fn(x), dtype=float)
         if vals.shape != x.shape:
             raise InvalidParameter("callable must return one value per grid node")
         vals = np.clip(vals, 0.0, None)
-        if normalize:
-            mass = float(np.trapezoid(vals, x))
-            if not (np.isfinite(mass) and mass > 0.0):
-                raise InvalidParameter("callable has nonpositive or divergent mass")
-            vals = vals / mass
-        return cls(lo, hi, vals)
+        mass = float(np.trapezoid(vals, x))
+        if not (np.isfinite(mass) and mass > 0.0):
+            raise InvalidParameter("callable has nonpositive or divergent mass")
+        return cls(lo, hi, vals / mass)
 
 
 class EntropyEstimate(NamedTuple):
@@ -321,7 +330,10 @@ def convolve_density(d: GridDensity, sigma2: float) -> GridDensity:
         raise GridTooCoarse(
             f"grid step {step:.3e} exceeds sigma/4 = {sigma / 4.0:.3e}"
         )
-    m = int(math.ceil(8.0 * sigma / step))
+    # numpy's ceil and floor, since a subnormal step makes these counts inf
+    m = np.ceil(8.0 * sigma / step)
+    _check_points(2.0 * m + 1.0, "the noise kernel")
+    m = int(m)
     t = np.arange(-m, m + 1) * step
     kernel = np.exp(-0.5 * t**2 / sigma2)
     kernel /= np.trapezoid(kernel, dx=step)
@@ -333,7 +345,9 @@ def convolve_density(d: GridDensity, sigma2: float) -> GridDensity:
 
 def _resample(d: GridDensity, step: float) -> GridDensity:
     """Linear resampling onto a grid with the requested step."""
-    points = max(int(math.floor((d.support_hi - d.support_lo) / step)) + 1, 3)
+    points = max(np.floor((d.support_hi - d.support_lo) / step) + 1.0, 3.0)
+    _check_points(points, "the resampled density")
+    points = int(points)
     hi = d.support_lo + (points - 1) * step
     x = np.linspace(d.support_lo, hi, points)
     vals = np.interp(x, d.grid, d.values, left=0.0, right=0.0)
@@ -469,27 +483,6 @@ def check_eei(
     )
 
 
-def _trial_directions(seed: int, start: int, count: int, n: int):
-    """Normal factors ``g`` (direction ``g g^T``) and scale fractions.
-
-    Trial ``i`` reads its own fixed block of the ``Philox(seed)`` stream:
-    ``2 * ceil(n*n / 2)`` uniforms that Box-Muller turns into the ``n*n``
-    normals, one for the fraction, padded to a multiple of four because
-    Philox emits four doubles per counter step.  Trials ``start`` to
-    ``start + count - 1`` therefore come out the same whichever way a
-    batch is partitioned.
-    """
-    half = (n * n + 1) // 2
-    block = -(-(2 * half + 1) // 4) * 4
-    bits = np.random.Philox(seed)
-    bits.advance(start * block // 4)
-    u = np.random.Generator(bits).random((count, block))
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, :half]))
-    angle = 2.0 * math.pi * u[:, half : 2 * half]
-    normals = np.concatenate((radius * np.cos(angle), radius * np.sin(angle)), axis=1)
-    return normals[:, : n * n].reshape(count, n, n), u[:, 2 * half]
-
-
 def _capped_scales(mats: NDArray, frac: NDArray, r: NDArray):
     """Scale each direction to ``frac`` of the budget trace, capped inside the band.
 
@@ -509,16 +502,33 @@ def _capped_scales(mats: NDArray, frac: NDArray, r: NDArray):
 _SEARCH_CHUNK = 1024
 
 
+def _trial_draws(seed: int, trials: int, n: int):
+    """Yield ``(start, g, frac)`` for each chunk of ``_SEARCH_CHUNK`` trials.
+
+    ``g`` holds the chunk's normal factors (direction ``g g^T``), read from
+    ``default_rng([seed, 0])``, and ``frac`` its scale fractions, read from
+    ``default_rng([seed, 1])``.  Both streams are read in trial order, so
+    trial ``i``'s draw depends on neither the trial count nor the chunk size.
+    """
+    normals = np.random.default_rng([seed, 0])
+    fractions = np.random.default_rng([seed, 1])
+    for start in range(0, trials, _SEARCH_CHUNK):
+        count = min(_SEARCH_CHUNK, trials - start)
+        yield start, normals.standard_normal((count, n, n)), fractions.random(count)
+
+
 def gaussian_search(
     instance: EEIInstance, trials: int, seed: int, tol: float = 1e-6
 ) -> VerificationReport:
     """Random search over feasible covariances against the constructed optimum.
 
-    Samples random PSD directions, scales each by a uniform fraction of
-    the budget trace, and caps the scale at the largest one that keeps
-    the draw inside the band.  The best sampled objective (earliest trial
-    on ties) must not beat the certified optimum by more than ``tol``;
-    ``clipped`` counts the trials capped at the band boundary.
+    Samples random PSD directions ``g g^T``, ``g`` standard normal from
+    ``default_rng([seed, 0])``, scales each by a fraction of the budget
+    trace, uniform from ``default_rng([seed, 1])``, and caps the scale at
+    the largest one that keeps the draw inside the band.  The best sampled
+    objective (earliest trial on ties) must not beat the certified optimum
+    by more than ``tol``; ``clipped`` counts the trials capped at the band
+    boundary.
     """
     if trials < 1:
         raise InvalidParameter("at least one trial is required")
@@ -530,19 +540,14 @@ def gaussian_search(
         logdet = np.where(sign > 0, logdet, -np.inf)
         return 0.5 * (n * (math.log(2.0 * math.pi) + 1.0) + logdet)
 
+    first, second = (0.0, w) if v is None else (w, v)
     best, lhs, clipped = 0, -math.inf, 0
-    for start in range(0, trials, _SEARCH_CHUNK):
-        g, frac = _trial_directions(seed, start, min(_SEARCH_CHUNK, trials - start), n)
+    for start, g, frac in _trial_draws(seed, trials, n):
         mats = g @ g.transpose(0, 2, 1)
         scales, capped = _capped_scales(mats, frac, r)
         clipped += int(np.count_nonzero(capped))
         sigma = scales[:, None, None] * mats
-        if v is None:
-            values = stacked_entropy(sigma) - mu * stacked_entropy(sigma + w[None])
-        else:
-            values = stacked_entropy(sigma + w[None]) - mu * stacked_entropy(
-                sigma + v[None]
-            )
+        values = stacked_entropy(sigma + first) - mu * stacked_entropy(sigma + second)
         top = int(np.argmax(values))
         if values[top] > lhs:
             best, lhs = start + top, float(values[top])

@@ -308,6 +308,21 @@ class TestExitCodes:
     def test_non_finite_input_is_usage_error(self, capsys, argv):
         _assert_input_error(capsys, argv)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-epi", "--density", "uniform:0,1e-9"),
+            ("verify-epi", "--density", "gaussian", "--grid-points", "100000000000000"),
+            ("verify-eei", "--density", "gaussian:1e-300", "--w", "1", "--r", "1", "--mu", "2"),
+            ("verify-worst-noise", "--density", "uniform:0,1e-305", "--w", "1", "--v", "1"),
+        ],
+        ids=["resampled-noise", "grid-points", "noise-kernel", "infinite-kernel"],
+    )
+    def test_oversized_grid_is_usage_error(self, capsys, argv):
+        # each grid would need terabytes or more; the last one's node count,
+        # 8 sigma over a 2.5e-309 step, overflows to infinity
+        _assert_input_error(capsys, argv)
+
     def test_math_failure_exit_one(self, capsys):
         code, _, err = run_cli(
             capsys, "broadcast-design", "--z1", "0.5", "--z2", "2", "--r", "3"

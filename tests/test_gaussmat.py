@@ -12,11 +12,9 @@ from hypothesis.extra.numpy import arrays
 from eeikit import (
     LOG_2PI_E,
     BroadcastInstance,
-    CovMatrix,
     DimensionMismatch,
     EEIInstance,
     InvalidParameter,
-    MarkovTriple,
     NotPositiveDefinite,
     SingularCovariance,
     construct_l,
@@ -132,17 +130,21 @@ def test_min_eig_of_a_stack_is_the_least_of_separate_calls():
             assert min_eig(*mats) == min(separate)
 
 
-def test_cov_matrix_validation():
+def _cov_from_rows(m):
+    return cov_from_json({"rows": np.asarray(m).tolist()})
+
+
+def test_cov_from_json_validation():
     with pytest.raises(NotPositiveDefinite):
-        CovMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
+        _cov_from_rows([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(NotPositiveDefinite):
-        CovMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        _cov_from_rows([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(DimensionMismatch):
-        CovMatrix(np.arange(4.0))
-    m = CovMatrix(np.eye(2))
-    assert m.dim == 2
+        _cov_from_rows(np.arange(4.0))
+    m = _cov_from_rows(np.eye(2))
+    assert m.shape == (2, 2)
     with pytest.raises(ValueError):
-        m.entries[0, 0] = 5.0
+        m[0, 0] = 5.0
 
 
 def test_conditional_cov_scalar_and_order():
@@ -160,35 +162,35 @@ def test_conditional_cov_scalar_and_order():
 
 
 def test_markov_residual_zero_on_degenerate_chain():
-    t = MarkovTriple(np.array([[1.0]]), np.array([[2.0]]), np.array([[2.0]]))
+    t = (np.array([[1.0]]), np.array([[2.0]]), np.array([[2.0]]))
     assert markov_residual(t) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_markov_residual_positive_off_chain():
     a = np.array([[2.0, 0.3], [0.3, 1.0]])
-    t = MarkovTriple(a, a + np.eye(2), a + np.array([[3.0, -0.4], [-0.4, 2.0]]))
+    t = (a, a + np.eye(2), a + np.array([[3.0, -0.4], [-0.4, 2.0]]))
     assert markov_residual(t) > 1e-3
 
 
 def test_cov_json_round_trip(tmp_path):
     rng = np.random.default_rng(23)
     f = rng.normal(size=(3, 3))
-    m = CovMatrix(f @ f.T + np.eye(3))
+    m = _cov_from_rows(f @ f.T + np.eye(3))
     blob = cov_to_json(m)
     assert blob["dim"] == 3
     again = cov_from_json(blob)
-    np.testing.assert_allclose(again.entries, m.entries, atol=1e-15)
+    np.testing.assert_allclose(again, m, atol=1e-15)
 
     path = tmp_path / "cov.json"
     path.write_text(json.dumps(blob))
     loaded = load_cov(path)
-    np.testing.assert_allclose(loaded.entries, m.entries, atol=1e-15)
+    np.testing.assert_allclose(loaded, m, atol=1e-15)
 
 
 def test_cov_from_json_accepts_strings_and_rejects_bare_rows():
     m = cov_from_json('{"dim": 2, "rows": [[2.0, 0.0], [0.0, 1.0]]}')
-    assert m.dim == 2
-    assert m.entries[0, 0] == 2.0
+    assert m.shape == (2, 2)
+    assert m[0, 0] == 2.0
     with pytest.raises(InvalidParameter):
         cov_from_json([[2.0, 0.0], [0.0, 1.0]])
     with pytest.raises(InvalidParameter):
@@ -201,7 +203,7 @@ def test_cov_from_json_accepts_strings_and_rejects_bare_rows():
 # gaussian_conditional_cov pairs it with a zero noise, so a singular
 # source makes the observation covariance s_x + s_z singular.
 _TAKES_BAD_MATRIX = {
-    "CovMatrix": CovMatrix,
+    "cov_from_json": _cov_from_rows,
     "EEIInstance": lambda m: EEIInstance(mu=2.0, s_w=m, r=np.eye(2), s_v=2.0 * np.eye(2)),
     "construct_l": lambda m: construct_l(m, np.eye(2), 2.0),
     "simdiag": lambda m: simdiag(m, np.eye(2)),
@@ -220,7 +222,7 @@ _BAD_MATRICES = (
 def _validator_contract():
     for name, build in _TAKES_BAD_MATRIX.items():
         for case, m, error in _BAD_MATRICES:
-            if case == "singular" and name == "CovMatrix":
+            if case == "singular" and name == "cov_from_json":
                 continue  # a covariance only needs to be PSD
             if case == "singular" and name == "gaussian_conditional_cov":
                 error = SingularCovariance

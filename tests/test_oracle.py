@@ -26,14 +26,16 @@ from eeikit import (
 from eeikit.oracle import (
     _FY_RESOLVED,
     _LOG_FLOOR,
+    _MAX_POINTS,
     _SQUARE_FLOOR,
+    _check_points,
     _capped_scales,
     _halved_ends,
     _interp_density,
     _resample,
     _subsample,
     _tensor_grid,
-    _trial_directions,
+    _trial_draws,
     convolve_pair,
 )
 
@@ -73,8 +75,6 @@ class TestGridDensity:
     def test_unnormalized_rejected(self):
         with pytest.raises(UnnormalizedDensity):
             GridDensity(0.0, 1.0, np.full(11, 3.0))
-        with pytest.raises(UnnormalizedDensity):
-            GridDensity.from_callable(lambda x: np.exp(-x), 0.0, 3.0, normalize=False)
 
     def test_bad_support_and_values(self):
         with pytest.raises(InvalidParameter):
@@ -85,6 +85,31 @@ class TestGridDensity:
         bad[3] = -0.5
         with pytest.raises(InvalidParameter):
             GridDensity(0.0, 1.0, bad)
+
+    def test_node_limit(self):
+        _check_points(_MAX_POINTS, "a grid")
+        for points in (_MAX_POINTS + 1, float("inf"), float("nan")):
+            with pytest.raises(InvalidParameter, match="grid nodes"):
+                _check_points(points, "a grid")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: GridDensity.gaussian(1.0, points=10**14),
+            lambda: GridDensity.uniform(0.0, 1.0, points=10**14),
+            lambda: GridDensity.mixture(0.5, -2.0, 1.0, 2.0, 1.0, points=10**14),
+            lambda: GridDensity.from_callable(np.exp, 0.0, 1.0, points=10**14),
+            # 2 * 2e153 + 1 kernel nodes
+            lambda: convolve_density(GridDensity.gaussian(1e-300), 1.0),
+            # unit-variance noise resampled onto a 2.5e-13 step: 6e13 nodes
+            lambda: convolve_pair(GridDensity.uniform(0.0, 1e-9), GridDensity.gaussian(1.0)),
+        ],
+        ids=["gaussian", "uniform", "mixture", "from-callable", "kernel", "resample"],
+    )
+    def test_oversized_grid_rejected_before_allocating(self, build):
+        # each request needs terabytes or more, so it fails without the check too
+        with pytest.raises(InvalidParameter, match="grid nodes"):
+            build()
 
     def test_samples_are_a_read_only_copy(self):
         # a source changed after validation must not show through
@@ -305,6 +330,12 @@ def test_reports_carry_no_clock(check):
     assert check().to_json_line() == check().to_json_line()
 
 
+def _drawn(seed, trials, n):
+    """Chunk starts and the concatenated draws of a ``trials``-trial search."""
+    starts, g, frac = zip(*_trial_draws(seed, trials, n))
+    return list(starts), np.concatenate(g), np.concatenate(frac)
+
+
 class TestGaussianSearch:
     def test_deterministic_given_seed(self):
         inst = EEIInstance.from_scalars(2.0, 1.0, 10.0, 4.0)
@@ -334,12 +365,19 @@ class TestGaussianSearch:
         assert abs(rep.margin) <= 1e-6
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_trials_partition_reproduces_samples(self, n):
-        g, frac = _trial_directions(17, 0, 301, n)
-        cuts = [0, 37, 230, 301]
-        parts = [_trial_directions(17, a, b - a, n) for a, b in zip(cuts, cuts[1:])]
-        np.testing.assert_array_equal(np.concatenate([p[0] for p in parts]), g)
-        np.testing.assert_array_equal(np.concatenate([p[1] for p in parts]), frac)
+    def test_trials_partition_reproduces_samples(self, n, monkeypatch):
+        # trial i's draw depends on neither the trial count nor the chunk size
+        firsts = []
+        for chunk in (1024, 37):
+            monkeypatch.setattr("eeikit.oracle._SEARCH_CHUNK", chunk)
+            for trials in (301, 1500):
+                starts, g, frac = _drawn(17, trials, n)
+                assert starts == list(range(0, trials, chunk))
+                assert g.shape == (trials, n, n) and frac.shape == (trials,)
+                firsts.append((g[:301], frac[:301]))
+        for g, frac in firsts[1:]:
+            np.testing.assert_array_equal(g, firsts[0][0])
+            np.testing.assert_array_equal(frac, firsts[0][1])
 
     def test_chunks_match_one_pass(self, monkeypatch):
         inst = _matrix_instance()
@@ -354,7 +392,7 @@ class TestGaussianSearch:
         rng = np.random.default_rng(3)
         f = rng.standard_normal((3, 3))
         r = f @ f.T + 0.5 * np.eye(3)
-        g, frac = _trial_directions(23, 0, 200, 3)
+        _, g, frac = _drawn(23, 200, 3)
         mats = g @ g.transpose(0, 2, 1)
         scales, capped = _capped_scales(mats, frac, r)
         assert 0 < np.count_nonzero(capped) < 200
@@ -378,7 +416,7 @@ class TestGaussianSearch:
 
     def test_clipped_counts_draws_outside_band(self):
         inst = _matrix_instance()
-        g, frac = _trial_directions(13, 0, 1500, 2)
+        _, g, frac = _drawn(13, 1500, 2)
         mats = g @ g.transpose(0, 2, 1)
         want = frac * np.trace(inst.r) / np.trace(mats, axis1=1, axis2=2)
         outside = np.linalg.eigvalsh(inst.r - want[:, None, None] * mats)[:, 0] < 0.0
@@ -387,11 +425,14 @@ class TestGaussianSearch:
         assert gaussian_search(scalar, 500, 7).params["clipped"] == 0
 
     def test_box_muller_moments(self):
-        z = _trial_directions(29, 0, 25_000, 2)[0].ravel()
+        # the direction factors are standard normal, the fractions in [0, 1)
+        _, g, frac = _drawn(29, 25_000, 2)
+        z = g.ravel()
         assert z.size == 100_000
         se = 1.0 / math.sqrt(z.size)
         assert abs(z.mean()) <= 5.0 * se
         assert abs(z.var() - 1.0) <= 5.0 * math.sqrt(2.0) * se
+        assert 0.0 <= frac.min() and frac.max() < 1.0
 
 
 class TestVariationalFirstResidual:
