@@ -32,6 +32,7 @@ from .errors import (
 from .gaussmat import (
     LOG_2PI_E,
     cov_to_json,
+    gaussian_entropies,
     gaussian_entropy,
     min_eig,
     simdiag,
@@ -209,11 +210,8 @@ def construct_l(s_x, s_w, mu: float) -> ConstructionCertificate:
     Markov kernel ``E + E^T`` with ``E = (X + W~) L X'``.
     """
     mu = validated_mu(mu)
-    x = validated_pd(s_x, "s_x")
-    w = validated_pd(s_w, "s_w")
-    if x.shape != w.shape:
-        raise DimensionMismatch("s_x and s_w dimensions differ")
-    q, d_w = simdiag(x, w)
+    q, d_w = simdiag(s_x, s_w, names=("s_x", "s_w"))
+    x, w = symmetrize(s_x), validated_pd(s_w, "s_w")
     d_l = np.where(
         d_w <= (mu - 1.0) + _BRANCH_TOL,
         0.0,
@@ -243,8 +241,9 @@ def dominating_gaussian(s_x, s_w, mu: float):
     property of the inputs).
     """
     cert = construct_l(s_x, s_w, mu)
-    f_at_x = objective_single_noise(s_x, s_w, mu)
-    f_at_star = objective_single_noise(cert.s_x_star, s_w, mu)
+    x, w, star = np.asarray(s_x, dtype=float), np.asarray(s_w, dtype=float), cert.s_x_star
+    h = gaussian_entropies(x, x + w, star, star + w)
+    f_at_x, f_at_star = h[0] - mu * h[1], h[2] - mu * h[3]
     if f_at_star < f_at_x - 1e-8:
         raise DominationFailed(
             f"constructed covariance scores {f_at_star} below input's {f_at_x}"
@@ -254,7 +253,7 @@ def dominating_gaussian(s_x, s_w, mu: float):
 
 def _k_threshold(s_w: NDArray, s_v_tilde: NDArray, mu: float) -> NDArray:
     """PSD multiplier K from the per-mode threshold rule of the noise split."""
-    q, d_w = simdiag(s_v_tilde, s_w)
+    q, d_w = simdiag(s_v_tilde, s_w, names=("s_v_tilde", "s_w"))
     thr = 1.0 / (mu - 1.0)
     d_k = np.where(d_w <= thr + _BRANCH_TOL, 0.0, (mu - 1.0) - 1.0 / d_w)
     return symmetrize(q @ (d_k[:, None] * q.T))
@@ -273,10 +272,8 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
     """
     mu = validated_mu(mu)
     w = validated_pd(s_w, "s_w")
-    v_tilde = validated_pd(s_v_tilde, "s_v_tilde")
-    if w.shape != v_tilde.shape:
-        raise DimensionMismatch("s_w and s_v_tilde dimensions differ")
-    k_mat = _k_threshold(w, v_tilde, mu)
+    k_mat = _k_threshold(w, s_v_tilde, mu)
+    v_tilde = symmetrize(s_v_tilde)
     w_tilde = symmetrize(np.linalg.inv(np.linalg.inv(w) + k_mat))
     x_star = symmetrize(v_tilde / (mu - 1.0) - w_tilde)
     order = min_eig(x_star, w - w_tilde, w_tilde, k_mat)
@@ -296,7 +293,8 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
 # S0 = (V - mu W)/(mu - 1), where S + V = mu (S + W), clipped strictly inside
 # the band {0 <= S <= R} gives the start.  A fixed ladder of log-barrier
 # stages, each centred by trust-region Newton steps (most from the secant of
-# the last two centres), follows the path to the maximizer in the band.  The
+# the last two centres), follows the path to the maximizer in the band; each
+# candidate S + Y E Y^T is factored once, for its score and the next step.  The
 # last stage's modes at barrier distance from a face are pinned onto it,
 # which carries K (S = 0) or N (S = R), found by one solve of G + K - N = 0.
 # ---------------------------------------------------------------------------
@@ -304,10 +302,6 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
 # First and last barrier weights; each stage divides tau by 30 (ten stages).
 _TAU_START = 3e-2
 _TAU_FLOOR = 1e-14
-
-
-def _grad_two_noise(s: NDArray, w: NDArray, v: NDArray, mu: float) -> NDArray:
-    return symmetrize(0.5 * np.linalg.inv(s + w) - 0.5 * mu * np.linalg.inv(s + v))
 
 
 def _whitened_spectrum(s: NDArray, l: NDArray, l_inv: NDArray):
@@ -344,7 +338,7 @@ def _sym_coords(k: int):
 def _trace_products(p: NDArray, i: NDArray, j: NDArray, weights: NDArray) -> NDArray:
     """``tr(P B_a P B_b) = 2 c_a c_b (P_ik P_jl + P_il P_jk)``, b = (k, l), for each P in p.
 
-    ``weights`` is ``2 c_a c_b``, built once per barrier stage.
+    ``weights`` is ``2 c_a c_b``, built once per solve.
     """
     pi, pj = p.take(i, 1), p.take(j, 1)
     return weights * (pi.take(i, 2) * pj.take(j, 2) + pi.take(j, 2) * pj.take(i, 2))
@@ -386,20 +380,27 @@ def _face_multipliers(g: NDArray, u0: NDArray, u1: NDArray):
     return k + 0.0, n_mat + 0.0
 
 
-def _barrier_value(s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, tau: float) -> float:
+def _barrier_value(
+    s: NDArray, x: NDArray, y: NDArray, wv: NDArray, mu: float, tau: float, log_det_r: float
+):
     """``h(S + W) - mu h(S + V) + tau (log det S + log det(R - S))``, -inf off the band.
 
-    One stacked ``eigvalsh`` of ``(S, R - S, S + W, S + V)`` gives every
-    term as a sum of logs of eigenvalues, as :func:`gaussian_entropy`
-    computes the entropies.  S lies in the band only if the smallest
-    eigenvalues of S and of R - S are positive.
+    S comes whitened, ``S = Y X Y^T`` and ``R = Y Y^T``.  One ``eigh``, ``X = U diag(lam) U^T``,
+    gives the band terms ``sum log(lam (1 - lam)) + 2 log det R`` and the test 0 < lam < 1;
+    one of ``S + wv``, wv the stack ``(W, V)``, gives the entropies, as :func:`gaussian_entropy`
+    computes them, and the inverses.  Returns ``(phi, lam, Y U, P)``, what a Newton step from
+    S reads, with ``P = (Y U)^T (S + wv)^-1 (Y U)``, or ``(-inf, None, None, None)``.
     """
-    lam = np.linalg.eigvalsh(np.stack((s, r - s, s + w, s + v)))
-    if lam[0, 0] <= 0.0 or lam[1, 0] <= 0.0:
-        return -math.inf
-    log_det = np.sum(np.log(lam), axis=1)
-    h_w, h_v = 0.5 * (s.shape[0] * LOG_2PI_E + log_det[2:])
-    return float((h_w - mu * h_v) + tau * (log_det[0] + log_det[1]))
+    lam, u = np.linalg.eigh(x)
+    if not (lam[0] > 0.0 and lam[-1] < 1.0):
+        return -math.inf, None, None, None
+    ev, vec = np.linalg.eigh(s + wv)
+    h_w, h_v = 0.5 * (s.shape[0] * LOG_2PI_E + np.sum(np.log(ev), axis=1))
+    barrier = float(np.sum(np.log(lam * (1.0 - lam)))) + 2.0 * log_det_r
+    y = y @ u
+    # B B^T is exactly symmetric, as the gather in _trace_products needs.
+    b = (y.T @ vec) / np.sqrt(ev)[:, None, :]
+    return float((h_w - mu * h_v) + tau * barrier), lam, y, b @ b.transpose(0, 2, 1)
 
 
 def _trust_region_step(lam: NDArray, gq: NDArray, shift: float, radius: float):
@@ -427,51 +428,46 @@ def _trust_region_step(lam: NDArray, gq: NDArray, shift: float, radius: float):
 
 
 def _barrier_stage(
-    starts: tuple, w: NDArray, v: NDArray, r: NDArray, mu: float, tau: float, l: NDArray,
-    l_inv: NDArray,
+    starts: tuple, wv: NDArray, mu: float, tau: float, l: NDArray, l_inv: NDArray, coords: tuple,
+    log_det_r: float,
 ) -> NDArray:
     """Trust-region Newton centering for the log-barrier surrogate.
 
-    It begins from the one of ``starts`` that :func:`_barrier_value` at
-    tau scores highest, the first on ties.  Each step moves
-    ``S = Y diag(lam) Y^T`` (:func:`_whitened_spectrum`) by ``Y E Y^T``,
-    E in :func:`_sym_coords`, where the barrier Hessian is diagonal
-    (:func:`_band_barrier`) and whitens the Newton system exactly.
-    One ``eigh`` of the whitened Hessian gives the trust-region step
-    (:func:`_trust_region_step`) inside the Dikin ellipsoid of radius
-    ``0.8 sqrt(tau)``, which keeps every iterate strictly feasible; its shift
-    starts just above the top eigenvalue (or at zero), and a step that does
-    not raise the barrier value is retried with a larger shift.  The stage
-    ends once the scaled gradient norm is at most ``0.25 sqrt(tau)``, at the
-    first candidate whose barrier value lies in ``[phi - 1e-15, phi]`` (S is
-    as centred as rounding allows), after 40 rejected tries in a row, after
-    30 steps, or at a ``LinAlgError`` or a whitened spectrum outside (0, 1).
+    It begins from the one of ``starts`` that :func:`_barrier_value` at tau scores
+    highest, the first on ties, each whitened from S itself (``Y = L``).  Each step moves
+    ``S = Y diag(lam) Y^T`` by ``Y E Y^T``, E in :func:`_sym_coords` (``coords`` is its
+    ``(i, j, c)`` and weights), where the barrier Hessian is diagonal
+    (:func:`_band_barrier`) and whitens the Newton system exactly.  Scoring a candidate
+    factors ``diag(lam) + E``, and an accepted one carries its ``(lam, Y)`` and inverses
+    into the next step.  One ``eigh`` of the whitened Hessian gives the trust-region step
+    (:func:`_trust_region_step`) inside the Dikin ellipsoid of radius ``0.8 sqrt(tau)``,
+    which keeps every iterate strictly feasible; its shift starts just above the top
+    eigenvalue (or at zero), and a step that does not raise the barrier value is retried
+    with a larger shift.  The stage ends once the scaled gradient norm is at most
+    ``0.25 sqrt(tau)``, at the first candidate whose barrier value lies in
+    ``[phi - 1e-15, phi]`` (S is as centred as rounding allows), after 40 rejected tries
+    in a row, after 30 steps, at a ``LinAlgError``, or at once if no start is in the band.
     """
-    i, j, c = _sym_coords(w.shape[0])
-    weights = 2.0 * np.outer(c, c)
-    scores = [_barrier_value(x, w, v, r, mu, tau) for x in starts]
-    s, phi = starts[int(np.argmax(scores))], max(scores)
-    root_tau = math.sqrt(tau)
-    damp = 0.0
+    i, j, c, weights = coords
+    scored = [_barrier_value(x, symmetrize(l_inv @ x @ l_inv.T), l, wv, mu, tau, log_det_r)
+              for x in starts]
+    start, (phi, lam, y, p) = max(zip(starts, scored), key=lambda pair: pair[1][0])
+    if phi == -math.inf:
+        return start
+    s, root_tau, damp = start, math.sqrt(tau), 0.0
     for _ in range(30):
+        h_bar, d = _band_barrier(lam, i, j, c)
+        ci = 1.0 / np.sqrt(tau * h_bar)
+        g_t = ci * 2.0 * c * (0.5 * p[0] - 0.5 * mu * p[1] + tau * np.diag(d))[i, j]
+        if float(np.linalg.norm(g_t)) <= 0.25 * root_tau:
+            break
+        h = _trace_products(p, i, j, weights)
         try:
-            lam, y = _whitened_spectrum(s, l, l_inv)
-            if not (lam[0] > 0.0 and lam[-1] < 1.0):
-                break
-            p = y.T @ np.linalg.inv(np.stack((s + w, s + v))) @ y
-            # Y^T P Y is not exactly symmetric; the gather needs it to be.
-            p = 0.5 * (p + p.transpose(0, 2, 1))
-            h_bar, d = _band_barrier(lam, i, j, c)
-            ci = 1.0 / np.sqrt(tau * h_bar)
-            g_t = ci * 2.0 * c * (0.5 * p[0] - 0.5 * mu * p[1] + tau * np.diag(d))[i, j]
-            if float(np.linalg.norm(g_t)) <= 0.25 * root_tau:
-                break
-            h = _trace_products(p, i, j, weights)
             # ci turns the barrier Hessian -tau diag(h_bar) into -I: a shift by -1.
             lam_t, vec = np.linalg.eigh(ci[:, None] * (0.5 * mu * h[1] - 0.5 * h[0]) * ci)
-            lam_t -= 1.0
         except np.linalg.LinAlgError:
             break
+        lam_t -= 1.0
         top = max(0.0, float(lam_t[-1]))
         gq, back = vec.T @ g_t, ci[:, None] * vec
         t_scale = max(-float(lam_t[0]), float(lam_t[-1]), 1e-30)
@@ -481,22 +477,22 @@ def _barrier_stage(
             e = np.zeros_like(s)
             e[i, j] = e[j, i] = back @ z
             cand = s + symmetrize(y @ e @ y.T)
-            phi_new = _barrier_value(cand, w, v, r, mu, tau)
+            phi_new, *factors = _barrier_value(cand, np.diag(lam) + e, y, wv, mu, tau, log_det_r)
             if phi_new > phi:
-                s, phi = cand, phi_new
+                s, phi, (lam, y, p) = cand, phi_new, factors
                 damp = max(damp / 10.0, 1e-12 * t_scale)
                 break
             if phi_new >= phi - 1e-15:
-                return s
+                break
             damp = 10.0 * (shift - top)
-        else:
-            return s
-    return s
+        if s is not cand:
+            break
+    # Each sum S + Y E Y^T rounds in R's coordinates, which whitening magnifies up to
+    # cond(R)-fold; a centre that moved is rebuilt from its factors, with one rounding.
+    return s if s is start else symmetrize(y @ (lam[:, None] * y.T))
 
 
-def _interior_newton(
-    s: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, l: NDArray, l_inv: NDArray
-) -> NDArray:
+def _interior_newton(s: NDArray, wv: NDArray, mu: float, l: NDArray, l_inv: NDArray) -> NDArray:
     """Log-barrier path following for the band-constrained maximum.
 
     From a strictly interior S (:func:`_band_start`), Newton-centers barrier
@@ -510,9 +506,11 @@ def _interior_newton(
     centring test's ``1/sqrt(tau h)`` weights, is worth less to phi than
     its rounding.
     """
+    i, j, c = _sym_coords(s.shape[0])
+    coords, log_det_r = (i, j, c, 2.0 * np.outer(c, c)), 2.0 * float(np.sum(np.log(np.diag(l))))
     tau, prev, starts = _TAU_START, None, (s,)
     while True:
-        s = _barrier_stage(starts, w, v, r, mu, tau, l, l_inv)
+        s = _barrier_stage(starts, wv, mu, tau, l, l_inv, coords, log_det_r)
         if tau <= _TAU_FLOOR:
             return s
         tau = max(tau / 30.0, _TAU_FLOOR)
@@ -523,15 +521,16 @@ def _interior_newton(
 def _pin_faces(s: NDArray, l: NDArray, l_inv: NDArray, tol: float):
     """Set the modes of S (:func:`_whitened_spectrum`) within tol of a face onto it.
 
-    This is the one place that decides the active set: ``lam_i`` becomes 0
-    if ``lam_i ||y_i||^2 < tol``, else 1 if ``(1 - lam_i) ||y_i||^2 < tol``.
+    The one place that decides the active set, each mode on its nearer face only: ``lam_i``
+    ``<= 1/2`` becomes 0 if ``lam_i ||y_i||^2 < tol``, else 1 if ``(1 - lam_i) ||y_i||^2 < tol``.
     Returns ``(s, u0, u1)``: S rebuilt from that spectrum and the columns
     of ``Y^-T`` at its 0s and 1s, exact null vectors of S and of R - S.
     """
     lam, y = _whitened_spectrum(s, l, l_inv)
     size = np.sum(y * y, axis=0)
-    on_zero = lam * size < tol
-    on_r = ~on_zero & ((1.0 - lam) * size < tol)
+    low = lam <= 0.5
+    on_zero = low & (lam * size < tol)
+    on_r = ~low & ((1.0 - lam) * size < tol)
     lam = np.where(on_zero, 0.0, np.where(on_r, 1.0, lam))
     dual = np.linalg.inv(y).T
     return symmetrize(y @ (lam[:, None] * y.T)), dual[:, on_zero], dual[:, on_r]
@@ -599,9 +598,9 @@ def eei_optimum(instance: EEIInstance):
     else:
         l = np.linalg.cholesky(r)
         l_inv = np.linalg.inv(l)
-        s = _interior_newton(_band_start(s0, l, l_inv), w, v, r, mu, l, l_inv)
+        s = _interior_newton(_band_start(s0, l, l_inv), np.stack((w, v)), mu, l, l_inv)
         s, u0, u1 = _pin_faces(s, l, l_inv, 1e-9 * spectral_scale(w, v, r))
-    g = _grad_two_noise(s, w, v, mu)
+    g = symmetrize(0.5 * np.linalg.inv(s + w) - 0.5 * mu * np.linalg.inv(s + v))
     k, n_mat = _face_multipliers(g, u0, u1)
     res = max(float(np.linalg.norm(g + k - n_mat)), -min_eig(k, n_mat))
     if res > 1e-6 * max(1.0, float(np.max(np.abs(g)))):

@@ -134,35 +134,34 @@ def psd_leq(a, b, tol: float = DEFAULT_PSD_TOL) -> bool:
     return bool(evals[0] >= -tol * eig_scale(evals))
 
 
-def simdiag(a, b) -> SimDiagResult:
+def simdiag(a, b, names: tuple = ("a", "b")) -> SimDiagResult:
     """Simultaneously diagonalize a strictly PD ``a`` and PSD ``b``.
 
     Whitens by the symmetric inverse square root of ``a`` and orthogonally
     diagonalizes the whitened ``b``.  The eigenvalues ``d`` are returned in
     descending order; each eigenvector column has its first component of
     magnitude above 1e-12 made positive, so the result is reproducible.
+    Errors name the inputs by ``names``; the eigenvalues of ``a`` that the
+    whitening needs also decide its positive definiteness.
 
     Returns
     -------
     SimDiagResult
         ``q`` invertible with ``q.T @ a @ q = I`` and ``q.T @ b @ q = diag(d)``.
     """
-    a, b = validated_square(a, "a"), validated_square(b, "b")
+    a, b = validated_square(a, names[0]), validated_square(b, names[1])
     if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
+        raise DimensionMismatch(f"{names[0]} and {names[1]} shapes differ: {a.shape} vs {b.shape}")
     w, q = np.linalg.eigh(a)
-    _require_pd(w, "a")
+    _require_pd(w, names[0])
     a_isqrt = symmetrize(q @ ((w ** -0.5)[:, None] * q.T))
     m = symmetrize(a_isqrt @ b @ a_isqrt)
     d, u = np.linalg.eigh(m)
     order = np.argsort(-d, kind="stable")
-    d = d[order]
-    u = u[:, order]
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            u[:, j] = -col
+    d, u = d[order], u[:, order]
+    big = np.abs(u) > 1e-12
+    lead = u[np.argmax(big, axis=0), np.arange(u.shape[1])]
+    u = np.where(big.any(axis=0) & (lead < 0.0), -u, u)
     return SimDiagResult(q=a_isqrt @ u, d=d)
 
 
@@ -174,14 +173,26 @@ def gaussian_entropy(s) -> float:
     positive within tolerance.
     """
     a = validated_square(s, "covariance")
-    evals = np.linalg.eigvalsh(a)
+    return _entropy(np.linalg.eigvalsh(a))
+
+
+def gaussian_entropies(*covs) -> list:
+    """:func:`gaussian_entropy` of each same-shape finite covariance, from one stacked ``eigvalsh``.
+
+    Each spectrum in the stack is the one a separate call would give.
+    """
+    stack = np.asarray(covs, dtype=float)
+    return [_entropy(e) for e in np.linalg.eigvalsh(0.5 * (stack + stack.transpose(0, 2, 1)))]
+
+
+def _entropy(evals: NDArray) -> float:
+    """Entropy from a covariance's ascending spectrum; SingularCovariance within tolerance."""
     if evals.size == 0 or evals[0] <= 1e-12 * eig_scale(evals):
         raise SingularCovariance(
             f"covariance is singular within tolerance: min eigenvalue "
             f"{evals[0] if evals.size else float('nan'):.3e}"
         )
-    n = a.shape[0]
-    return 0.5 * (n * LOG_2PI_E + float(np.sum(np.log(evals))))
+    return 0.5 * (evals.size * LOG_2PI_E + float(np.sum(np.log(evals))))
 
 
 def gaussian_conditional_cov(s_x, s_z) -> NDArray:

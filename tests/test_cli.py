@@ -430,3 +430,19 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(CSV_HEADER)
+
+
+def test_matrix_optimum_report_is_byte_identical_across_processes(tmp_path):
+    # An n = 3 solve runs the whole barrier path; two interpreters must
+    # print the same report, byte for byte.
+    rng = np.random.default_rng(2012)
+    argv = [sys.executable, "-m", "eeikit.cli", "optimum", "--mu", "1.8"]
+    for role, floor in (("w", 0.2), ("v", 0.2), ("r", 0.5)):
+        f = rng.normal(size=(3, 3))
+        path = tmp_path / f"{role}.json"
+        path.write_text(json.dumps(cov_to_json(f @ f.T + floor * np.eye(3))))
+        argv += [f"--{role}", str(path)]
+    first, again = (subprocess.run(argv, capture_output=True, timeout=120) for _ in range(2))
+    assert (first.returncode, again.returncode) == (0, 0)
+    assert len(json.loads(first.stdout)["result"]["s_x_star"]["rows"]) == 3
+    assert first.stdout == again.stdout
