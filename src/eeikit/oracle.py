@@ -277,16 +277,21 @@ def entropy_quadrature(d: GridDensity) -> EntropyEstimate:
 
     The integrand uses the convention ``0 * ln 0 = 0``.  The reported
     error is a Richardson estimate from comparing against the
-    half-resolution grid, so it reflects the quadrature truncation, not
-    any bias in the density samples themselves.
+    half-resolution grid on the interval both grids span, so it reflects
+    the quadrature truncation, not any bias in the density samples
+    themselves.
     """
     vals = d.values
     integrand = np.where(
         vals > 0.0, -vals * np.log(np.clip(vals, _LOG_FLOOR, None)), 0.0
     )
     value = float(np.trapezoid(integrand, dx=d.step))
-    coarse = float(np.trapezoid(integrand[::2], dx=2.0 * d.step))
-    return EntropyEstimate(value=value, error=abs(value - coarse) / 3.0)
+    # The half-resolution grid takes every other node from the first; on an
+    # even count it stops one node short, and the fine rule is read there too.
+    kept = integrand[: integrand.size - 1 + integrand.size % 2]
+    fine = value if kept.size == integrand.size else float(np.trapezoid(kept, dx=d.step))
+    coarse = float(np.trapezoid(kept[::2], dx=2.0 * d.step))
+    return EntropyEstimate(value=value, error=abs(fine - coarse) / 3.0)
 
 
 def _halved_ends(vals: NDArray) -> NDArray:
@@ -599,6 +604,11 @@ def _tensor_grid(fx: GridDensity, fy: GridDensity, fv: GridDensity):
     return ix, iy, fvxy, wx, wy
 
 
+# The first-variation probe factors this many x nodes at a time, which keeps
+# a block's four weighted columns near 1 MB on a 512-node fy grid.
+_PROBE_BLOCK = 64
+
+
 def variational_first_residual(
     fx: GridDensity,
     fy: GridDensity,
@@ -615,13 +625,25 @@ def variational_first_residual(
     triples satisfy the equation up to grid error; non-stationary triples
     leave an order-one residual.
 
-    The weighted basis columns and target fill one six-column design, of
-    which only the R factor is formed: a QR per x node's rows, then one of
-    the stacked factors.  The squared residual is then
-    ``R[5, 5]^2 + ||R5 c - r5||^2`` with ``R5, r5 = R[:5, :5], R[:5, 5]``
-    and c the least-squares solution of ``R5 c = r5`` under the full
-    design's rank cutoff: for Gaussian fx, ``-ln fx`` is a combination of
-    the columns 1 and x^2, so R5 is singular up to rounding.
+    The design has six weighted columns: the basis 1, ``-ln fx``,
+    ``xy - x^2``, ``x^2``, ``y^2`` and the target, each times
+    ``s = sqrt(fx(x) fv(y - x))``.  Only its R factor is formed, and the
+    six columns never are.  On x node i, with ``d = y - x_i`` and t the
+    target, all six lie in the span of four centred columns
+    ``A_i = (s, d s, d^2 s, t s)``: they are ``A_i C_i`` for the fixed
+    4x6 matrix C_i whose columns give ``1``, ``-ln fx_i``, ``x_i d``,
+    ``x_i^2``, ``y^2 = d^2 + 2 x_i d + x_i^2`` and ``t``.  So with
+    ``A_i = Q_i R_i`` the design's R factor is that of the stacked
+    ``R_i C_i``.  The A_i are built and factored ``_PROBE_BLOCK`` x nodes
+    at a time, so the working set stays flat in the x grid; centring on
+    x_i keeps the columns' scales close, where the basis ``(s, y s,
+    y^2 s, t s)`` would lose digits to cancellation.
+
+    The squared residual is ``R[5, 5]^2 + ||R5 c - r5||^2`` with
+    ``R5, r5 = R[:5, :5], R[:5, 5]`` and c the least-squares solution of
+    ``R5 c = r5`` under the full design's rank cutoff: for Gaussian fx,
+    ``-ln fx`` is a combination of the columns 1 and x^2, so R5 is
+    singular up to rounding.
     """
     mu = validated_mu(mu)
     conv = convolve_pair(fx, fv)
@@ -632,22 +654,35 @@ def variational_first_residual(
             f"fy deviates from fx conv fv by {dev:.3e} in sup norm"
         )
     ix, iy, fvxy, _, _ = _tensor_grid(fx, fy, fv)
-    x, fxv = fx.grid[ix][:, None], fx.values[ix][:, None]
+    x, fxv = fx.grid[ix], fx.values[ix]
     y, fyv = fy.grid[iy], fy.values[iy]
     ln_fx = np.log(np.clip(fxv, _LOG_FLOOR, None))
-    weight = fxv * fvxy
-    # the basis 1, -ln fx, xy - x^2, x^2, y^2 and the target
-    # -(mu ln fy - ln fx - mu (mu - 1) ln fv - lam), each times sqrt(weight)
-    a = np.empty((6,) + weight.shape)
-    a[0], a[1], a[2], a[3], a[4] = 1.0, -ln_fx, x * y - x**2, x**2, y**2
-    a[5] = mu * (mu - 1.0) * np.log(np.clip(fvxy, _LOG_FLOOR, None)) + ln_fx
-    a[5] -= mu * (np.log(fyv) + conv_on_fy[iy] / fyv)
-    a *= np.sqrt(weight)
-    r = np.linalg.qr(a.transpose(1, 2, 0), mode="r").reshape(-1, 6)
-    r = np.linalg.qr(r, mode="r")
-    coef, *_ = np.linalg.lstsq(r[:5, :5], r[:5, 5], rcond=np.finfo(float).eps * weight.size)
+    # the target -(mu ln fy - ln fx - mu (mu - 1) ln fv - lam) is
+    # mu (mu - 1) ln fv + ln fx - target_y
+    target_y = mu * (np.log(fyv) + conv_on_fy[iy] / fyv)
+    # C_i, replaced block by block by R_i C_i
+    rc = np.zeros((x.size, 4, 6))
+    rc[:, 0, 0] = 1.0
+    rc[:, 0, 1] = -ln_fx
+    rc[:, 1, 2] = x
+    rc[:, 0, 3] = rc[:, 0, 4] = x**2
+    rc[:, 1, 4] = 2.0 * x
+    rc[:, 2, 4] = rc[:, 3, 5] = 1.0
+    for lo in range(0, x.size, _PROBE_BLOCK):
+        blk = slice(lo, lo + _PROBE_BLOCK)
+        f, d = fvxy[blk], y - x[blk, None]
+        a = np.empty((4,) + f.shape)
+        np.sqrt(fxv[blk, None] * f, out=a[0])
+        np.multiply(d, a[0], out=a[1])
+        np.multiply(d, a[1], out=a[2])
+        a[3] = mu * (mu - 1.0) * np.log(np.clip(f, _LOG_FLOOR, None)) + ln_fx[blk, None]
+        a[3] -= target_y
+        a[3] *= a[0]
+        rc[blk] = np.linalg.qr(a.transpose(1, 2, 0), mode="r") @ rc[blk]
+    r = np.linalg.qr(rc.reshape(-1, 6), mode="r")
+    coef, *_ = np.linalg.lstsq(r[:5, :5], r[:5, 5], rcond=np.finfo(float).eps * fvxy.size)
     fit = r[:5, :5] @ coef - r[:5, 5]
-    return math.sqrt((r[5, 5] ** 2 + float(fit @ fit)) / float(np.sum(weight)))
+    return math.sqrt((r[5, 5] ** 2 + float(fit @ fit)) / float(fxv @ np.sum(fvxy, axis=1)))
 
 
 def variational_second_form(
@@ -684,6 +719,8 @@ def variational_second_form(
     hy = np.asarray(hy, dtype=float)
     if hx.shape != (fx.points,) or hy.shape != (fy.points,):
         raise InvalidParameter("perturbations must match the density grids")
+    if not (np.all(np.isfinite(hx)) and np.all(np.isfinite(hy))):
+        raise InvalidParameter("perturbations must be finite")
     ix, iy, fvxy, wx, wy = _tensor_grid(fx, fy, fv)
     fxv, hxv = np.clip(fx.values[ix], _SQUARE_FLOOR, None), hx[ix]
     c = hy[iy] / fy.values[iy]

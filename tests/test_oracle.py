@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from eeikit import (
 from eeikit.oracle import (
     _FY_RESOLVED,
     _LOG_FLOOR,
+    _MAX_NODES,
     _MAX_POINTS,
     _SQUARE_FLOOR,
     _check_points,
@@ -149,6 +151,33 @@ class TestEntropyQuadrature:
             vals.append(entropy_quadrature(d).value)
         ratio = abs(vals[0] - vals[1]) / abs(vals[1] - vals[2])
         assert 3.5 <= ratio <= 4.5
+
+    def test_even_count_compares_the_same_interval(self):
+        # integrand[::2] of an even count stops one node short of the fine
+        # grid; comparing the two rules on different intervals read 5.8e-5
+        # here, where both are exact
+        est = entropy_quadrature(GridDensity.uniform(0.0, 2.0, points=4000))
+        assert est.value == pytest.approx(math.log(2.0), abs=1e-15)
+        assert est.error <= 1e-15
+
+    @pytest.mark.parametrize("points", [1000, 2000])
+    def test_even_count_error_tracks_the_odd_one(self, points):
+        # on a truncated density with an edge jump the error is O(step^2) on
+        # both parities; the even estimate read 170x and 340x the odd one
+        # when it compared different intervals
+        def truncated(pts):
+            d = GridDensity.from_callable(lambda x: np.exp(-x), 0.0, 3.0, points=pts)
+            return entropy_quadrature(d).error
+
+        assert truncated(points) == pytest.approx(truncated(points + 1), rel=0.05)
+
+    @pytest.mark.parametrize("points", [301, 4001])
+    def test_odd_count_error_is_full_grid_richardson(self, points):
+        d = GridDensity.from_callable(lambda x: np.exp(-x), 0.0, 3.0, points=points)
+        integrand = -d.values * np.log(d.values)
+        value = float(np.trapezoid(integrand, dx=d.step))
+        coarse = float(np.trapezoid(integrand[::2], dx=2.0 * d.step))
+        assert entropy_quadrature(d) == (value, abs(value - coarse) / 3.0)
 
 
 def _halved_ends(vals):
@@ -465,6 +494,33 @@ class TestVariationalFirstResidual:
         with pytest.raises(InconsistentDensity):
             variational_first_residual(fx, GridDensity.gaussian(9.0), fv, 2.0)
 
+    @pytest.mark.parametrize("block", [1, 7, 500, _MAX_NODES])
+    def test_result_does_not_depend_on_the_block(self, block, monkeypatch):
+        # 500 splits the 501 kept x nodes into a full and a one-node block;
+        # _MAX_NODES takes them all in one
+        for mu, fx, fv in _reference_triples():
+            fy = convolve_pair(fx, fv)
+            want = variational_first_residual(fx, fy, fv, mu)
+            monkeypatch.setattr("eeikit.oracle._PROBE_BLOCK", block)
+            got = variational_first_residual(fx, fy, fv, mu)
+            monkeypatch.undo()
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_traced_peak_stays_small(self):
+        # criterion 8's first triple; one six-column design of the whole
+        # tensor grid peaked at 18 MB here
+        fx = GridDensity.gaussian(1.0)
+        fv = GridDensity.gaussian(0.5)
+        fy = convolve_pair(fx, fv)
+        variational_first_residual(fx, fy, fv, 2.0)  # fills the kernel memo
+        tracemalloc.start()
+        try:
+            variational_first_residual(fx, fy, fv, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5e6
+
 
 class TestVariationalSecondForm:
     @staticmethod
@@ -532,6 +588,23 @@ class TestVariationalSecondForm:
         hy = np.exp(-(fy.grid**2) / 4.0)
         with pytest.raises(InvalidParameter, match="alpha1"):
             variational_second_form(fx, fy, fv, 2.0, hx, hy, alpha1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("offset", [0, 1], ids=["kept-node", "skipped-node"])
+    @pytest.mark.parametrize("which", ["hx", "hy"])
+    def test_non_finite_perturbation_rejected(self, which, offset, bad):
+        # a subsampled node near the middle is on the probes' tensor grid
+        # and the next one is not, so a check of the kept nodes alone would
+        # pass the latter; unchecked, NaN read nan and inf nan with a
+        # RuntimeWarning
+        fx = GridDensity.gaussian(1.0)
+        fv = GridDensity.gaussian(0.5)
+        fy = convolve_pair(fx, fv)
+        h = {"hx": np.exp(-(fx.grid**2) / 4.0), "hy": np.exp(-(fy.grid**2) / 4.0)}
+        stride = _subsample(h[which].size).step
+        h[which][stride * (h[which].size // (2 * stride)) + offset] = bad
+        with pytest.raises(InvalidParameter, match="finite"):
+            variational_second_form(fx, fy, fv, 2.0, h["hx"], h["hy"], -1.0)
 
     def test_grid_shape_enforced(self):
         fx = GridDensity.gaussian(1.0)
