@@ -584,11 +584,17 @@ def eei_optimum(instance: EEIInstance):
     ``max(||G + K - N||_F, -min_eig K, -min_eig N)`` above ``1e-6`` of the
     gradient scale raises :class:`NoConvergence`.
 
+    Without ``s_v`` the objective is the single-noise
+    ``h(S) - mu * h(S + W)`` over the same band, maximized in closed form
+    by the source split ``construct_l(R, W, mu)``: the answer is its
+    ``s_x_star``, the objective there and that certificate.
+
     Returns ``(s_x_star, objective, certificate)``.
     """
-    if instance.s_v is None:
-        raise InvalidParameter("instance must include s_v for the two-noise optimum")
     w, v, r, mu = instance.s_w, instance.s_v, instance.r, instance.mu
+    if v is None:
+        cert = construct_l(r, w, mu)
+        return cert.s_x_star, objective_single_noise(cert.s_x_star, w, mu), cert
     s0 = (v - mu * w) / (mu - 1.0)
     if instance.dim == 1:
         s = np.clip(s0, 0.0, r)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -243,7 +244,10 @@ def cov_from_json(source) -> NDArray:
 
     Accepts a JSON string or an already-decoded mapping.  Returns the
     read-only symmetric part after :func:`validated_psd`; rows asymmetric
-    beyond 1e-12, relative to the largest entry, are rejected.
+    beyond 1e-12, relative to the largest entry, are rejected.  ``dim``,
+    if given, must be an integer (or an integral float) equal to the row
+    count: anything else is InvalidParameter, another count
+    DimensionMismatch.
     """
     obj = json.loads(source) if isinstance(source, (str, bytes)) else source
     if not isinstance(obj, dict) or "rows" not in obj:
@@ -258,7 +262,11 @@ def cov_from_json(source) -> NDArray:
         raise NotPositiveDefinite("matrix is not symmetric within tolerance")
     m.setflags(write=False)
     dim = obj.get("dim", m.shape[0])
-    if int(dim) != m.shape[0]:
+    if isinstance(dim, float) and dim.is_integer():
+        dim = int(dim)
+    if isinstance(dim, bool) or not isinstance(dim, numbers.Integral):
+        raise InvalidParameter(f"declared dim must be an integer, got {dim!r}")
+    if dim != m.shape[0]:
         raise DimensionMismatch(
             f"declared dim {dim} does not match rows shape {a.shape}"
         )

@@ -24,19 +24,14 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 from numpy.typing import NDArray
 
-from .construct import (
-    EEIInstance,
-    construct_l,
-    eei_optimum,
-    objective_single_noise,
-    validated_mu,
-)
+from .construct import EEIInstance, eei_optimum, validated_mu
 from .errors import (
     GridTooCoarse,
     InconsistentDensity,
     InvalidParameter,
     UnnormalizedDensity,
 )
+from .gaussmat import LOG_2PI_E
 
 __all__ = [
     "GridDensity",
@@ -77,6 +72,12 @@ _MAX_POINTS = 1 << 24
 def _check_points(points, what: str) -> None:
     if not points <= _MAX_POINTS:  # NaN fails too
         raise InvalidParameter(f"{what} needs {points:.6g} grid nodes, over {_MAX_POINTS}")
+
+
+def _normal(x: NDArray, mean: float, variance: float) -> NDArray:
+    return np.exp(-0.5 * (x - mean) ** 2 / variance) / math.sqrt(
+        2.0 * math.pi * variance
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,10 +151,7 @@ class GridDensity:
         lo = mean - _HALF_WIDTH * sigma
         hi = mean + _HALF_WIDTH * sigma
         x = np.linspace(lo, hi, points)
-        vals = np.exp(-0.5 * (x - mean) ** 2 / variance) / math.sqrt(
-            2.0 * math.pi * variance
-        )
-        return cls(lo, hi, vals)
+        return cls(lo, hi, _normal(x, mean, variance))
 
     @classmethod
     def uniform(cls, lo: float, hi: float, points: int = 4001) -> "GridDensity":
@@ -185,12 +183,7 @@ class GridDensity:
         lo = min(mean_a - _HALF_WIDTH * sa, mean_b - _HALF_WIDTH * sb)
         hi = max(mean_a + _HALF_WIDTH * sa, mean_b + _HALF_WIDTH * sb)
         x = np.linspace(lo, hi, points)
-        va = np.exp(-0.5 * (x - mean_a) ** 2 / var_a) / math.sqrt(
-            2.0 * math.pi * var_a
-        )
-        vb = np.exp(-0.5 * (x - mean_b) ** 2 / var_b) / math.sqrt(
-            2.0 * math.pi * var_b
-        )
+        va, vb = _normal(x, mean_a, var_a), _normal(x, mean_b, var_b)
         return cls(lo, hi, weight * va + (1.0 - weight) * vb)
 
     @classmethod
@@ -348,6 +341,10 @@ def convolve_density(d: GridDensity, sigma2: float) -> GridDensity:
     return GridDensity(d.support_lo - m * step, d.support_hi + m * step, out)
 
 
+def _interp_density(d: GridDensity, points: NDArray) -> NDArray:
+    return np.interp(points, d.grid, d.values, left=0.0, right=0.0)
+
+
 def _resample(d: GridDensity, step: float) -> GridDensity:
     """Linear resampling onto a grid with the requested step."""
     points = max(np.floor((d.support_hi - d.support_lo) / step) + 1.0, 3.0)
@@ -355,7 +352,7 @@ def _resample(d: GridDensity, step: float) -> GridDensity:
     points = int(points)
     hi = d.support_lo + (points - 1) * step
     x = np.linspace(d.support_lo, hi, points)
-    vals = np.interp(x, d.grid, d.values, left=0.0, right=0.0)
+    vals = _interp_density(d, x)
     mass = float(np.trapezoid(vals, dx=step))
     return GridDensity(d.support_lo, hi, vals / mass)
 
@@ -402,16 +399,6 @@ def check_epi(d1: GridDensity, d2: GridDensity, tol: float = 1e-4) -> Verificati
     )
 
 
-def _matched_gaussian(d: GridDensity) -> GridDensity:
-    """Normal density with d's mean and variance on its own full-width grid.
-
-    The comparison density gets the standard eight-deviation support
-    rather than d's grid: a compactly supported candidate would truncate
-    the Gaussian tails and silently change its variance.
-    """
-    return GridDensity.gaussian(d.variance(), mean=d.mean(), points=d.points)
-
-
 def check_worst_noise(
     d_x: GridDensity, s2_wt: float, s2_wp: float, tol: float = 1e-4
 ) -> VerificationReport:
@@ -434,7 +421,9 @@ def check_worst_noise(
         return h_all - h_wt, e_all + e_wt
 
     lhs, err_x = leak(d_x)
-    rhs, err_g = leak(_matched_gaussian(d_x))
+    # The matched Gaussian gets its own eight-deviation grid: on d_x's, a compactly
+    # supported candidate would truncate its tails and silently change its variance.
+    rhs, err_g = leak(GridDensity.gaussian(d_x.variance(), mean=d_x.mean(), points=d_x.points))
     return _report(
         "worst_noise", lhs, rhs, lhs - rhs, tol, 1, 0,
         {
@@ -471,13 +460,10 @@ def check_eei(
     if s2_v is None:
         h1, err1 = entropy_quadrature(d_x)
         h2, err2 = entropy_quadrature(convolve_density(d_x, s2_w))
-        cert = construct_l(np.array([[var]]), np.array([[s2_w]]), mu)
-        rhs = objective_single_noise(cert.s_x_star, np.array([[s2_w]]), mu)
     else:
         h1, err1 = entropy_quadrature(convolve_density(d_x, s2_w))
         h2, err2 = entropy_quadrature(convolve_density(d_x, s2_v))
-        instance = EEIInstance.from_scalars(mu, w=s2_w, r=r, v=s2_v)
-        _, rhs, _ = eei_optimum(instance)
+    _, rhs, _ = eei_optimum(EEIInstance.from_scalars(mu, s2_w, var if s2_v is None else r, s2_v))
     lhs = h1 - mu * h2
     return _report(
         "eei", lhs, rhs, rhs - lhs, tol, 1, 0,
@@ -531,9 +517,9 @@ def gaussian_search(
     ``default_rng([seed, 0])``, scales each by a fraction of the budget
     trace, uniform from ``default_rng([seed, 1])``, and caps the scale at
     the largest one that keeps the draw inside the band.  The best sampled
-    objective (earliest trial on ties) must not beat the certified optimum
-    by more than ``tol``; ``clipped`` counts the trials capped at the band
-    boundary.
+    objective (earliest trial on ties) must not beat :func:`eei_optimum`'s
+    answer, single-noise or two-noise, by more than ``tol``; ``clipped``
+    counts the trials capped at the band boundary.
     """
     if trials < 1:
         raise InvalidParameter("at least one trial is required")
@@ -543,7 +529,7 @@ def gaussian_search(
     def stacked_entropy(mats_stack):
         sign, logdet = np.linalg.slogdet(mats_stack)
         logdet = np.where(sign > 0, logdet, -np.inf)
-        return 0.5 * (n * (math.log(2.0 * math.pi) + 1.0) + logdet)
+        return 0.5 * (n * LOG_2PI_E + logdet)
 
     first, second = (0.0, w) if v is None else (w, v)
     best, lhs, clipped = 0, -math.inf, 0
@@ -556,11 +542,7 @@ def gaussian_search(
         top = int(np.argmax(values))
         if values[top] > lhs:
             best, lhs = start + top, float(values[top])
-    if v is None:
-        star = construct_l(r, w, mu).s_x_star
-        rhs = objective_single_noise(star, w, mu)
-    else:
-        _, rhs, _ = eei_optimum(instance)
+    _, rhs, _ = eei_optimum(instance)
     return _report(
         "search", lhs, rhs, rhs - lhs, tol, trials, seed,
         {"mu": mu, "n": n, "best_trial": best, "clipped": clipped},
@@ -572,36 +554,42 @@ def _subsample(idx_count: int) -> slice:
     return slice(0, idx_count, stride)
 
 
-def _interp_density(d: GridDensity, points: NDArray) -> NDArray:
-    return np.interp(points, d.grid, d.values, left=0.0, right=0.0)
-
-
 @functools.lru_cache(maxsize=1)
 def _tensor_grid(fx: GridDensity, fy: GridDensity, fv: GridDensity):
-    """Kept nodes, kernel ``F[i, j] = fv(y_j - x_i)`` and weights of the probes.
+    """Kept nodes, kernel ``F[i, j] = fv(y_j - x_i)``, convolution and weights of the probes.
 
-    Each grid keeps every k-th node, k the least stride that leaves at
-    most ``_MAX_NODES``; fy's grid then keeps only the nodes where fy
-    exceeds ``_FY_RESOLVED`` of its peak.  Returns the kept indices ``ix``
-    and ``iy`` into fx's and fy's grids, F (zero outside fv's support) and
-    the trapezoid weights ``wx`` and ``wy`` of the kept nodes.
+    ``convolve_pair(fx, fv)`` must match fy on fy's grid within 1e-4 in
+    sup norm, else :class:`InconsistentDensity` is raised.  Each grid keeps
+    every k-th node, k the least stride that leaves at most ``_MAX_NODES``;
+    fy's grid then keeps only the nodes where fy exceeds ``_FY_RESOLVED``
+    of its peak.  Returns the kept indices ``ix`` and ``iy`` into fx's and
+    fy's grids, F (zero outside fv's support), ``fx conv fv`` on the kept
+    fy nodes and the trapezoid weights ``wx`` and ``wy`` of the kept nodes.
 
-    A triple's kernel is built once and reused: the last triple's arrays
+    A triple's arrays are built once and reused: the last triple's arrays
     are kept, keyed on the three densities' identities, and shared by both
     probes and every repeated call.  That is sound because a
     :class:`GridDensity` compares by identity and its samples are
-    read-only; the returned arrays are read-only too.
+    read-only; the returned arrays are read-only too.  An inconsistent
+    triple is not kept, so every call on it raises.
     """
+    conv_on_fy = _interp_density(convolve_pair(fx, fv), fy.grid)
+    dev = float(np.max(np.abs(fy.values - conv_on_fy)))
+    if dev > 1e-4:
+        raise InconsistentDensity(
+            f"fy deviates from fx conv fv by {dev:.3e} in sup norm"
+        )
     sx, sy = _subsample(fx.points), _subsample(fy.points)
     ix = np.arange(fx.points)[sx]
     iy = np.arange(fy.points)[sy]
     iy = iy[fy.values[iy] > _FY_RESOLVED * float(np.max(fy.values))]
     fvxy = _interp_density(fv, fy.grid[iy][None, :] - fx.grid[ix][:, None])
+    conv = conv_on_fy[iy]
     wx = _halved_ends(np.full(ix.size, fx.step * sx.step))
     wy = _halved_ends(np.full(iy.size, fy.step * sy.step))
-    for a in (ix, iy, fvxy, wx, wy):
+    for a in (ix, iy, fvxy, conv, wx, wy):
         a.setflags(write=False)
-    return ix, iy, fvxy, wx, wy
+    return ix, iy, fvxy, conv, wx, wy
 
 
 # The first-variation probe factors this many x nodes at a time, which keeps
@@ -621,9 +609,10 @@ def variational_first_residual(
     ``-mu * (fx conv fv)(y) / fy(y)``; the remaining multipliers (the
     constant, the entropy-constraint coefficient, and the quadratic
     moment coefficients) are fitted by least squares weighted by
-    ``fx(x) * fv(y - x)`` on the nodes of :func:`_tensor_grid`.  Gaussian
-    triples satisfy the equation up to grid error; non-stationary triples
-    leave an order-one residual.
+    ``fx(x) * fv(y - x)`` on the nodes of :func:`_tensor_grid`, which
+    also holds the convolution on those nodes and rejects fy when it is
+    not that convolution.  Gaussian triples satisfy the equation up to
+    grid error; non-stationary triples leave an order-one residual.
 
     The design has six weighted columns: the basis 1, ``-ln fx``,
     ``xy - x^2``, ``x^2``, ``y^2`` and the target, each times
@@ -646,20 +635,13 @@ def variational_first_residual(
     singular up to rounding.
     """
     mu = validated_mu(mu)
-    conv = convolve_pair(fx, fv)
-    conv_on_fy = _interp_density(conv, fy.grid)
-    dev = float(np.max(np.abs(fy.values - conv_on_fy)))
-    if dev > 1e-4:
-        raise InconsistentDensity(
-            f"fy deviates from fx conv fv by {dev:.3e} in sup norm"
-        )
-    ix, iy, fvxy, _, _ = _tensor_grid(fx, fy, fv)
+    ix, iy, fvxy, conv, _, _ = _tensor_grid(fx, fy, fv)
     x, fxv = fx.grid[ix], fx.values[ix]
     y, fyv = fy.grid[iy], fy.values[iy]
     ln_fx = np.log(np.clip(fxv, _LOG_FLOOR, None))
     # the target -(mu ln fy - ln fx - mu (mu - 1) ln fv - lam) is
     # mu (mu - 1) ln fv + ln fx - target_y
-    target_y = mu * (np.log(fyv) + conv_on_fy[iy] / fyv)
+    target_y = mu * (np.log(fyv) + conv / fyv)
     # C_i, replaced block by block by R_i C_i
     rc = np.zeros((x.size, 4, 6))
     rc[:, 0, 0] = 1.0
@@ -710,7 +692,8 @@ def variational_second_form(
     trapezoid weights, read from one ``(nx, ny) @ (ny, 3)`` product.
     F and the weights come from :func:`_tensor_grid`, which builds them
     once per triple, so repeated calls on one triple cost only that
-    product.
+    product; it raises :class:`InconsistentDensity` when fy is not
+    ``fx conv fv``.
     """
     mu = validated_mu(mu)
     if not 1.0 - mu - 1e-12 <= alpha1 < math.inf:
@@ -721,7 +704,7 @@ def variational_second_form(
         raise InvalidParameter("perturbations must match the density grids")
     if not (np.all(np.isfinite(hx)) and np.all(np.isfinite(hy))):
         raise InvalidParameter("perturbations must be finite")
-    ix, iy, fvxy, wx, wy = _tensor_grid(fx, fy, fv)
+    ix, iy, fvxy, _, wx, wy = _tensor_grid(fx, fy, fv)
     fxv, hxv = np.clip(fx.values[ix], _SQUARE_FLOOR, None), hx[ix]
     c = hy[iy] / fy.values[iy]
     rows = np.stack([-(1.0 - alpha1) * hxv**2 / fxv, 2.0 * mu * hxv, -mu * fxv], axis=1)

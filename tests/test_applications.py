@@ -9,6 +9,7 @@ from eeikit import (
     BroadcastInstance,
     DimensionMismatch,
     NotPositiveDefinite,
+    SeparationFailed,
     SingularCovariance,
     ThresholdUnreachable,
     design_private_message,
@@ -111,6 +112,14 @@ class TestDesign:
     def test_threshold_unreachable(self):
         inst = BroadcastInstance(np.array([[0.5]]), np.array([[2.0]]), np.array([[3.0]]))
         with pytest.raises(ThresholdUnreachable):
+            design_private_message(inst)
+
+    def test_noisier_intended_receiver_is_not_separated(self):
+        # t = 2/3 holds receiver 2 at 0.5; receiver 1's trace is then 6/11
+        inst = BroadcastInstance(
+            np.array([[3.0]]), np.array([[2.0]]), np.array([[0.5]]), direction=np.array([[1.0]])
+        )
+        with pytest.raises(SeparationFailed, match="receiver-1 trace 0.545454545"):
             design_private_message(inst)
 
     @pytest.mark.parametrize(

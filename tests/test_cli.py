@@ -201,7 +201,7 @@ def _non_finite_flags():
 
 
 def _assert_input_error(capsys, argv):
-    """Exit 2, no report, no warning, and stderr that is only the error.
+    """Exit 2, no report, no warning, and stderr that is only the error, returned.
 
     Stderr starts with ``eeikit: error:``; where argparse itself rejects a
     non-integer it is argparse's usage block followed by that line.  An
@@ -225,6 +225,7 @@ def _assert_input_error(capsys, argv):
         assert err.startswith("eeikit: error:"), (argv, err)
     assert "Traceback" not in err and "Warning" not in err, (argv, err)
     assert not caught, (argv, [str(w.message) for w in caught])
+    return err
 
 
 _ERROR_CLASSES = [
@@ -329,6 +330,53 @@ class TestExitCodes:
         )
         assert code == 1
         assert "ThresholdUnreachable" in err
+
+    def test_separation_failure_exit_one(self, capsys):
+        # receiver 1 is noisier than receiver 2 and ends at 6/11 > 0.5
+        code, out, err = run_cli(
+            capsys, "broadcast-design", "--z1", "3", "--z2", "2", "--r", "0.5", "--direction", "1"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("eeikit: SeparationFailed:")
+
+    @pytest.mark.parametrize("dim", [None, 1.7, True], ids=repr)
+    def test_bad_declared_dim_is_usage_error(self, capsys, tmp_path, dim):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"dim": dim, "rows": [[1.0]]}))
+        err = _assert_input_error(
+            capsys, ("optimum", "--w", str(path), "--v", "4", "--r", "10", "--mu", "2")
+        )
+        assert "declared dim must be an integer" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify-eei", "--density", "uniform", "--w", "{matrix}", "--r", "1", "--mu", "2"),
+             "w must be scalar"),
+            (("verify-epi", "--density", "gaussian:1,0,2"), "at most var,mean"),
+            (("verify-epi", "--density", "uniform:0"), "takes lo,hi"),
+            (("verify-epi", "--density", "mixture:0.5,-2,1,2"), "needs w,m1,v1,m2,v2"),
+            (("construct-l", "--x", "1", "--w", "3", "--mu", "2", "--output", "{missing}"),
+             "No such file or directory"),
+        ],
+        ids=["matrix-for-scalar", "gaussian-args", "uniform-args", "mixture-args",
+             "unwritable-output"],
+    )
+    def test_rejected_arguments_are_usage_errors(self, capsys, tmp_path, argv, message):
+        matrix = tmp_path / "w.json"
+        matrix.write_text(json.dumps(cov_to_json(np.eye(2))))
+        missing = tmp_path / "no-such-dir" / "report.json"
+        err = _assert_input_error(
+            capsys, [a.format(matrix=matrix, missing=missing) for a in argv]
+        )
+        assert message in err
+
+    def test_non_integer_seed_variable_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv(SEED_ENV_VAR, "abc")
+        err = _assert_input_error(
+            capsys, ("search", "--w", "1", "--v", "4", "--r", "10", "--mu", "2", "--trials", "5")
+        )
+        assert f"{SEED_ENV_VAR} must be an integer" in err
 
 
 class TestFormatsAndReproducibility:

@@ -1,5 +1,6 @@
 """Tests for the noise-split constructions and the constrained Gaussian optimum."""
 
+import dataclasses
 import functools
 import json
 
@@ -12,6 +13,7 @@ import eeikit
 from eeikit import (
     BadMu,
     DimensionMismatch,
+    DominationFailed,
     EEIInstance,
     NoConvergence,
     NotPositiveDefinite,
@@ -186,6 +188,18 @@ class TestMatrixCertificates:
             assert f_at_star >= f_at_x - 1e-9
             np.testing.assert_allclose(s_star, cert.s_x_star)
 
+    def test_dominating_gaussian_can_fail(self, monkeypatch):
+        # a split whose X* scores below X must not pass as dominating
+        split = construct.construct_l
+
+        def shrunk(s_x, s_w, mu):
+            cert = split(s_x, s_w, mu)
+            return dataclasses.replace(cert, s_x_star=1e-6 * cert.s_x_star)
+
+        monkeypatch.setattr(construct, "construct_l", shrunk)
+        with pytest.raises(DominationFailed, match="below input"):
+            dominating_gaussian(np.eye(2), np.diag([0.5, 3.0]), 2.0)
+
 
 class TestUnconstrainedProfile:
     def test_known_value(self):
@@ -291,6 +305,17 @@ class TestConstrainedOptimum:
         s2, o2, _ = eei_optimum(inst)
         assert o1 == o2
         np.testing.assert_array_equal(s1, s2)
+
+    def test_single_noise_is_the_source_split(self):
+        # without s_v the optimum is construct_l(R, W)'s X*, bit for bit
+        rng = np.random.default_rng(407)
+        for n in (1, 1, 2, 3, 4):
+            inst = EEIInstance(rng.uniform(1.1, 4.0), _rand_pd(rng, n), _rand_pd(rng, n))
+            s_star, obj, cert = eei_optimum(inst)
+            split = construct_l(inst.r, inst.s_w, inst.mu)
+            assert s_star.tobytes() == split.s_x_star.tobytes()
+            assert obj == objective_single_noise(split.s_x_star, inst.s_w, inst.mu)
+            assert cert.as_dict() == split.as_dict()
 
 
 class TestSymmetricCoordinates:

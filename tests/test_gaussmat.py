@@ -199,6 +199,27 @@ def test_cov_from_json_accepts_strings_and_rejects_bare_rows():
         cov_from_json({"dim": 3, "rows": [[1.0, 0.0], [0.0, 1.0]]})
 
 
+@pytest.mark.parametrize(
+    "dim, error",
+    [
+        (1, None), (1.0, None),
+        (None, InvalidParameter), (True, InvalidParameter), (False, InvalidParameter),
+        ("1", InvalidParameter), (1.7, InvalidParameter), (math.nan, InvalidParameter),
+        (math.inf, InvalidParameter), ([1], InvalidParameter),
+        (2, DimensionMismatch), (2.0, DimensionMismatch), (0, DimensionMismatch),
+    ],
+    ids=lambda v: getattr(v, "__name__", repr(v)),
+)
+def test_cov_from_json_declared_dim(dim, error):
+    # an integer, or an integral float, equal to the row count
+    blob = {"dim": dim, "rows": [[2.0]]}
+    if error is None:
+        assert cov_from_json(blob)[0, 0] == 2.0
+    else:
+        with pytest.raises(error, match="declared dim"):
+            cov_from_json(blob)
+
+
 # Each constructor takes the bad matrix in its first covariance slot.
 # gaussian_conditional_cov pairs it with a zero noise, so a singular
 # source makes the observation covariance s_x + s_z singular.

@@ -1,0 +1,83 @@
+"""Each documented input rejection of the library, one case apiece.
+
+Every case calls the public entry point with exactly one bad input and
+checks both the error class and the message of the rejection it means
+to reach, so a case cannot pass on an earlier, unrelated check.
+"""
+
+import numpy as np
+import pytest
+
+from eeikit import (
+    BroadcastInstance,
+    DimensionMismatch,
+    EEIInstance,
+    GridDensity,
+    InvalidParameter,
+    SingularCovariance,
+    check_worst_noise,
+    f_alpha,
+    gaussian_entropy,
+    gaussian_search,
+    markov_residual,
+    psd_leq,
+)
+
+_EYE1, _EYE2, _EYE3 = np.eye(1), np.eye(2), np.eye(3)
+_FLAT = np.full(11, 1.0)  # unit mass on [0, 1]
+
+
+def _nan_sample():
+    vals = _FLAT.copy()
+    vals[4] = np.nan
+    return GridDensity(0.0, 1.0, vals)
+
+
+_REJECTIONS = {
+    "gaussian_entropy-singular": (
+        lambda: gaussian_entropy(np.diag([1.0, 0.0])), SingularCovariance, "singular"),
+    "markov_residual-singular-third": (
+        lambda: markov_residual((_EYE2, _EYE2, np.zeros((2, 2)))), SingularCovariance,
+        "third covariance"),
+    "markov_residual-shapes": (
+        lambda: markov_residual((_EYE2, _EYE2, _EYE3)), DimensionMismatch, "one shape"),
+    "psd_leq-shapes": (lambda: psd_leq(_EYE2, _EYE3), DimensionMismatch, "shape mismatch"),
+    "EEIInstance-s_v-dim": (
+        lambda: EEIInstance(2.0, _EYE2, _EYE2, _EYE3), DimensionMismatch, "s_v and s_w"),
+    "f_alpha-zero": (
+        lambda: f_alpha(0.0, EEIInstance.from_scalars(2.0, 1.0, 1.0)), InvalidParameter,
+        "alpha must be positive"),
+    "BroadcastInstance-shapes": (
+        lambda: BroadcastInstance(_EYE1, _EYE2, _EYE2), DimensionMismatch, "share one dimension"),
+    "BroadcastInstance-threshold-trace": (
+        lambda: BroadcastInstance(_EYE1, _EYE1, np.zeros((1, 1))), InvalidParameter,
+        "positive trace"),
+    "BroadcastInstance-direction-shape": (
+        lambda: BroadcastInstance(_EYE1, _EYE1, _EYE1, direction=_EYE2), DimensionMismatch,
+        "direction must match"),
+    "BroadcastInstance-zero-direction": (
+        lambda: BroadcastInstance(_EYE1, _EYE1, _EYE1, direction=np.zeros((1, 1))),
+        InvalidParameter, "nonzero"),
+    "GridDensity-empty-support": (
+        lambda: GridDensity(1.0, 0.0, _FLAT), InvalidParameter, "support_hi must exceed"),
+    "GridDensity-nan-sample": (_nan_sample, InvalidParameter, "samples must be finite"),
+    "from_callable-shape": (
+        lambda: GridDensity.from_callable(lambda x: x[:-1], 0.0, 1.0), InvalidParameter,
+        "one value per grid node"),
+    "from_callable-zero-mass": (
+        lambda: GridDensity.from_callable(np.zeros_like, 0.0, 1.0), InvalidParameter,
+        "nonpositive or divergent mass"),
+    "check_worst_noise-zero-noise": (
+        lambda: check_worst_noise(GridDensity.gaussian(1.0), 0.0, 1.0), InvalidParameter,
+        "noise variances must be positive"),
+    "gaussian_search-no-trials": (
+        lambda: gaussian_search(EEIInstance.from_scalars(2.0, 1.0, 10.0, 4.0), 0, 7),
+        InvalidParameter, "at least one trial"),
+}
+
+
+@pytest.mark.parametrize("case", _REJECTIONS)
+def test_rejection(case):
+    call, error, message = _REJECTIONS[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -762,6 +762,32 @@ class TestTensorGridMemo:
         assert (info.misses, info.hits) == (1, 3)
         assert not any(a.flags.writeable for a in _tensor_grid(*args[:3]))
 
+    @pytest.mark.parametrize("probe", [_first, _second])
+    def test_warm_call_convolves_nothing(self, probe, monkeypatch):
+        # the memo convolves the triple once, on the call that builds it
+        calls = []
+
+        def counted(d1, d2):
+            calls.append((d1, d2))
+            return convolve_pair(d1, d2)
+
+        monkeypatch.setattr("eeikit.oracle.convolve_pair", counted)
+        args = _memo_triple("a")
+        _tensor_grid.cache_clear()
+        cold = probe(*args)
+        assert calls == [(args[0], args[2])]
+        assert [probe(*args) for _ in range(3)] == [cold] * 3
+        assert len(calls) == 1
+
+    def test_second_form_rejects_an_inconsistent_triple(self):
+        # fy's variance is 0.5 above var_x + var_v = 1.5
+        fx, fv = GridDensity.gaussian(1.0), GridDensity.gaussian(0.5)
+        fy = GridDensity.gaussian(2.0)
+        hx, hy = np.zeros(fx.points), np.zeros(fy.points)
+        for _ in range(2):  # an inconsistent triple is never kept
+            with pytest.raises(InconsistentDensity, match="fy deviates"):
+                variational_second_form(fx, fy, fv, 2.0, hx, hy, 0.5)
+
     def test_mutated_source_changes_nothing(self):
         fx, fy, fv, mu, hx, hy = _memo_triple("a")
         src = fx.values.copy()
