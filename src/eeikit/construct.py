@@ -293,10 +293,10 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
 # S0 = (V - mu W)/(mu - 1), where S + V = mu (S + W), clipped strictly inside
 # the band {0 <= S <= R} gives the start.  A fixed ladder of log-barrier
 # stages, each centred by trust-region Newton steps (most from the secant of
-# the last two centres), follows the path to the maximizer in the band; each
-# candidate S + Y E Y^T is factored once, for its score and the next step.  The
-# last stage's modes at barrier distance from a face are pinned onto it,
-# which carries K (S = 0) or N (S = R), found by one solve of G + K - N = 0.
+# the last two centres), follows the path to the maximizer; one stacked eigh
+# of each candidate's whitened form, S + W and S + V scores it and feeds the
+# next step, whose gradient is read on the upper triangle.  Modes near a face
+# are pinned onto it, with K (S = 0) or N (S = R) from G + K - N = 0.
 # ---------------------------------------------------------------------------
 
 # First and last barrier weights; each stage divides tau by 30 (ten stages).
@@ -335,24 +335,37 @@ def _sym_coords(k: int):
     return i, j, np.where(i == j, 0.5, 1.0)
 
 
-def _trace_products(p: NDArray, i: NDArray, j: NDArray, weights: NDArray) -> NDArray:
+def _newton_frame(n: int):
+    """A Newton step's indices, once per solve: ``(i, j, 2c, flat, mirror, diag, gathers)``.
+
+    Over :func:`_sym_coords`: ``flat = i n + j`` in a flat n x n matrix, ``mirror`` flat then
+    ``j n + i`` (one ``put`` of m values fills both triangles), ``diag`` the coordinates i = j,
+    ``gathers`` the four (m, m) flat positions and weights of :func:`_trace_products`.
+    """
+    i, j, c = _sym_coords(n)
+    flat, pairs = i * n + j, ((i, i), (j, j), (i, j), (j, i))
+    gathers = tuple(np.add.outer(a * n, b) for a, b in pairs) + (2.0 * np.outer(c, c),)
+    return i, j, 2.0 * c, flat, np.concatenate((flat, j * n + i)), np.flatnonzero(i == j), gathers
+
+
+def _trace_products(p: NDArray, gathers: tuple) -> NDArray:
     """``tr(P B_a P B_b) = 2 c_a c_b (P_ik P_jl + P_il P_jk)``, b = (k, l), for each P in p.
 
-    ``weights`` is ``2 c_a c_b``, built once per solve.
+    ``gathers`` are the flat positions of the four factors and the weights ``2 c_a c_b``.
     """
-    pi, pj = p.take(i, 1), p.take(j, 1)
-    return weights * (pi.take(i, 2) * pj.take(j, 2) + pi.take(j, 2) * pj.take(i, 2))
+    pf, (ii, jj, ij, ji, weights) = p.reshape(len(p), -1), gathers
+    return weights * (pf.take(ii, 1) * pf.take(jj, 1) + pf.take(ij, 1) * pf.take(ji, 1))
 
 
-def _band_barrier(lam: NDArray, i: NDArray, j: NDArray, c: NDArray):
+def _band_barrier(lam: NDArray, i: NDArray, j: NDArray, c2: NDArray):
     """``(h, d)``: the band barrier ``log det S + log det(R - S)`` moved by ``Y E Y^T``.
 
     That is ``log det(diag(lam) + E) + log det(I - diag(lam) - E)`` plus a constant: gradient
     ``diag(d)``, ``d = 1/lam - 1/(1 - lam)``, and Hessian ``-diag(h)`` in :func:`_sym_coords`,
-    ``h_a = 2 c_a (1/(lam_i lam_j) + 1/((1 - lam_i)(1 - lam_j)))``.
+    ``h_a = 2 c_a (1/(lam_i lam_j) + 1/((1 - lam_i)(1 - lam_j)))``; ``c2`` is ``2 c``.
     """
     a, b = 1.0 / lam, 1.0 / (1.0 - lam)
-    return 2.0 * c * (a[i] * a[j] + b[i] * b[j]), a - b
+    return c2 * (a[i] * a[j] + b[i] * b[j]), a - b
 
 
 def _face_columns(u: NDArray) -> NDArray:
@@ -385,18 +398,18 @@ def _barrier_value(
 ):
     """``h(S + W) - mu h(S + V) + tau (log det S + log det(R - S))``, -inf off the band.
 
-    S comes whitened, ``S = Y X Y^T`` and ``R = Y Y^T``.  One ``eigh``, ``X = U diag(lam) U^T``,
-    gives the band terms ``sum log(lam (1 - lam)) + 2 log det R`` and the test 0 < lam < 1;
-    one of ``S + wv``, wv the stack ``(W, V)``, gives the entropies, as :func:`gaussian_entropy`
-    computes them, and the inverses.  Returns ``(phi, lam, Y U, P)``, what a Newton step from
-    S reads, with ``P = (Y U)^T (S + wv)^-1 (Y U)``, or ``(-inf, None, None, None)``.
+    S comes whitened, ``S = Y X Y^T`` and ``R = Y Y^T``, wv is ``(W, V)``.  One ``eigh`` of the
+    stack ``(X, S + wv)``, bit for bit separate calls, gives ``X = U diag(lam) U^T``, the test
+    0 < lam < 1 (before any log), the band terms ``sum log(lam (1 - lam)) + 2 log det R``, the
+    entropies as :func:`gaussian_entropy` computes them, and the inverses.  Returns ``(phi,
+    lam, Y U, P)``, ``P = (Y U)^T (S + wv)^-1 (Y U)``, or ``(-inf, None, None, None)``.
     """
-    lam, u = np.linalg.eigh(x)
+    ev, vec = np.linalg.eigh(np.concatenate((x[None], s + wv)))
+    lam, ev, u, vec = ev[0], ev[1:], vec[0], vec[1:]
     if not (lam[0] > 0.0 and lam[-1] < 1.0):
         return -math.inf, None, None, None
-    ev, vec = np.linalg.eigh(s + wv)
-    h_w, h_v = 0.5 * (s.shape[0] * LOG_2PI_E + np.sum(np.log(ev), axis=1))
-    barrier = float(np.sum(np.log(lam * (1.0 - lam)))) + 2.0 * log_det_r
+    h_w, h_v = 0.5 * (s.shape[0] * LOG_2PI_E + np.log(ev).sum(axis=1))
+    barrier = float(np.log(lam * (1.0 - lam)).sum()) + 2.0 * log_det_r
     y = y @ u
     # B B^T is exactly symmetric, as the gather in _trace_products needs.
     b = (y.T @ vec) / np.sqrt(ev)[:, None, :]
@@ -406,65 +419,67 @@ def _barrier_value(
 def _trust_region_step(lam: NDArray, gq: NDArray, shift: float, radius: float):
     """Shifted Newton step ``z = gq / (shift - lam)`` cut to length ``radius``.
 
-    ``lam`` is the spectrum of the whitened Hessian and ``gq`` the
-    gradient in its eigenvectors; ``shift > max(lam)``.  While ``||z||``
-    exceeds ``1.2 * radius`` the shift is raised by at most 8 Moré–Sorensen
-    Newton steps on the secular equation ``1 / ||z(shift)|| = 1 / radius``,
-    which approach its root from below, so the raised shift never passes
-    it.  A step still longer than ``radius`` is scaled down to it.
+    ``lam`` is the spectrum of the whitened Hessian and ``gq`` the gradient in its
+    eigenvectors; ``shift > max(lam)``.  While ``||z|| = sqrt(z.z)`` exceeds ``1.2 * radius``
+    the shift is raised by at most 8 Moré–Sorensen Newton steps on the secular equation
+    ``1 / ||z(shift)|| = 1 / radius``, which approach its root from below, so the raised
+    shift never passes it.  A step still longer than ``radius`` is scaled down to it.
     Returns ``(z, shift)``.
     """
     z = gq / (shift - lam)
-    norm_z = float(np.linalg.norm(z))
+    norm_z = math.sqrt(z.dot(z))
     for _ in range(8):
         if norm_z <= 1.2 * radius:
             break
-        shift += norm_z**2 / float(np.sum(z**2 / (shift - lam))) * (norm_z - radius) / radius
+        shift += norm_z**2 / float((z**2 / (shift - lam)).sum()) * (norm_z - radius) / radius
         z = gq / (shift - lam)
-        norm_z = float(np.linalg.norm(z))
+        norm_z = math.sqrt(z.dot(z))
     if norm_z > radius:
         z = z * (radius / norm_z)
     return z, shift
 
 
 def _barrier_stage(
-    starts: tuple, wv: NDArray, mu: float, tau: float, l: NDArray, l_inv: NDArray, coords: tuple,
+    starts: tuple, wv: NDArray, mu: float, tau: float, l: NDArray, l_inv: NDArray, frame: tuple,
     log_det_r: float,
 ) -> NDArray:
     """Trust-region Newton centering for the log-barrier surrogate.
 
-    It begins from the one of ``starts`` that :func:`_barrier_value` at tau scores
-    highest, the first on ties, each whitened from S itself (``Y = L``).  Each step moves
-    ``S = Y diag(lam) Y^T`` by ``Y E Y^T``, E in :func:`_sym_coords` (``coords`` is its
-    ``(i, j, c)`` and weights), where the barrier Hessian is diagonal
-    (:func:`_band_barrier`) and whitens the Newton system exactly.  Scoring a candidate
-    factors ``diag(lam) + E``, and an accepted one carries its ``(lam, Y)`` and inverses
-    into the next step.  One ``eigh`` of the whitened Hessian gives the trust-region step
-    (:func:`_trust_region_step`) inside the Dikin ellipsoid of radius ``0.8 sqrt(tau)``,
-    which keeps every iterate strictly feasible; its shift starts just above the top
-    eigenvalue (or at zero), and a step that does not raise the barrier value is retried
-    with a larger shift.  The stage ends once the scaled gradient norm is at most
-    ``0.25 sqrt(tau)``, at the first candidate whose barrier value lies in
-    ``[phi - 1e-15, phi]`` (S is as centred as rounding allows), after 40 rejected tries
-    in a row, after 30 steps, at a ``LinAlgError``, or at once if no start is in the band.
+    It begins from the one of ``starts`` that :func:`_barrier_value` at tau scores highest,
+    the first on ties, each whitened from S itself (``Y = L``).  Each step moves
+    ``S = Y diag(lam) Y^T`` by ``Y E Y^T``, E in :func:`_sym_coords` (``frame`` is its
+    :func:`_newton_frame`), where the barrier Hessian is diagonal (:func:`_band_barrier`)
+    and whitens the Newton system exactly; the gradient is read on P's upper triangle.
+    Scoring a candidate is one stacked ``eigh`` of ``diag(lam) + E``, S + W and S + V; an
+    accepted one carries its ``(lam, Y)`` and inverses into the next step.  One ``eigh`` of
+    the whitened Hessian gives the trust-region step (:func:`_trust_region_step`) inside the
+    Dikin ellipsoid of radius ``0.8 sqrt(tau)``, which keeps every iterate strictly feasible;
+    its shift starts just above the top eigenvalue (or at zero), and a step that does not
+    raise the barrier value is retried with a larger shift.  The stage ends once the scaled
+    gradient norm is at most ``0.25 sqrt(tau)``, at the first candidate whose barrier value
+    lies in ``[phi - 1e-15, phi]`` (S is as centred as rounding allows), after 40 rejected
+    tries in a row, after 30 steps, at a ``LinAlgError``, or at once if no start is in the band.
     """
-    i, j, c, weights = coords
+    i, j, c2, flat, mirror, diag, gathers = frame
     scored = [_barrier_value(x, symmetrize(l_inv @ x @ l_inv.T), l, wv, mu, tau, log_det_r)
               for x in starts]
     start, (phi, lam, y, p) = max(zip(starts, scored), key=lambda pair: pair[1][0])
     if phi == -math.inf:
         return start
-    s, root_tau, damp = start, math.sqrt(tau), 0.0
+    s, root_tau, damp, half_mu, n = start, math.sqrt(tau), 0.0, 0.5 * mu, len(lam)
     for _ in range(30):
-        h_bar, d = _band_barrier(lam, i, j, c)
+        h_bar, d = _band_barrier(lam, i, j, c2)
         ci = 1.0 / np.sqrt(tau * h_bar)
-        g_t = ci * 2.0 * c * (0.5 * p[0] - 0.5 * mu * p[1] + tau * np.diag(d))[i, j]
-        if float(np.linalg.norm(g_t)) <= 0.25 * root_tau:
+        p_t = p.reshape(2, -1).take(flat, 1)
+        g_t = 0.5 * p_t[0] - half_mu * p_t[1]
+        g_t[diag] += tau * d
+        g_t *= ci * c2
+        if math.sqrt(g_t.dot(g_t)) <= 0.25 * root_tau:
             break
-        h = _trace_products(p, i, j, weights)
+        h = _trace_products(p, gathers)
         try:
             # ci turns the barrier Hessian -tau diag(h_bar) into -I: a shift by -1.
-            lam_t, vec = np.linalg.eigh(ci[:, None] * (0.5 * mu * h[1] - 0.5 * h[0]) * ci)
+            lam_t, vec = np.linalg.eigh(ci[:, None] * (half_mu * h[1] - 0.5 * h[0]) * ci)
         except np.linalg.LinAlgError:
             break
         lam_t -= 1.0
@@ -474,10 +489,11 @@ def _barrier_stage(
         damp = max(damp, 1e-12 * t_scale)
         for _ in range(40):
             z, shift = _trust_region_step(lam_t, gq, top + damp, 0.8 * root_tau)
-            e = np.zeros_like(s)
-            e[i, j] = e[j, i] = back @ z
+            e = np.zeros((n, n))
+            e.put(mirror, back @ z)
             cand = s + symmetrize(y @ e @ y.T)
-            phi_new, *factors = _barrier_value(cand, np.diag(lam) + e, y, wv, mu, tau, log_det_r)
+            e.ravel()[:: n + 1] += lam
+            phi_new, *factors = _barrier_value(cand, e, y, wv, mu, tau, log_det_r)
             if phi_new > phi:
                 s, phi, (lam, y, p) = cand, phi_new, factors
                 damp = max(damp / 10.0, 1e-12 * t_scale)
@@ -495,22 +511,19 @@ def _barrier_stage(
 def _interior_newton(s: NDArray, wv: NDArray, mu: float, l: NDArray, l_inv: NDArray) -> NDArray:
     """Log-barrier path following for the band-constrained maximum.
 
-    From a strictly interior S (:func:`_band_start`), Newton-centers barrier
-    surrogates whose weight tau falls 30-fold per stage from ``_TAU_START``
-    to ``_TAU_FLOOR`` and returns the last centre: strictly feasible, near
-    the maximizer, its nearly active modes orders of magnitude from the
-    inactive ones, for :func:`_pin_faces` to pin.  From the third stage on,
-    a stage is also offered the secant ``S_k + (S_k - S_k-1) / 30`` of the
-    path ``S(tau) ~ S* + tau D``, except at tau <= ``1e3 * _TAU_FLOOR``,
-    where the guess's error in the face-free cross block, hidden by the
-    centring test's ``1/sqrt(tau h)`` weights, is worth less to phi than
-    its rounding.
+    From a strictly interior S (:func:`_band_start`), Newton-centers barrier surrogates
+    whose weight tau falls 30-fold per stage from ``_TAU_START`` to ``_TAU_FLOOR`` and
+    returns the last centre: strictly feasible, near the maximizer, its nearly active modes
+    orders of magnitude from the inactive ones, for :func:`_pin_faces` to pin.  From the
+    third stage on, a stage is also offered the secant ``S_k + (S_k - S_k-1) / 30`` of the
+    path ``S(tau) ~ S* + tau D``, except at tau <= ``1e3 * _TAU_FLOOR``, where the guess's
+    error in the face-free cross block, hidden by the centring test's ``1/sqrt(tau h)``
+    weights, is worth less to phi than its rounding.
     """
-    i, j, c = _sym_coords(s.shape[0])
-    coords, log_det_r = (i, j, c, 2.0 * np.outer(c, c)), 2.0 * float(np.sum(np.log(np.diag(l))))
+    frame, log_det_r = _newton_frame(s.shape[0]), 2.0 * float(np.sum(np.log(np.diag(l))))
     tau, prev, starts = _TAU_START, None, (s,)
     while True:
-        s = _barrier_stage(starts, wv, mu, tau, l, l_inv, coords, log_det_r)
+        s = _barrier_stage(starts, wv, mu, tau, l, l_inv, frame, log_det_r)
         if tau <= _TAU_FLOOR:
             return s
         tau = max(tau / 30.0, _TAU_FLOOR)
@@ -537,23 +550,23 @@ def _pin_faces(s: NDArray, l: NDArray, l_inv: NDArray, tol: float):
 
 
 def _optimum_certificate(
-    s_star: NDArray, k: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float
+    s_star: NDArray, k: NDArray, w: NDArray, v: NDArray, r: NDArray, mu: float, scale_wv: float
 ) -> ConstructionCertificate:
     """Noise-split certificate at the constrained maximizer, given K.
 
-    ``k`` is the first-order multiplier of the face S = 0 that
-    :func:`eei_optimum` solved for; it is checked, not refitted.  The
-    split uses ``2K`` (the multiplier of the entropy form without the
-    factor 1/2), so ``W~ = (W^-1 + 2K)^-1``.  ``zero_product_residual``
-    reads ``||2K S*||`` and ``order_residual`` the most negative
-    eigenvalue over the band, the split orderings and ``2K`` itself.
+    ``k`` is the first-order multiplier of the face S = 0 that :func:`eei_optimum` solved
+    for; it is checked, not refitted.  The split uses ``2K`` (the multiplier of the entropy
+    form without the factor 1/2), so ``W~ = (W^-1 + 2K)^-1``.  ``zero_product_residual`` reads
+    ``||2K S*||`` and ``order_residual`` the most negative eigenvalue over the band, the split
+    orderings and ``2K`` itself.  A split gap below ``-1e-6 * scale_wv``, ``scale_wv`` the
+    caller's ``spectral_scale(W, V)``, raises :class:`SplitInfeasible`.
     """
     k_mat = 2.0 * k
     w_tilde = symmetrize(np.linalg.inv(np.linalg.inv(w) + k_mat))
     v_tilde = (mu - 1.0) * symmetrize(s_star + w_tilde)
     v_prime_gap = symmetrize(v - w_tilde - v_tilde)
     split_gap = min_eig(w - w_tilde, v - w_tilde)
-    if split_gap < -1e-6 * spectral_scale(w, v):
+    if split_gap < -1e-6 * scale_wv:
         raise SplitInfeasible(
             f"no admissible reduced noise: ordering violated by {split_gap:.3e}"
         )
@@ -571,23 +584,20 @@ def _optimum_certificate(
 def eei_optimum(instance: EEIInstance):
     """Maximize h(S + W) - mu * h(S + V) over the band 0 <= S <= R.
 
-    In one dimension the derivative ``((1-mu)s + v - mu*w)/((s+w)(s+v))``
-    changes sign once, so ``s = clip(s0, 0, r)`` with
-    ``s0 = (v - mu*w)/(mu - 1)`` is exact.  Otherwise the same ``s0``, the
-    point where ``S + V = mu (S + W)``, clipped strictly inside the band in
-    R's whitened coordinates (:func:`_band_start`) starts the solve, which
-    follows the log-barrier Newton path to the maximizer and pins the modes
-    within ``1e-9 * spectral_scale(W, V, R)`` of a face onto it
-    (:func:`_pin_faces`).  The multipliers K on the face S = 0 and N on the
-    face S = R then solve ``G + K - N = 0`` by least squares, G the gradient.
-    A first-order residual
-    ``max(||G + K - N||_F, -min_eig K, -min_eig N)`` above ``1e-6`` of the
-    gradient scale raises :class:`NoConvergence`.
+    In one dimension the derivative ``((1-mu)s + v - mu*w)/((s+w)(s+v))`` changes sign
+    once, so ``s = clip(s0, 0, r)`` with ``s0 = (v - mu*w)/(mu - 1)`` is exact.  Otherwise
+    the same ``s0``, the point where ``S + V = mu (S + W)``, clipped strictly inside the
+    band in R's whitened coordinates (:func:`_band_start`) starts the solve, which follows
+    the log-barrier Newton path to the maximizer and pins the modes within
+    ``1e-9 * spectral_scale(W, V, R)`` of a face onto it (:func:`_pin_faces`).  The
+    multipliers K on the face S = 0 and N on the face S = R then solve ``G + K - N = 0`` by
+    least squares, G the gradient.  A first-order residual
+    ``max(||G + K - N||_F, -min_eig K, -min_eig N)`` above ``1e-6`` of the gradient scale
+    raises :class:`NoConvergence`.
 
-    Without ``s_v`` the objective is the single-noise
-    ``h(S) - mu * h(S + W)`` over the same band, maximized in closed form
-    by the source split ``construct_l(R, W, mu)``: the answer is its
-    ``s_x_star``, the objective there and that certificate.
+    Without ``s_v`` the objective is the single-noise ``h(S) - mu * h(S + W)`` over the
+    same band, maximized in closed form by the source split ``construct_l(R, W, mu)``: the
+    answer is its ``s_x_star``, the objective there and that certificate.
 
     Returns ``(s_x_star, objective, certificate)``.
     """
@@ -595,21 +605,21 @@ def eei_optimum(instance: EEIInstance):
     if v is None:
         cert = construct_l(r, w, mu)
         return cert.s_x_star, objective_single_noise(cert.s_x_star, w, mu), cert
-    s0 = (v - mu * w) / (mu - 1.0)
+    s0, scale_wv = (v - mu * w) / (mu - 1.0), spectral_scale(w, v)
     if instance.dim == 1:
         s = np.clip(s0, 0.0, r)
         # The clip is exact, so its faces are read off without a pin.
         one = np.ones((1, 1))
         u0, u1 = one[:, s[0] == 0.0], one[:, s[0] == r[0]]
     else:
-        l = np.linalg.cholesky(r)
-        l_inv = np.linalg.inv(l)
+        l_inv = np.linalg.inv(l := np.linalg.cholesky(r))
         s = _interior_newton(_band_start(s0, l, l_inv), np.stack((w, v)), mu, l, l_inv)
-        s, u0, u1 = _pin_faces(s, l, l_inv, 1e-9 * spectral_scale(w, v, r))
+        s, u0, u1 = _pin_faces(s, l, l_inv, 1e-9 * max(scale_wv, spectral_scale(r)))
     g = symmetrize(0.5 * np.linalg.inv(s + w) - 0.5 * mu * np.linalg.inv(s + v))
     k, n_mat = _face_multipliers(g, u0, u1)
     res = max(float(np.linalg.norm(g + k - n_mat)), -min_eig(k, n_mat))
     if res > 1e-6 * max(1.0, float(np.max(np.abs(g)))):
         raise NoConvergence(f"barrier path stalled with first-order residual {res:.3e}")
-    cert = _optimum_certificate(s, k, w, v, r, mu)
-    return s, objective_two_noise(s, w, v, mu), cert
+    cert = _optimum_certificate(s, k, w, v, r, mu, scale_wv)
+    h = gaussian_entropies(s + w, s + v)
+    return s, h[0] - mu * h[1], cert

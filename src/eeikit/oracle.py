@@ -474,15 +474,15 @@ def check_eei(
     )
 
 
-def _capped_scales(mats: NDArray, frac: NDArray, r: NDArray):
+def _capped_scales(mats: NDArray, frac: NDArray, l_inv: NDArray, trace_r: float):
     """Scale each direction to ``frac`` of the budget trace, capped inside the band.
 
     With ``R = L L^T``, ``R - s A`` stays PSD exactly while
-    ``s <= 1 / lambda_max(L^-1 A L^-T)``.  Returns the scales and a mask of
-    the trials whose scale was capped at that boundary.
+    ``s <= 1 / lambda_max(L^-1 A L^-T)``; ``l_inv`` is ``L^-1`` and
+    ``trace_r`` is ``tr R``, both computed once per search.  Returns the
+    scales and a mask of the trials whose scale was capped at that boundary.
     """
-    l_inv = np.linalg.inv(np.linalg.cholesky(r))
-    want = frac * np.trace(r) / np.maximum(np.trace(mats, axis1=1, axis2=2), 1e-30)
+    want = frac * trace_r / np.maximum(np.trace(mats, axis1=1, axis2=2), 1e-30)
     cap = 1.0 / np.linalg.eigvalsh(l_inv @ mats @ l_inv.T)[:, -1]
     clipped = want > cap
     return np.where(clipped, cap, want), clipped
@@ -532,10 +532,11 @@ def gaussian_search(
         return 0.5 * (n * LOG_2PI_E + logdet)
 
     first, second = (0.0, w) if v is None else (w, v)
+    l_inv, trace_r = np.linalg.inv(np.linalg.cholesky(r)), np.trace(r)
     best, lhs, clipped = 0, -math.inf, 0
     for start, g, frac in _trial_draws(seed, trials, n):
         mats = g @ g.transpose(0, 2, 1)
-        scales, capped = _capped_scales(mats, frac, r)
+        scales, capped = _capped_scales(mats, frac, l_inv, trace_r)
         clipped += int(np.count_nonzero(capped))
         sigma = scales[:, None, None] * mats
         values = stacked_entropy(sigma + first) - mu * stacked_entropy(sigma + second)

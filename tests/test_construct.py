@@ -3,6 +3,8 @@
 import dataclasses
 import functools
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -345,8 +347,8 @@ class TestSymmetricCoordinates:
             np.testing.assert_array_equal(c[a] * (e_ij + e_ij.T), b_a)
         p = np.stack([symmetrize(rng.normal(size=(n, n))) for _ in range(4)])
         trace = np.array([[[np.trace(q @ b_a @ q @ b_b) for b_b in basis] for b_a in basis] for q in p])
-        weights = 2.0 * np.outer(c, c)
-        np.testing.assert_allclose(construct._trace_products(p, i, j, weights), trace, rtol=1e-12, atol=1e-12)
+        gathers = construct._newton_frame(n)[-1]
+        np.testing.assert_allclose(construct._trace_products(p, gathers), trace, rtol=1e-12, atol=1e-12)
         # gradient map <G, B_a> = 2 c_a G_ij and step sum_a delta_a B_a
         g = p[0]
         np.testing.assert_array_equal(2.0 * c * g[i, j], [np.sum(g * b_a) for b_a in basis])
@@ -381,6 +383,20 @@ class TestBarrierValue:
         eye = np.eye(2)
         wv = np.stack((eye, 2.0 * eye))
         value, *factors = construct._barrier_value(-0.1 * eye, -0.1 * eye, eye, wv, 2.0, 1e-3, 0.0)
+        assert value == -np.inf
+        assert factors == [None, None, None]
+
+    def test_rejects_a_candidate_whose_noise_sum_is_indefinite(self):
+        # X = S = diag(-2, 0.5) lies off the band, and S + W = diag(-1, 1.5)
+        # is indefinite.  The one stacked eigh factors S + W and S + V before
+        # the band test, so a logarithm taken before it would warn.
+        eye = np.eye(2)
+        s = np.diag([-2.0, 0.5])
+        wv = np.stack((eye, 3.0 * eye))
+        assert np.linalg.eigvalsh(s + wv[0])[0] < 0.0 < np.linalg.eigvalsh(s + wv[0])[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, *factors = construct._barrier_value(s, s, eye, wv, 2.0, 1e-3, 0.0)
         assert value == -np.inf
         assert factors == [None, None, None]
 
@@ -427,7 +443,7 @@ class TestWhitenedBarrier:
         # coordinates where R^-1 is 1e8, which moves the whitened spectrum
         # by about 1e-16 * 1e8, whatever computes it.
         rng = np.random.default_rng([43, n])
-        i, j, c = construct._sym_coords(n)
+        i, j, c2, *_, gathers = construct._newton_frame(n)
         for _ in range(10):
             r = _rand_pd(rng, n, lo=0.5) if band == "random" else np.diag(np.geomspace(1.0, 1e-8, n))
             l = np.linalg.cholesky(r)
@@ -436,23 +452,22 @@ class TestWhitenedBarrier:
             lam, y = construct._whitened_spectrum(s, l, np.linalg.inv(l))
             p = y.T @ np.linalg.inv(np.stack((s, r - s))) @ y
             p = 0.5 * (p + p.transpose(0, 2, 1))
-            trace = construct._trace_products(p, i, j, 2.0 * np.outer(c, c)).sum(axis=0)
-            h, d = construct._band_barrier(lam, i, j, c)
+            trace = construct._trace_products(p, gathers).sum(axis=0)
+            h, d = construct._band_barrier(lam, i, j, c2)
             # exactly diagonal: the off-diagonal trace products vanish
             np.testing.assert_allclose(np.diag(h), trace, rtol=1e-10, atol=1e-10 * np.max(h))
-            grad = 2.0 * c * (p[0] - p[1])[i, j]
+            grad = c2 * (p[0] - p[1])[i, j]
             atol = 1e-10 * np.max(np.abs(grad))
-            np.testing.assert_allclose(2.0 * c * np.diag(d)[i, j], grad, rtol=1e-10, atol=atol)
+            np.testing.assert_allclose(c2 * np.diag(d)[i, j], grad, rtol=1e-10, atol=atol)
 
 
 def _stage_frame(r):
-    """``(l, l_inv, coords, log_det_r)``: the per-solve arguments of a barrier stage."""
+    """``(l, l_inv, frame, log_det_r)``: the per-solve arguments of a barrier stage."""
     l = np.linalg.cholesky(r)
-    i, j, c = construct._sym_coords(r.shape[0])
-    return l, np.linalg.inv(l), (i, j, c, 2.0 * np.outer(c, c)), np.linalg.slogdet(r)[1]
+    return l, np.linalg.inv(l), construct._newton_frame(r.shape[0]), np.linalg.slogdet(r)[1]
 
 
-def _stage_value(x, wv, mu, tau, l, l_inv, coords, log_det_r):
+def _stage_value(x, wv, mu, tau, l, l_inv, frame, log_det_r):
     """The barrier value of S = x as a stage scores its starts."""
     return construct._barrier_value(x, symmetrize(l_inv @ x @ l_inv.T), l, wv, mu, tau, log_det_r)
 
@@ -519,7 +534,7 @@ class TestCentralPathWarmStart:
 
         def recorded(starts, *args):
             centre = stage(starts, *args)
-            # args are (wv, mu, tau, l, l_inv, coords, log_det_r)
+            # args are (wv, mu, tau, l, l_inv, frame, log_det_r)
             stages.append((starts, args, centre))
             return centre
 
@@ -618,6 +633,53 @@ class TestTrustRegionStep:
             gain = gq @ z + 0.5 * z @ (lam * z)
             assert gain >= 0.95 * (gq @ exact + 0.5 * exact @ (lam * exact))
         assert raised_count > 100
+
+
+class TestSolverBitIdentities:
+    """Two numpy facts the band solver's bytes rest on, checked on a solve's own data.
+
+    Each barrier candidate is factored by one ``eigh`` of the stack
+    ``(X, S + W, S + V)`` and step lengths are ``sqrt(z.z)``.  If a numpy
+    release breaks either fact, this test names why the solver's bytes moved.
+    """
+
+    @staticmethod
+    def _recorded(monkeypatch, n):
+        """The ``(S, X, wv)`` of each scored candidate and each trust-region step of one solve."""
+        value, step, scored, steps = construct._barrier_value, construct._trust_region_step, [], []
+
+        def scoring(s, x, y, wv, *args):
+            scored.append((s, x, wv))
+            return value(s, x, y, wv, *args)
+
+        def stepping(*args):
+            out = step(*args)
+            steps.append(out[0])
+            return out
+
+        monkeypatch.setattr(construct, "_barrier_value", scoring)
+        monkeypatch.setattr(construct, "_trust_region_step", stepping)
+        eei_optimum(TestOptimumGuardRails._random_instance(np.random.default_rng([67, n]), n))
+        return scored, steps
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_stacked_eigh_matches_separate_calls(self, monkeypatch, n):
+        scored, _ = self._recorded(monkeypatch, n)
+        assert len(scored) >= 30
+        for s, x, wv in scored[:: max(1, len(scored) // 40)]:
+            mats = (x, s + wv[0], s + wv[1])
+            ev, vec = np.linalg.eigh(np.stack(mats))
+            for k, m in enumerate(mats):
+                e1, v1 = np.linalg.eigh(m)
+                assert ev[k].tobytes() == e1.tobytes()
+                assert vec[k].tobytes() == v1.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_step_norm_is_sqrt_of_dot(self, monkeypatch, n):
+        _, steps = self._recorded(monkeypatch, n)
+        assert len(steps) >= 30
+        for z in steps:
+            assert math.sqrt(z.dot(z)) == np.linalg.norm(z)
 
 
 def _kkt_residual(s, k, w, v, r, mu):
@@ -877,7 +939,7 @@ class TestOptimumChecksCanFail:
     def test_sign_flipped_multiplier_trips_order(self):
         inst, s_star, k, scale = self._solved()
         cert = construct._optimum_certificate(
-            s_star, -k, inst.s_w, inst.s_v, inst.r, inst.mu
+            s_star, -k, inst.s_w, inst.s_v, inst.r, inst.mu, spectral_scale(inst.s_w, inst.s_v)
         )
         assert cert.order_residual < -0.1 * scale
 
@@ -886,14 +948,16 @@ class TestOptimumChecksCanFail:
         # min_eig(V - W~) is -0.9.
         eye, zero = np.eye(2), np.zeros((2, 2))
         with pytest.raises(SplitInfeasible, match="-9.000e-01"):
-            construct._optimum_certificate(zero, zero, eye, 0.1 * eye, eye, 2.0)
+            construct._optimum_certificate(
+                zero, zero, eye, 0.1 * eye, eye, 2.0, spectral_scale(eye, 0.1 * eye)
+            )
 
     def test_multiplier_off_the_face_trips_zero_product(self):
         inst, s_star, k, scale = self._solved()
         inactive = self.Q[:, :1]
         moved = np.linalg.norm(k) * (inactive @ inactive.T)
         cert = construct._optimum_certificate(
-            s_star, moved, inst.s_w, inst.s_v, inst.r, inst.mu
+            s_star, moved, inst.s_w, inst.s_v, inst.r, inst.mu, spectral_scale(inst.s_w, inst.s_v)
         )
         assert cert.zero_product_residual > 0.1 * scale
 

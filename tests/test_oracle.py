@@ -423,9 +423,9 @@ class TestGaussianSearch:
         r = f @ f.T + 0.5 * np.eye(3)
         _, g, frac = _drawn(23, 200, 3)
         mats = g @ g.transpose(0, 2, 1)
-        scales, capped = _capped_scales(mats, frac, r)
-        assert 0 < np.count_nonzero(capped) < 200
         l_inv = np.linalg.inv(np.linalg.cholesky(r))
+        scales, capped = _capped_scales(mats, frac, l_inv, np.trace(r))
+        assert 0 < np.count_nonzero(capped) < 200
         want = frac * np.trace(r) / np.trace(mats, axis1=1, axis2=2)
         for a, s, top, hit in zip(mats, scales, want, capped):
             lo, hi = 0.0, top
