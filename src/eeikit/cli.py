@@ -144,28 +144,32 @@ def _need(args, names, command):
             raise InvalidParameter(f"{command} requires --{name}")
 
 
-def _certificate_outcome(cert, mu, *inputs):
-    """Summary and result of a split certificate.
+class Outcome(NamedTuple):
+    """What a runner returns: the gated numbers and the report's result."""
+
+    n: int
+    lhs: float
+    rhs: float
+    margin: float
+    trials: int
+    result: dict
+
+
+def _certificate_outcome(cert, *inputs) -> Outcome:
+    """Outcome of a split certificate.
 
     The gated value is its worst residual over the inputs' spectral scale.
     """
     worst = max(
         cert.zero_product_residual, max(0.0, -cert.order_residual)
     ) / spectral_scale(*inputs)
-    return (
-        {"n": cert.s_x_star.shape[0], "mu": mu, "lhs": worst, "rhs": 0.0,
-         "margin": -worst, "trials": 1},
-        cert.as_dict(),
-    )
+    return Outcome(cert.s_x_star.shape[0], worst, 0.0, -worst, 1, cert.as_dict())
 
 
-def _report_outcome(report, mu):
-    """Summary and result of a :class:`VerificationReport`."""
-    return (
-        {"n": report.params["n"], "mu": mu, "lhs": report.lhs, "rhs": report.rhs,
-         "margin": report.margin, "trials": report.trials},
-        report.as_dict(),
-    )
+def _report_outcome(report) -> Outcome:
+    """Outcome of a :class:`VerificationReport`; only a search has trials."""
+    return Outcome(report.params["n"], report.lhs, report.rhs, report.margin,
+                   report.params.get("trials", 1), report.as_dict())
 
 
 def _instance(args, mu) -> EEIInstance:
@@ -178,28 +182,26 @@ def _instance(args, mu) -> EEIInstance:
 
 
 # Runners take (args, mu, seed, tol), with mu None for commands without
-# --mu, and return (summary, result).  They call the library through this
+# --mu, and return an Outcome.  They call the library through this
 # module's globals at call time, so a test can patch any of them.
 
 
 def _run_construct_l(args, mu, seed, tol):
     x, w = _parse_matrix(args.x, "x"), _parse_matrix(args.w, "w")
-    return _certificate_outcome(construct_l(x, w, mu), mu, x, w)
+    return _certificate_outcome(construct_l(x, w, mu), x, w)
 
 
 def _run_construct_k(args, mu, seed, tol):
     w, v = _parse_matrix(args.w, "w"), _parse_matrix(args.v, "v")
-    return _certificate_outcome(construct_k(w, v, mu), mu, w, v)
+    return _certificate_outcome(construct_k(w, v, mu), w, v)
 
 
 def _run_optimum(args, mu, seed, tol):
     instance = _instance(args, mu)
     _, value, cert = eei_optimum(instance)
-    summary, result = _certificate_outcome(
-        cert, mu, instance.s_w, instance.s_v, instance.r
-    )
-    result["objective"] = value
-    return summary, result
+    outcome = _certificate_outcome(cert, instance.s_w, instance.s_v, instance.r)
+    outcome.result["objective"] = value
+    return outcome
 
 
 def _run_verify_eei(args, mu, seed, tol):
@@ -212,13 +214,13 @@ def _run_verify_eei(args, mu, seed, tol):
         s2_v=_parse_scalar(args.v, "v") if args.v is not None else None,
         tol=tol,
     )
-    return _report_outcome(report, mu)
+    return _report_outcome(report)
 
 
 def _run_verify_epi(args, mu, seed, tol):
     d1 = _parse_density(args.density, args.grid_points)
     d2 = _parse_density(args.density2 or "gaussian", args.grid_points)
-    return _report_outcome(check_epi(d1, d2, tol=tol), mu)
+    return _report_outcome(check_epi(d1, d2, tol=tol))
 
 
 def _run_worst_noise(args, mu, seed, tol):
@@ -226,12 +228,12 @@ def _run_worst_noise(args, mu, seed, tol):
     report = check_worst_noise(
         density, _parse_scalar(args.w, "w"), _parse_scalar(args.v, "v"), tol=tol
     )
-    return _report_outcome(report, mu)
+    return _report_outcome(report)
 
 
 def _run_search(args, mu, seed, tol):
     report = gaussian_search(_instance(args, mu), trials=args.trials, seed=seed, tol=tol)
-    return _report_outcome(report, mu)
+    return _report_outcome(report)
 
 
 def _run_broadcast_design(args, mu, seed, tol):
@@ -244,11 +246,7 @@ def _run_broadcast_design(args, mu, seed, tol):
     design = design_private_message(instance)
     tr_r = float(np.trace(instance.r))
     rel = abs(design.trace_mse_rx2 - tr_r) / tr_r
-    return (
-        {"n": instance.dim, "mu": None, "lhs": design.trace_mse_rx2,
-         "rhs": tr_r, "margin": -rel, "trials": 1},
-        design.as_dict(),
-    )
+    return Outcome(instance.dim, design.trace_mse_rx2, tr_r, -rel, 1, design.as_dict())
 
 
 def _run_lmmse_bound(args, mu, seed, tol):
@@ -257,12 +255,10 @@ def _run_lmmse_bound(args, mu, seed, tol):
     _, logdet_n = np.linalg.slogdet(r)
     _, logdet_y = np.linalg.slogdet(x + r)
     gauss = float(0.5 * (logdet_y - logdet_n))
-    return (
-        {"n": x.shape[0], "mu": None, "lhs": bound, "rhs": gauss,
-         "margin": -abs(bound - gauss), "trials": 1},
-        {"bound_nats": bound, "gaussian_mi_nats": gauss,
-         "s_x": cov_to_json(x), "r": cov_to_json(r)},
-    )
+    return Outcome(x.shape[0], bound, gauss, -abs(bound - gauss), 1, {
+        "bound_nats": bound, "gaussian_mi_nats": gauss,
+        "s_x": cov_to_json(x), "r": cov_to_json(r),
+    })
 
 
 def _run_variational_check(args, mu, seed, tol):
@@ -270,41 +266,37 @@ def _run_variational_check(args, mu, seed, tol):
     fx = _parse_density(args.density, args.grid_points)
     fv = _parse_density(noise, args.grid_points)
     residual = variational_first_residual(fx, convolve_pair(fx, fv), fv, mu)
-    return (
-        {"n": 1, "mu": mu, "lhs": residual, "rhs": 0.0,
-         "margin": -residual, "trials": 1},
-        {"stationarity_rms": residual, "density": args.density,
-         "noise_density": noise},
-    )
+    return Outcome(1, residual, 0.0, -residual, 1, {
+        "stationarity_rms": residual, "density": args.density, "noise_density": noise,
+    })
 
 
 class Command(NamedTuple):
-    """One CLI command: default tolerance, required flags, --mu, runner."""
+    """One CLI command: default tolerance, required flags, runner."""
 
     tol: float
     flags: tuple
-    mu: bool
     run: Callable
 
 
-# Keyed by command, in the order argparse lists them.  Quadrature-backed
-# checks need a far looser default tolerance than exact-arithmetic
-# certificates.
+# Keyed by command, in the order argparse lists them.  A command that takes
+# --mu lists it first among its flags.  Quadrature-backed checks need a far
+# looser default tolerance than exact-arithmetic certificates.
 COMMANDS = {
-    "construct-l": Command(1e-8, ("x", "w"), True, _run_construct_l),
-    "construct-k": Command(1e-8, ("w", "v"), True, _run_construct_k),
-    "optimum": Command(1e-6, ("w", "v", "r"), True, _run_optimum),
-    "verify-eei": Command(1e-3, ("density", "w", "r"), True, _run_verify_eei),
-    "verify-epi": Command(1e-4, ("density",), False, _run_verify_epi),
-    "verify-worst-noise": Command(1e-4, ("density", "w", "v"), False, _run_worst_noise),
-    "search": Command(1e-6, ("w", "r"), True, _run_search),
-    "broadcast-design": Command(1e-6, ("z1", "z2", "r"), False, _run_broadcast_design),
-    "lmmse-bound": Command(1e-10, ("x", "r"), False, _run_lmmse_bound),
-    "variational-check": Command(1e-3, ("density",), True, _run_variational_check),
+    "construct-l": Command(1e-8, ("mu", "x", "w"), _run_construct_l),
+    "construct-k": Command(1e-8, ("mu", "w", "v"), _run_construct_k),
+    "optimum": Command(1e-6, ("mu", "w", "v", "r"), _run_optimum),
+    "verify-eei": Command(1e-3, ("mu", "density", "w", "r"), _run_verify_eei),
+    "verify-epi": Command(1e-4, ("density",), _run_verify_epi),
+    "verify-worst-noise": Command(1e-4, ("density", "w", "v"), _run_worst_noise),
+    "search": Command(1e-6, ("mu", "w", "r"), _run_search),
+    "broadcast-design": Command(1e-6, ("z1", "z2", "r"), _run_broadcast_design),
+    "lmmse-bound": Command(1e-10, ("x", "r"), _run_lmmse_bound),
+    "variational-check": Command(1e-3, ("mu", "density"), _run_variational_check),
 }
 
 
-def _render(args, config, summary, result, passed, elapsed_ms) -> str:
+def _render(fmt, config, summary, result) -> str:
     def cell(value):
         if value is None:
             return ""
@@ -312,27 +304,20 @@ def _render(args, config, summary, result, passed, elapsed_ms) -> str:
             return repr(value)
         return str(value)
 
-    if args.format == "csv":
-        fields = dict(summary, command=config["command"], tol=config["tol"],
-                      seed=config["seed"], elapsed_ms=elapsed_ms)
+    if fmt == "csv":
+        fields = dict(summary, command=config["command"])
         row = ",".join(cell(fields[name]) for name in CSV_HEADER.split(","))
         return CSV_HEADER + "\n" + row + "\n"
-    if args.format == "text":
+    if fmt == "text":
         lines = [
-            f"eeikit {__version__}  command={config['command']}  seed={config['seed']}",
+            f"eeikit {__version__}  command={config['command']}  seed={summary['seed']}",
             f"n={summary['n']}  mu={cell(summary['mu'])}  trials={summary['trials']}",
             f"lhs={cell(summary['lhs'])}  rhs={cell(summary['rhs'])}",
-            f"margin={cell(summary['margin'])}  tol={cell(config['tol'])}",
-            f"status={'PASS' if passed else 'FAIL'}  elapsed_ms={elapsed_ms}",
+            f"margin={cell(summary['margin'])}  tol={cell(summary['tol'])}",
+            f"status={'PASS' if summary['passed'] else 'FAIL'}  elapsed_ms={summary['elapsed_ms']}",
         ]
         return "\n".join(lines) + "\n"
-    envelope = {
-        "version": __version__,
-        "config": config,
-        "summary": dict(summary, tol=config["tol"], seed=config["seed"],
-                        passed=passed, elapsed_ms=elapsed_ms),
-        "result": result,
-    }
+    envelope = {"version": __version__, "config": config, "summary": summary, "result": result}
     return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
 
 
@@ -354,12 +339,9 @@ def main(argv=None) -> int:
         if not math.isfinite(tol):
             raise InvalidParameter(f"tol must be finite, got {tol}")
         started = time.perf_counter()
-        mu = None
-        if command.mu:
-            _need(args, ("mu",), args.command)
-            mu = validated_mu(args.mu)
         _need(args, command.flags, args.command)
-        summary, result = command.run(args, mu, seed, tol)
+        mu = validated_mu(args.mu) if "mu" in command.flags else None
+        outcome = command.run(args, mu, seed, tol)
         elapsed_ms = (
             int(round(1000.0 * (time.perf_counter() - started)))
             if args.timing
@@ -371,17 +353,19 @@ def main(argv=None) -> int:
     except (EEIKitError, ValueError, OSError) as exc:
         print(f"eeikit: error: {exc}", file=sys.stderr)
         return 2
-    passed = summary["margin"] >= -tol
+    summary = dict(outcome._asdict(), mu=mu, tol=tol, seed=seed,
+                   passed=outcome.margin >= -tol, elapsed_ms=elapsed_ms)
+    result = summary.pop("result")
     # The report embeds every flag, resolved, except where it is written.
     config = dict(vars(args), tol=tol, seed=seed)
     del config["output"]
-    text = _render(args, config, summary, result, passed, elapsed_ms)
+    text = _render(args.format, config, summary, result)
     try:
         _emit(args, text)
     except OSError as exc:
         print(f"eeikit: error: {exc}", file=sys.stderr)
         return 2
-    return 0 if passed else 1
+    return 0 if summary["passed"] else 1
 
 
 if __name__ == "__main__":

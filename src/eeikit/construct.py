@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -195,6 +195,16 @@ def f_alpha_argmax(instance: EEIInstance) -> float:
     return 1.0 / (instance.mu - 1.0)
 
 
+def _mode_multiplier(a, b, names: tuple, thr: float, rule: Callable) -> NDArray:
+    """The split multiplier ``Q diag(m) Q^T``, Q and d from ``simdiag(a, b)``.
+
+    Per mode, ``m = 0`` where ``d <= thr`` (with ``_BRANCH_TOL`` slack), else ``rule(d)``.
+    """
+    q, d = simdiag(a, b, names=names)
+    m = np.where(d <= thr + _BRANCH_TOL, 0.0, rule(d))
+    return symmetrize(q @ (m[:, None] * q.T))
+
+
 def construct_l(s_x, s_w, mu: float) -> ConstructionCertificate:
     """Split a source X = X* + X' so that a PSD multiplier L annihilates X'.
 
@@ -210,14 +220,9 @@ def construct_l(s_x, s_w, mu: float) -> ConstructionCertificate:
     Markov kernel ``E + E^T`` with ``E = (X + W~) L X'``.
     """
     mu = validated_mu(mu)
-    q, d_w = simdiag(s_x, s_w, names=("s_x", "s_w"))
+    l_mat = _mode_multiplier(s_x, s_w, ("s_x", "s_w"), mu - 1.0,
+                             lambda d: (d - (mu - 1.0)) / (mu * (1.0 + d)))
     x, w = symmetrize(s_x), validated_pd(s_w, "s_w")
-    d_l = np.where(
-        d_w <= (mu - 1.0) + _BRANCH_TOL,
-        0.0,
-        (d_w - (mu - 1.0)) / (mu * (1.0 + d_w)),
-    )
-    l_mat = symmetrize(q @ (d_l[:, None] * q.T))
     w_tilde = symmetrize(np.linalg.inv(np.linalg.inv(x + w) + l_mat) - x)
     x_star = w_tilde / (mu - 1.0)
     x_prime = symmetrize(x - x_star)
@@ -251,14 +256,6 @@ def dominating_gaussian(s_x, s_w, mu: float):
     return cert.s_x_star, cert
 
 
-def _k_threshold(s_w: NDArray, s_v_tilde: NDArray, mu: float) -> NDArray:
-    """PSD multiplier K from the per-mode threshold rule of the noise split."""
-    q, d_w = simdiag(s_v_tilde, s_w, names=("s_v_tilde", "s_w"))
-    thr = 1.0 / (mu - 1.0)
-    d_k = np.where(d_w <= thr + _BRANCH_TOL, 0.0, (mu - 1.0) - 1.0 / d_w)
-    return symmetrize(q @ (d_k[:, None] * q.T))
-
-
 def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
     """Split a noise W = W~ + W' against a target second noise V~.
 
@@ -272,7 +269,8 @@ def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
     """
     mu = validated_mu(mu)
     w = validated_pd(s_w, "s_w")
-    k_mat = _k_threshold(w, s_v_tilde, mu)
+    k_mat = _mode_multiplier(s_v_tilde, w, ("s_v_tilde", "s_w"), 1.0 / (mu - 1.0),
+                             lambda d: (mu - 1.0) - 1.0 / d)
     v_tilde = symmetrize(s_v_tilde)
     w_tilde = symmetrize(np.linalg.inv(np.linalg.inv(w) + k_mat))
     x_star = symmetrize(v_tilde / (mu - 1.0) - w_tilde)

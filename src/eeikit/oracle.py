@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -229,29 +229,19 @@ class VerificationReport:
     margin: float
     tol: float
     passed: bool
-    trials: int
-    seed: int
     params: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
-            "check": self.check,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "tol": self.tol,
-            "passed": self.passed,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-        out.update(self.params)
+        """The fields in order, with ``params`` flattened in after them."""
+        out = asdict(self)
+        out.update(out.pop("params"))
         return out
 
     def to_json_line(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True)
 
 
-def _report(check, lhs, rhs, margin, tol, trials, seed, params) -> VerificationReport:
+def _report(check, lhs, rhs, margin, tol, params) -> VerificationReport:
     return VerificationReport(
         check=check,
         lhs=float(lhs),
@@ -259,8 +249,6 @@ def _report(check, lhs, rhs, margin, tol, trials, seed, params) -> VerificationR
         margin=float(margin),
         tol=float(tol),
         passed=bool(margin >= -tol),
-        trials=int(trials),
-        seed=int(seed),
         params=params,
     )
 
@@ -394,7 +382,7 @@ def check_epi(d1: GridDensity, d2: GridDensity, tol: float = 1e-4) -> Verificati
     rhs = 0.5 * math.log(2.0 * math.pi * math.e * (pow1 + pow2))
     quad_error = err_sum + (pow1 * err1 + pow2 * err2) / (pow1 + pow2)
     return _report(
-        "epi", lhs, rhs, lhs - rhs, tol, 1, 0,
+        "epi", lhs, rhs, lhs - rhs, tol,
         {"h1": h1, "h2": h2, "n": 1, "quad_error": quad_error, "step": d1.step},
     )
 
@@ -421,13 +409,14 @@ def check_worst_noise(
         return h_all - h_wt, e_all + e_wt
 
     lhs, err_x = leak(d_x)
+    var = d_x.variance()
     # The matched Gaussian gets its own eight-deviation grid: on d_x's, a compactly
     # supported candidate would truncate its tails and silently change its variance.
-    rhs, err_g = leak(GridDensity.gaussian(d_x.variance(), mean=d_x.mean(), points=d_x.points))
+    rhs, err_g = leak(GridDensity.gaussian(var, mean=d_x.mean(), points=d_x.points))
     return _report(
-        "worst_noise", lhs, rhs, lhs - rhs, tol, 1, 0,
+        "worst_noise", lhs, rhs, lhs - rhs, tol,
         {
-            "s2_wt": s2_wt, "s2_wp": s2_wp, "variance": d_x.variance(), "n": 1,
+            "s2_wt": s2_wt, "s2_wp": s2_wp, "variance": var, "n": 1,
             "quad_error": err_x + err_g, "step": d_x.step,
         },
     )
@@ -466,7 +455,7 @@ def check_eei(
     _, rhs, _ = eei_optimum(EEIInstance.from_scalars(mu, s2_w, var if s2_v is None else r, s2_v))
     lhs = h1 - mu * h2
     return _report(
-        "eei", lhs, rhs, rhs - lhs, tol, 1, 0,
+        "eei", lhs, rhs, rhs - lhs, tol,
         {
             "mu": mu, "s2_w": s2_w, "s2_v": s2_v, "r": r, "variance": var, "n": 1,
             "quad_error": err1 + mu * err2, "step": d_x.step,
@@ -519,7 +508,8 @@ def gaussian_search(
     the largest one that keeps the draw inside the band.  The best sampled
     objective (earliest trial on ties) must not beat :func:`eei_optimum`'s
     answer, single-noise or two-noise, by more than ``tol``; ``clipped``
-    counts the trials capped at the band boundary.
+    counts the trials capped at the band boundary.  The report's params
+    carry ``trials`` and ``seed``, the only check with either.
     """
     if trials < 1:
         raise InvalidParameter("at least one trial is required")
@@ -545,8 +535,9 @@ def gaussian_search(
             best, lhs = start + top, float(values[top])
     _, rhs, _ = eei_optimum(instance)
     return _report(
-        "search", lhs, rhs, rhs - lhs, tol, trials, seed,
-        {"mu": mu, "n": n, "best_trial": best, "clipped": clipped},
+        "search", lhs, rhs, rhs - lhs, tol,
+        {"mu": mu, "n": n, "best_trial": best, "clipped": clipped,
+         "trials": int(trials), "seed": int(seed)},
     )
 
 

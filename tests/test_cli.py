@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -140,6 +141,9 @@ class TestVerifyCommands:
         assert code == 0
         assert blob["summary"]["trials"] == 500
         assert blob["summary"]["margin"] >= -1e-6
+        # only a search has a trial count and a seed, and its result carries both
+        assert blob["result"]["trials"] == blob["summary"]["trials"]
+        assert blob["result"]["seed"] == blob["summary"]["seed"] == 3
 
 
 class TestApplicationCommands:
@@ -178,6 +182,31 @@ _VALID_FLAGS = {
     "broadcast-design": {"z1": "0.5", "z2": "2", "r": "0.5", "direction": "1"},
     "lmmse-bound": {"x": "1", "r": "1"},
     "variational-check": {"density": "gaussian", "density2": "gaussian:0.5", "mu": "2"},
+}
+
+def _broken_certificate(cert):
+    return dataclasses.replace(cert, order_residual=-1.0)
+
+
+def _broken_report(report):
+    return dataclasses.replace(report, margin=-1.0, passed=False)
+
+
+# The library call each runner gates on, and a change of its output that
+# violates the gate: a certificate residual, a report margin, the broadcast
+# receiver's error or the information bound.  `optimum` has its own test.
+_VIOLATED = {
+    "construct-l": ("construct_l", _broken_certificate),
+    "construct-k": ("construct_k", _broken_certificate),
+    "verify-eei": ("check_eei", _broken_report),
+    "verify-epi": ("check_epi", _broken_report),
+    "verify-worst-noise": ("check_worst_noise", _broken_report),
+    "search": ("gaussian_search", _broken_report),
+    "broadcast-design": (
+        "design_private_message",
+        lambda design: dataclasses.replace(design, trace_mse_rx2=1.01 * design.trace_mse_rx2),
+    ),
+    "lmmse-bound": ("mi_lower_bound", lambda bound: bound - 1e-3),
 }
 
 # Each parameter of each density family in turn; {} is the non-finite value.
@@ -240,6 +269,21 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, *_argv(command, _VALID_FLAGS[command]))
         assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize("command", [*_VIOLATED, "variational-check"])
+    def test_every_gate_can_fail(self, capsys, monkeypatch, command):
+        if command == "variational-check":
+            # a uniform source is not stationary: its residual reads 0.909
+            flags = {"density": "uniform:0,2", "density2": "gaussian:0.5", "mu": "2"}
+        else:
+            flags = _VALID_FLAGS[command]
+            name, violate = _VIOLATED[command]
+            real = getattr(eeikit.cli, name)
+            monkeypatch.setattr(eeikit.cli, name, lambda *a, **k: violate(real(*a, **k)))
+        code, blob = run_json(capsys, *_argv(command, flags))
+        assert code == 1
+        assert blob["summary"]["passed"] is False
+        assert blob["summary"]["margin"] < -COMMANDS[command].tol
+
     @pytest.mark.parametrize("command, name, specs", _non_finite_flags())
     def test_every_non_finite_number_is_an_input_error(self, capsys, command, name, specs):
         for spec in specs:
@@ -275,6 +319,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "search", "--mu", "2", "--r", "1")
         assert code == 2
         assert "requires --w" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("search", "--mu", "1", "--r", "1"),
+            ("construct-l", "--mu", "0.5", "--x", "1"),
+            ("verify-eei", "--mu", "-2", "--w", "1", "--r", "1"),
+            ("variational-check", "--mu", "1"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_mu_with_missing_flag_is_usage_error(self, capsys, argv):
+        _assert_input_error(capsys, argv)
 
     def test_missing_matrix_file(self, capsys):
         code, _, err = run_cli(
@@ -439,6 +496,8 @@ class TestFormatsAndReproducibility:
         result = json.loads(first)["result"]
         assert math.isfinite(result["quad_error"]) and result["quad_error"] >= 0.0
         assert math.isfinite(result["step"]) and result["step"] > 0.0
+        # a quadrature check draws nothing, so it has no trial count and no seed
+        assert "trials" not in result and "seed" not in result
 
     def test_seed_from_environment(self, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "123")

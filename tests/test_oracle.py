@@ -371,6 +371,7 @@ class TestGaussianSearch:
         a = gaussian_search(inst, 500, 7).as_dict()
         b = gaussian_search(inst, 500, 7).as_dict()
         assert a == b
+        assert (a["trials"], a["seed"]) == (500, 7)
 
     def test_never_beats_optimum_scalar(self):
         inst = EEIInstance.from_scalars(2.0, 1.0, 10.0, 4.0)
@@ -818,3 +819,4 @@ def test_report_json_line_is_sorted_and_parseable():
     assert list(obj) == sorted(obj)
     assert obj["check"] == "epi"
     assert obj["passed"] is True
+    assert "trials" not in obj and "seed" not in obj
