@@ -2,10 +2,11 @@
 
 Each invocation runs one operation, emits one report (JSON, CSV, or
 text), and exits 0 when every checked margin is within tolerance, 1 when
-a mathematical check fails, and 2 on usage or input errors.  Reports
-embed the resolved configuration, the library version, and the seed, and
-are byte-identical across runs with the same configuration; the one
-clock, ``elapsed_ms``, is zeroed unless ``--timing`` is passed.
+a mathematical check fails, and 2 on usage or input errors, among them a
+flag the command does not read.  JSON reports embed the library version
+and, resolved, the command's flags and the common ``--tol --seed --format
+--timing``.  Reports are byte-identical across runs with the same flags;
+the one clock, ``elapsed_ms``, is zeroed unless ``--timing`` is passed.
 """
 
 from __future__ import annotations
@@ -95,32 +96,35 @@ def _parse_density(spec: str, points: int) -> GridDensity:
     raise InvalidParameter(f"unknown density '{name}'")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Every flag a command can read, with its argparse keywords; each command
+# takes its own flags (see COMMANDS) and the common ones.
+_FLAGS = {
+    "mu": dict(type=float, help="entropy weight, must exceed 1"),
+    **{role: dict(help=f"{role} matrix: inline scalar or JSON file path")
+       for role in ("x", "w", "v", "r", "direction", "z1", "z2")},
+    "density": dict(help="candidate density spec"),
+    "density2": dict(default="gaussian", help="second density spec (default gaussian)"),
+    "trials": dict(type=int, default=10000),
+    "grid-points": dict(type=int, default=4001, dest="grid_points"),
+    "tol": dict(type=float, help="margin tolerance override"),
+    "seed": dict(type=int, help=f"RNG seed (else ${SEED_ENV_VAR}, else 42)"),
+    "output": dict(help="write the report here instead of stdout"),
+    "format": dict(choices=("json", "csv", "text"), default="json"),
+    "timing": dict(action="store_true",
+                   help="report real elapsed milliseconds (breaks byte reproducibility)"),
+}
+_COMMON = ("tol", "seed", "output", "format", "timing")
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """Parser of the command named first in argv: its flags and the common ones."""
+    name = next((arg for arg in argv if arg in COMMANDS), None)
     parser = argparse.ArgumentParser(
-        prog="eeikit",
-        description="Gaussian extremal entropy constructions and numeric checks",
-    )
-    parser.add_argument("command", choices=tuple(COMMANDS))
-    parser.add_argument("--mu", type=float, help="entropy weight, must exceed 1")
-    for role in ("x", "w", "v", "r", "direction", "z1", "z2"):
-        parser.add_argument(
-            f"--{role}", help=f"{role} matrix: inline scalar or JSON file path"
-        )
-    parser.add_argument("--density", help="candidate density spec")
-    parser.add_argument("--density2", help="second density spec where needed")
-    parser.add_argument("--tol", type=float, help="margin tolerance override")
-    parser.add_argument("--trials", type=int, default=10000)
-    parser.add_argument("--seed", type=int, help=f"RNG seed (else ${SEED_ENV_VAR}, else 42)")
-    parser.add_argument("--grid-points", type=int, default=4001, dest="grid_points")
-    parser.add_argument("--output", help="write the report here instead of stdout")
-    parser.add_argument(
-        "--format", choices=("json", "csv", "text"), default="json"
-    )
-    parser.add_argument(
-        "--timing",
-        action="store_true",
-        help="report real elapsed milliseconds (breaks byte reproducibility)",
-    )
+        prog="eeikit", description="Gaussian extremal entropy constructions and numeric checks")
+    parser.add_argument("command", choices=(name,) if name else tuple(COMMANDS))
+    own = COMMANDS[name].flags + COMMANDS[name].options if name else ()
+    for flag in own + _COMMON:
+        parser.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
@@ -136,12 +140,6 @@ def _resolve_seed(args) -> int:
                 f"{SEED_ENV_VAR} must be an integer, got {env!r}"
             ) from exc
     return 42
-
-
-def _need(args, names, command):
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise InvalidParameter(f"{command} requires --{name}")
 
 
 class Outcome(NamedTuple):
@@ -219,7 +217,7 @@ def _run_verify_eei(args, mu, seed, tol):
 
 def _run_verify_epi(args, mu, seed, tol):
     d1 = _parse_density(args.density, args.grid_points)
-    d2 = _parse_density(args.density2 or "gaussian", args.grid_points)
+    d2 = _parse_density(args.density2, args.grid_points)
     return _report_outcome(check_epi(d1, d2, tol=tol))
 
 
@@ -262,37 +260,39 @@ def _run_lmmse_bound(args, mu, seed, tol):
 
 
 def _run_variational_check(args, mu, seed, tol):
-    noise = args.density2 or "gaussian"
     fx = _parse_density(args.density, args.grid_points)
-    fv = _parse_density(noise, args.grid_points)
+    fv = _parse_density(args.density2, args.grid_points)
     residual = variational_first_residual(fx, convolve_pair(fx, fv), fv, mu)
     return Outcome(1, residual, 0.0, -residual, 1, {
-        "stationarity_rms": residual, "density": args.density, "noise_density": noise,
+        "stationarity_rms": residual, "density": args.density, "noise_density": args.density2,
     })
 
 
 class Command(NamedTuple):
-    """One CLI command: default tolerance, required flags, runner."""
+    """One CLI command: default tolerance, required and optional flags, runner."""
 
     tol: float
     flags: tuple
     run: Callable
+    options: tuple = ()
 
 
-# Keyed by command, in the order argparse lists them.  A command that takes
-# --mu lists it first among its flags.  Quadrature-backed checks need a far
-# looser default tolerance than exact-arithmetic certificates.
+# Keyed by command, in the order argparse lists them; the one record of the
+# flags each runner reads.  A command that takes --mu lists it first among
+# its flags.  Quadrature-backed checks need a far looser default tolerance
+# than exact-arithmetic certificates.
+_DENSITY2 = ("density2", "grid-points")
 COMMANDS = {
     "construct-l": Command(1e-8, ("mu", "x", "w"), _run_construct_l),
     "construct-k": Command(1e-8, ("mu", "w", "v"), _run_construct_k),
     "optimum": Command(1e-6, ("mu", "w", "v", "r"), _run_optimum),
-    "verify-eei": Command(1e-3, ("mu", "density", "w", "r"), _run_verify_eei),
-    "verify-epi": Command(1e-4, ("density",), _run_verify_epi),
-    "verify-worst-noise": Command(1e-4, ("density", "w", "v"), _run_worst_noise),
-    "search": Command(1e-6, ("mu", "w", "r"), _run_search),
-    "broadcast-design": Command(1e-6, ("z1", "z2", "r"), _run_broadcast_design),
+    "verify-eei": Command(1e-3, ("mu", "density", "w", "r"), _run_verify_eei, ("v", "grid-points")),
+    "verify-epi": Command(1e-4, ("density",), _run_verify_epi, _DENSITY2),
+    "verify-worst-noise": Command(1e-4, ("density", "w", "v"), _run_worst_noise, ("grid-points",)),
+    "search": Command(1e-6, ("mu", "w", "r"), _run_search, ("v", "trials")),
+    "broadcast-design": Command(1e-6, ("z1", "z2", "r"), _run_broadcast_design, ("direction",)),
     "lmmse-bound": Command(1e-10, ("x", "r"), _run_lmmse_bound),
-    "variational-check": Command(1e-3, ("mu", "density"), _run_variational_check),
+    "variational-check": Command(1e-3, ("mu", "density"), _run_variational_check, _DENSITY2),
 }
 
 
@@ -330,8 +330,8 @@ def _emit(args, text: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     command = COMMANDS[args.command]
     try:
         seed = _resolve_seed(args)
@@ -339,14 +339,12 @@ def main(argv=None) -> int:
         if not math.isfinite(tol):
             raise InvalidParameter(f"tol must be finite, got {tol}")
         started = time.perf_counter()
-        _need(args, command.flags, args.command)
+        for flag in command.flags:
+            if getattr(args, flag) is None:
+                raise InvalidParameter(f"{args.command} requires --{flag}")
         mu = validated_mu(args.mu) if "mu" in command.flags else None
         outcome = command.run(args, mu, seed, tol)
-        elapsed_ms = (
-            int(round(1000.0 * (time.perf_counter() - started)))
-            if args.timing
-            else 0
-        )
+        elapsed_ms = int(round(1000.0 * (time.perf_counter() - started))) if args.timing else 0
     except CheckFailed as exc:
         print(f"eeikit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -356,7 +354,7 @@ def main(argv=None) -> int:
     summary = dict(outcome._asdict(), mu=mu, tol=tol, seed=seed,
                    passed=outcome.margin >= -tol, elapsed_ms=elapsed_ms)
     result = summary.pop("result")
-    # The report embeds every flag, resolved, except where it is written.
+    # The report embeds the command's flags, resolved, but where it is written.
     config = dict(vars(args), tol=tol, seed=seed)
     del config["output"]
     text = _render(args.format, config, summary, result)

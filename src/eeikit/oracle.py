@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -509,10 +510,17 @@ def gaussian_search(
     objective (earliest trial on ties) must not beat :func:`eei_optimum`'s
     answer, single-noise or two-noise, by more than ``tol``; ``clipped``
     counts the trials capped at the band boundary.  The report's params
-    carry ``trials`` and ``seed``, the only check with either.
+    carry ``trials`` and ``seed``, the only check with either.  ``trials``
+    must be a positive and ``seed`` a non-negative integer, not a bool.
     """
-    if trials < 1:
-        raise InvalidParameter("at least one trial is required")
+    def whole(value):
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+    if not whole(trials) or trials < 1:
+        raise InvalidParameter(
+            f"at least one trial is required: trials must be a positive integer, got {trials!r}")
+    if not whole(seed) or seed < 0:
+        raise InvalidParameter(f"seed must be a non-negative integer, got {seed!r}")
     w, v, r, mu = instance.s_w, instance.s_v, instance.r, instance.mu
     n = instance.dim
 

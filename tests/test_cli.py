@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -434,6 +435,62 @@ class TestExitCodes:
             capsys, ("search", "--w", "1", "--v", "4", "--r", "10", "--mu", "2", "--trials", "5")
         )
         assert f"{SEED_ENV_VAR} must be an integer" in err
+
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_negative_seed_is_usage_error(self, capsys, monkeypatch, source):
+        argv = _argv("search", _VALID_FLAGS["search"])
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv(SEED_ENV_VAR, "-1")
+        err = _assert_input_error(capsys, argv)
+        assert "seed must be a non-negative integer, got -1" in err
+
+
+# The flags each command reads besides the common ones, which every
+# command takes: --tol --seed --output --format --timing.
+_OWN_FLAGS = {
+    "construct-l": {"mu", "x", "w"},
+    "construct-k": {"mu", "w", "v"},
+    "optimum": {"mu", "w", "v", "r"},
+    "verify-eei": {"mu", "density", "w", "v", "r", "grid-points"},
+    "verify-epi": {"density", "density2", "grid-points"},
+    "verify-worst-noise": {"density", "w", "v", "grid-points"},
+    "search": {"mu", "w", "v", "r", "trials"},
+    "broadcast-design": {"z1", "z2", "r", "direction"},
+    "lmmse-bound": {"x", "r"},
+    "variational-check": {"mu", "density", "density2", "grid-points"},
+}
+_COMMON_FLAGS = {"tol", "seed", "output", "format", "timing"}
+
+
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_holds_the_command_flags_and_the_common_ones(self, capsys, command):
+        _, blob = run_json(capsys, *_argv(command, _VALID_FLAGS[command]))
+        own = {flag.replace("-", "_") for flag in _OWN_FLAGS[command]}
+        assert set(blob["config"]) == {"command", "format", "seed", "timing", "tol"} | own
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_unread_flag_is_an_input_error(self, capsys, command):
+        valid = _argv(command, _VALID_FLAGS[command])
+        for flag in sorted(set().union(*_OWN_FLAGS.values()) - _OWN_FLAGS[command]):
+            err = _assert_input_error(capsys, [*valid, f"--{flag}", "1"])
+            assert f"unrecognized arguments: --{flag} 1" in err
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_lists_only_the_command_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, err) == (0, "")
+        listed = set(re.findall(r"--([\w-]+)", out))
+        assert listed == _OWN_FLAGS[command] | _COMMON_FLAGS | {"help"}
+
+    def test_common_flags_may_precede_the_command(self, capsys):
+        code, out, err = run_cli(capsys, "--format", "csv", "lmmse-bound", "--x", "1", "--r", "1")
+        assert (code, err) == (0, "")
+        assert out.startswith(CSV_HEADER + "\nlmmse-bound,")
 
 
 class TestFormatsAndReproducibility:

@@ -25,6 +25,7 @@ from eeikit import (
 
 _EYE1, _EYE2, _EYE3 = np.eye(1), np.eye(2), np.eye(3)
 _FLAT = np.full(11, 1.0)  # unit mass on [0, 1]
+_SEARCHED = EEIInstance.from_scalars(2.0, 1.0, 10.0, 4.0)
 
 
 def _nan_sample():
@@ -73,6 +74,21 @@ _REJECTIONS = {
     "gaussian_search-no-trials": (
         lambda: gaussian_search(EEIInstance.from_scalars(2.0, 1.0, 10.0, 4.0), 0, 7),
         InvalidParameter, "at least one trial"),
+    "gaussian_search-fractional-trials": (
+        lambda: gaussian_search(_SEARCHED, 10.5, 7), InvalidParameter,
+        "trials must be a positive integer, got 10.5"),
+    "gaussian_search-bool-trials": (
+        lambda: gaussian_search(_SEARCHED, True, 7), InvalidParameter,
+        "trials must be a positive integer, got True"),
+    "gaussian_search-negative-seed": (
+        lambda: gaussian_search(_SEARCHED, 5, -1), InvalidParameter,
+        "seed must be a non-negative integer, got -1"),
+    "gaussian_search-fractional-seed": (
+        lambda: gaussian_search(_SEARCHED, 5, 7.5), InvalidParameter,
+        "seed must be a non-negative integer, got 7.5"),
+    "gaussian_search-bool-seed": (
+        lambda: gaussian_search(_SEARCHED, 5, False), InvalidParameter,
+        "seed must be a non-negative integer, got False"),
 }
 
 
