@@ -68,32 +68,33 @@ def _parse_scalar(text: str, role: str) -> float:
     return float(mat[0, 0])
 
 
-def _parse_density(spec: str, points: int) -> GridDensity:
-    """Build one of the named densities: gaussian, uniform, or mixture.
+_DENSITY_USAGE = {
+    "gaussian": "gaussian density takes at most var,mean",
+    "uniform": "uniform density takes lo,hi",
+    "mixture": "mixture density needs w,m1,v1,m2,v2",
+}
+
+
+def _parse_density(args, flag: str) -> GridDensity:
+    """Build the density that ``--<flag>`` names on ``--grid-points`` nodes.
 
     Optional parameters follow a colon: ``gaussian:<var>[,<mean>]``,
     ``uniform:<lo>,<hi>``, ``mixture:<w>,<m1>,<v1>,<m2>,<v2>`` with
-    component variances.
+    component variances.  A rejection names the flag, spec and node count.
     """
+    spec, points = getattr(args, flag), args.grid_points
     name, _, rest = spec.partition(":")
-    args = [float(tok) for tok in rest.split(",")] if rest else []
-    if name == "gaussian":
-        if len(args) > 2:
-            raise InvalidParameter("gaussian density takes at most var,mean")
-        var = args[0] if args else 1.0
-        mean = args[1] if len(args) > 1 else 0.0
-        return GridDensity.gaussian(var, mean=mean, points=points)
-    if name == "uniform":
-        if args and len(args) != 2:
-            raise InvalidParameter("uniform density takes lo,hi")
-        lo, hi = (args if args else (0.0, 1.0))
-        return GridDensity.uniform(lo, hi, points=points)
-    if name == "mixture":
-        if len(args) != 5:
-            raise InvalidParameter("mixture density needs w,m1,v1,m2,v2")
-        w, m1, v1, m2, v2 = args
-        return GridDensity.mixture(w, m1, v1, m2, v2, points=points)
-    raise InvalidParameter(f"unknown density '{name}'")
+    try:
+        params = [float(tok) for tok in rest.split(",")] if rest else []
+        if name == "gaussian" and len(params) <= 2:
+            return GridDensity.gaussian(*(params or [1.0]), points=points)
+        if name == "uniform" and len(params) in (0, 2):
+            return GridDensity.uniform(*(params or [0.0, 1.0]), points=points)
+        if name == "mixture" and len(params) == 5:
+            return GridDensity.mixture(*params, points=points)
+        raise InvalidParameter(_DENSITY_USAGE.get(name, f"unknown density '{name}'"))
+    except (InvalidParameter, ValueError) as exc:
+        raise InvalidParameter(f"--{flag} {spec} on --grid-points {points}: {exc}") from exc
 
 
 # Every flag a command can read, with its argparse keywords; each command
@@ -118,7 +119,12 @@ _COMMON = ("tol", "seed", "output", "format", "timing")
 
 def _build_parser(argv) -> argparse.ArgumentParser:
     """Parser of the command named first in argv: its flags and the common ones."""
-    name = next((arg for arg in argv if arg in COMMANDS), None)
+    # The command is the first token naming one that does not follow a flag
+    # taking a value, named in full or abbreviated as argparse reads it.
+    takes_value = [arg[:2] == "--" and len(arg) > 2 and "=" not in arg
+                   and any(f.startswith(arg[2:]) for f in _FLAGS if f != "timing") for arg in argv]
+    name = next((arg for arg, after in zip(argv, [False] + takes_value)
+                 if arg in COMMANDS and not after), None)
     parser = argparse.ArgumentParser(
         prog="eeikit", description="Gaussian extremal entropy constructions and numeric checks")
     parser.add_argument("command", choices=(name,) if name else tuple(COMMANDS))
@@ -203,7 +209,7 @@ def _run_optimum(args, mu, seed, tol):
 
 
 def _run_verify_eei(args, mu, seed, tol):
-    density = _parse_density(args.density, args.grid_points)
+    density = _parse_density(args, "density")
     report = check_eei(
         density,
         mu,
@@ -216,13 +222,13 @@ def _run_verify_eei(args, mu, seed, tol):
 
 
 def _run_verify_epi(args, mu, seed, tol):
-    d1 = _parse_density(args.density, args.grid_points)
-    d2 = _parse_density(args.density2, args.grid_points)
+    d1 = _parse_density(args, "density")
+    d2 = _parse_density(args, "density2")
     return _report_outcome(check_epi(d1, d2, tol=tol))
 
 
 def _run_worst_noise(args, mu, seed, tol):
-    density = _parse_density(args.density, args.grid_points)
+    density = _parse_density(args, "density")
     report = check_worst_noise(
         density, _parse_scalar(args.w, "w"), _parse_scalar(args.v, "v"), tol=tol
     )
@@ -260,8 +266,8 @@ def _run_lmmse_bound(args, mu, seed, tol):
 
 
 def _run_variational_check(args, mu, seed, tol):
-    fx = _parse_density(args.density, args.grid_points)
-    fv = _parse_density(args.density2, args.grid_points)
+    fx = _parse_density(args, "density")
+    fv = _parse_density(args, "density2")
     residual = variational_first_residual(fx, convolve_pair(fx, fv), fv, mu)
     return Outcome(1, residual, 0.0, -residual, 1, {
         "stationarity_rms": residual, "density": args.density, "noise_density": args.density2,
@@ -336,8 +342,8 @@ def main(argv=None) -> int:
     try:
         seed = _resolve_seed(args)
         tol = args.tol if args.tol is not None else command.tol
-        if not math.isfinite(tol):
-            raise InvalidParameter(f"tol must be finite, got {tol}")
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise InvalidParameter(f"--tol must be finite and non-negative, got {tol}")
         started = time.perf_counter()
         for flag in command.flags:
             if getattr(args, flag) is None:
@@ -345,22 +351,17 @@ def main(argv=None) -> int:
         mu = validated_mu(args.mu) if "mu" in command.flags else None
         outcome = command.run(args, mu, seed, tol)
         elapsed_ms = int(round(1000.0 * (time.perf_counter() - started))) if args.timing else 0
+        summary = dict(outcome._asdict(), mu=mu, tol=tol, seed=seed,
+                       passed=outcome.margin >= -tol, elapsed_ms=elapsed_ms)
+        result = summary.pop("result")
+        # The report embeds the command's flags, resolved, but where it is written.
+        config = dict(vars(args), tol=tol, seed=seed)
+        del config["output"]
+        _emit(args, _render(args.format, config, summary, result))
     except CheckFailed as exc:
         print(f"eeikit: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except (EEIKitError, ValueError, OSError) as exc:
-        print(f"eeikit: error: {exc}", file=sys.stderr)
-        return 2
-    summary = dict(outcome._asdict(), mu=mu, tol=tol, seed=seed,
-                   passed=outcome.margin >= -tol, elapsed_ms=elapsed_ms)
-    result = summary.pop("result")
-    # The report embeds the command's flags, resolved, but where it is written.
-    config = dict(vars(args), tol=tol, seed=seed)
-    del config["output"]
-    text = _render(args.format, config, summary, result)
-    try:
-        _emit(args, text)
-    except OSError as exc:
         print(f"eeikit: error: {exc}", file=sys.stderr)
         return 2
     return 0 if summary["passed"] else 1

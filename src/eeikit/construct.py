@@ -35,7 +35,7 @@ from .gaussmat import (
     gaussian_entropies,
     gaussian_entropy,
     min_eig,
-    simdiag,
+    simdiag_basis,
     spectral_scale,
     symmetrize,
     validated_pd,
@@ -143,14 +143,8 @@ class ConstructionCertificate:
     order_residual: float
 
     def as_dict(self) -> dict:
-        return {
-            "multiplier": cov_to_json(self.multiplier),
-            "s_w_tilde": cov_to_json(self.s_w_tilde),
-            "s_x_star": cov_to_json(self.s_x_star),
-            "s_complement": cov_to_json(self.s_complement),
-            "zero_product_residual": float(self.zero_product_residual),
-            "order_residual": float(self.order_residual),
-        }
+        return {name: cov_to_json(v) if isinstance(v, np.ndarray) else float(v)
+                for name, v in vars(self).items()}
 
 
 def objective_single_noise(s, s_w, mu: float) -> float:
@@ -195,35 +189,36 @@ def f_alpha_argmax(instance: EEIInstance) -> float:
     return 1.0 / (instance.mu - 1.0)
 
 
-def _mode_multiplier(a, b, names: tuple, thr: float, rule: Callable) -> NDArray:
-    """The split multiplier ``Q diag(m) Q^T``, Q and d from ``simdiag(a, b)``.
+def _mode_split(a, b, names: tuple, thr: float, rule: Callable):
+    """Validated a and b, the multiplier and the reduced noise in ``simdiag_basis(a, b)``.
 
-    Per mode, ``m = 0`` where ``d <= thr`` (with ``_BRANCH_TOL`` slack), else ``rule(d)``.
+    Per mode the multiplier ``Q diag(m) Q^T`` has ``m = 0`` where ``d <= thr`` (with
+    ``_BRANCH_TOL`` slack), else ``rule(d)``; the reduced noise is ``P^T diag(min(d, thr)) P``.
     """
-    q, d = simdiag(a, b, names=names)
+    a, b, q, d, p = simdiag_basis(a, b, names, b_pd=True)
     m = np.where(d <= thr + _BRANCH_TOL, 0.0, rule(d))
-    return symmetrize(q @ (m[:, None] * q.T))
+    t = np.minimum(d, thr)
+    return a, b, symmetrize(q @ (m[:, None] * q.T)), symmetrize(p.T @ (t[:, None] * p))
 
 
 def construct_l(s_x, s_w, mu: float) -> ConstructionCertificate:
     """Split a source X = X* + X' so that a PSD multiplier L annihilates X'.
 
-    In the basis that maps the source covariance to the identity and the
-    noise covariance to ``diag(d_w)``, each mode gets
+    In the basis where ``Q^T X Q = I`` and ``Q^T W Q = diag(d)``, with
+    ``P = Q^-1``, each mode of ``L = Q diag(d_l) Q^T`` gets
 
-        d_l = 0                                if d_w <= mu - 1,
-        d_l = (d_w - (mu - 1)) / (mu (1 + d_w))  otherwise.
+        d_l = 0                                if d <= mu - 1,
+        d_l = (d - (mu - 1)) / (mu (1 + d))    otherwise.
 
-    Then ``W~ = inv(inv(X + W) + L) - X``, ``X* = W~ / (mu - 1)`` and
+    The reduced noise is explicit, ``W~ = P^T diag(min(d, mu - 1)) P``, and
+    solves ``inv(X + W~) = inv(X + W) + L``.  ``X* = W~ / (mu - 1)`` and
     ``X' = X - X*``.  The certificate checks L @ X' = 0 and the orderings
     ``X* <= X`` and ``W~ <= W``; the chain (X'; X' + X* + W~; X + W) has
     Markov kernel ``E + E^T`` with ``E = (X + W~) L X'``.
     """
     mu = validated_mu(mu)
-    l_mat = _mode_multiplier(s_x, s_w, ("s_x", "s_w"), mu - 1.0,
-                             lambda d: (d - (mu - 1.0)) / (mu * (1.0 + d)))
-    x, w = symmetrize(s_x), validated_pd(s_w, "s_w")
-    w_tilde = symmetrize(np.linalg.inv(np.linalg.inv(x + w) + l_mat) - x)
+    x, w, l_mat, w_tilde = _mode_split(s_x, s_w, ("s_x", "s_w"), mu - 1.0,
+                                       lambda d: (d - (mu - 1.0)) / (mu * (1.0 + d)))
     x_star = w_tilde / (mu - 1.0)
     x_prime = symmetrize(x - x_star)
     order = min_eig(x_prime, w - w_tilde, w_tilde, l_mat)
@@ -259,20 +254,17 @@ def dominating_gaussian(s_x, s_w, mu: float):
 def construct_k(s_w, s_v_tilde, mu: float) -> ConstructionCertificate:
     """Split a noise W = W~ + W' against a target second noise V~.
 
-    In the basis mapping V~ to the identity and W to ``diag(d_w)``, each
-    mode gets ``d_k = 0`` if ``d_w <= 1/(mu-1)`` and
-    ``d_k = mu - 1 - 1/d_w`` otherwise; then ``W~ = inv(inv(W) + K)`` and
-    ``X* = V~ / (mu - 1) - W~``.  The certificate checks K @ X* = 0 and the
-    orderings ``W~ <= V~ / (mu - 1)`` and ``W~ <= W``; the chain
+    In the basis where ``Q^T V~ Q = I`` and ``Q^T W Q = diag(d)``, with ``P = Q^-1``,
+    ``K = Q diag(d_k) Q^T`` has ``d_k = 0`` if ``d <= 1/(mu-1)`` and ``d_k = mu - 1 - 1/d``
+    otherwise.  The reduced noise is explicit, ``W~ = P^T diag(min(d, 1/(mu - 1))) P``,
+    and solves ``inv(W~) = inv(W) + K``; ``X* = V~ / (mu - 1) - W~``.  The certificate
+    checks K @ X* = 0 and the orderings ``W~ <= V~ / (mu - 1)`` and ``W~ <= W``; the chain
     (X*; X* + W~; X* + W) has Markov kernel ``E + E^T`` with
     ``E = W~ K X* (I - inv(X* + W) X*)``.
     """
     mu = validated_mu(mu)
-    w = validated_pd(s_w, "s_w")
-    k_mat = _mode_multiplier(s_v_tilde, w, ("s_v_tilde", "s_w"), 1.0 / (mu - 1.0),
-                             lambda d: (mu - 1.0) - 1.0 / d)
-    v_tilde = symmetrize(s_v_tilde)
-    w_tilde = symmetrize(np.linalg.inv(np.linalg.inv(w) + k_mat))
+    v_tilde, w, k_mat, w_tilde = _mode_split(s_v_tilde, s_w, ("s_v_tilde", "s_w"),
+                                             1.0 / (mu - 1.0), lambda d: (mu - 1.0) - 1.0 / d)
     x_star = symmetrize(v_tilde / (mu - 1.0) - w_tilde)
     order = min_eig(x_star, w - w_tilde, w_tilde, k_mat)
     return ConstructionCertificate(

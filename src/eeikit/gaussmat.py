@@ -135,35 +135,41 @@ def psd_leq(a, b, tol: float = DEFAULT_PSD_TOL) -> bool:
     return bool(evals[0] >= -tol * eig_scale(evals))
 
 
-def simdiag(a, b, names: tuple = ("a", "b")) -> SimDiagResult:
-    """Simultaneously diagonalize a strictly PD ``a`` and PSD ``b``.
+def simdiag_basis(a, b, names: tuple = ("a", "b"), b_pd: bool = False):
+    """``(a, b, q, d, p)``: the validated inputs, ``q.T a q = I``, ``q.T b q = diag(d)``.
 
-    Whitens by the symmetric inverse square root of ``a`` and orthogonally
-    diagonalizes the whitened ``b``.  The eigenvalues ``d`` are returned in
-    descending order; each eigenvector column has its first component of
-    magnitude above 1e-12 made positive, so the result is reproducible.
-    Errors name the inputs by ``names``; the eigenvalues of ``a`` that the
-    whitening needs also decide its positive definiteness.
-
-    Returns
-    -------
-    SimDiagResult
-        ``q`` invertible with ``q.T @ a @ q = I`` and ``q.T @ b @ q = diag(d)``.
+    ``d`` descends and ``p = q.T a = q^-1``; q's column signs are as ``eigh`` left them.
+    Each input is validated once: square and finite, ``a`` (and ``b`` if ``b_pd``)
+    strictly positive definite; errors name the inputs by ``names``.
     """
     a, b = validated_square(a, names[0]), validated_square(b, names[1])
     if a.shape != b.shape:
         raise DimensionMismatch(f"{names[0]} and {names[1]} shapes differ: {a.shape} vs {b.shape}")
-    w, q = np.linalg.eigh(a)
+    w, v = np.linalg.eigh(a)
     _require_pd(w, names[0])
-    a_isqrt = symmetrize(q @ ((w ** -0.5)[:, None] * q.T))
-    m = symmetrize(a_isqrt @ b @ a_isqrt)
-    d, u = np.linalg.eigh(m)
+    if b_pd:
+        _require_pd(np.linalg.eigvalsh(b), names[1])
+    a_isqrt = symmetrize(v @ ((w ** -0.5)[:, None] * v.T))
+    d, u = np.linalg.eigh(symmetrize(a_isqrt @ b @ a_isqrt))
     order = np.argsort(-d, kind="stable")
-    d, u = d[order], u[:, order]
-    big = np.abs(u) > 1e-12
-    lead = u[np.argmax(big, axis=0), np.arange(u.shape[1])]
-    u = np.where(big.any(axis=0) & (lead < 0.0), -u, u)
-    return SimDiagResult(q=a_isqrt @ u, d=d)
+    q = a_isqrt @ u[:, order]
+    return a, b, q, d[order], q.T @ a
+
+
+def simdiag(a, b, names: tuple = ("a", "b")) -> SimDiagResult:
+    """Simultaneously diagonalize a strictly PD ``a`` and PSD ``b``.
+
+    ``q.T a q = I`` and ``q.T b q = diag(d)``, so with ``P = q^-1``, ``a = P^T P`` and
+    ``b = P^T diag(d) P``: the splits' reduced noise is explicit, ``P^T diag(min(d, mu - 1)) P``
+    for (X, W) and ``P^T diag(min(d, 1/(mu - 1))) P`` for (V~, W).  ``d`` descends; each column
+    of q has its first entry above 1e-12 of its largest magnitude made positive, so the result
+    is reproducible.
+    """
+    _, _, q, d, _ = simdiag_basis(a, b, names)
+    mag = np.abs(q)
+    big = mag > 1e-12 * mag.max(axis=0)
+    lead = q[np.argmax(big, axis=0), np.arange(q.shape[1])]
+    return SimDiagResult(q=np.where(lead < 0.0, -q, q), d=d)
 
 
 def gaussian_entropy(s) -> float:

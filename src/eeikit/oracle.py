@@ -71,8 +71,8 @@ _MAX_POINTS = 1 << 24
 
 
 def _check_points(points, what: str) -> None:
-    if not points <= _MAX_POINTS:  # NaN fails too
-        raise InvalidParameter(f"{what} needs {points:.6g} grid nodes, over {_MAX_POINTS}")
+    if not 3 <= points <= _MAX_POINTS:  # NaN fails too
+        raise InvalidParameter(f"{what} needs {points:.6g} grid nodes, not 3 to {_MAX_POINTS}")
 
 
 def _normal(x: NDArray, mean: float, variance: float) -> NDArray:

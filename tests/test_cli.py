@@ -429,6 +429,35 @@ class TestExitCodes:
         )
         assert message in err
 
+    @pytest.mark.parametrize(
+        "flag, got", [(("--tol", "-1"), "-1.0"), (("--tol=-1e-300",), "-1e-300")])
+    def test_negative_tol_is_usage_error(self, capsys, flag, got):
+        # a negative tol would turn the gate into margin >= |tol|
+        err = _assert_input_error(capsys, ("verify-epi", "--density", "uniform", *flag))
+        assert f"--tol must be finite and non-negative, got {got}" in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("verify-epi", "--density", "uniform:a,b"),
+             "--density uniform:a,b on --grid-points 4001: could not convert"),
+            (("verify-epi", "--density", "gaussian", "--density2", "mixture:1,x"),
+             "--density2 mixture:1,x on --grid-points 4001: could not convert"),
+            (("verify-epi", "--density", "uniform", "--grid-points", "-5"),
+             "--density uniform on --grid-points -5: the uniform density needs -5 grid nodes"),
+            (("verify-eei", "--density", "gaussian", "--w", "1", "--r", "1", "--mu", "2",
+              "--grid-points", "2"),
+             "--density gaussian on --grid-points 2: the gaussian density needs 2 grid nodes"),
+            (("variational-check", "--density", "triangle", "--mu", "2"),
+             "--density triangle on --grid-points 4001: unknown density 'triangle'"),
+        ],
+        ids=["malformed-number", "malformed-second", "negative-grid", "two-node-grid", "unknown"],
+    )
+    def test_density_rejection_names_flag_and_spec(self, capsys, argv, named):
+        err = _assert_input_error(capsys, argv)
+        assert named in err
+        assert "negative dimensions" not in err
+
     def test_non_integer_seed_variable_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "abc")
         err = _assert_input_error(
@@ -486,6 +515,17 @@ class TestFlagsPerCommand:
         assert (exc.value.code, err) == (0, "")
         listed = set(re.findall(r"--([\w-]+)", out))
         assert listed == _OWN_FLAGS[command] | _COMMON_FLAGS | {"help"}
+
+    @pytest.mark.parametrize("flag", ["--output", "--out"])
+    def test_a_flag_value_naming_a_command_is_not_the_command(
+            self, capsys, monkeypatch, tmp_path, flag):
+        # the report goes to a file named optimum; construct-l is the command
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(
+            capsys, flag, "optimum", "construct-l", "--x", "1", "--w", "3", "--mu", "2")
+        assert (code, out, err) == (0, "", "")
+        blob = json.loads((tmp_path / "optimum").read_text())
+        assert blob["config"]["command"] == "construct-l"
 
     def test_common_flags_may_precede_the_command(self, capsys):
         code, out, err = run_cli(capsys, "--format", "csv", "lmmse-bound", "--x", "1", "--r", "1")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import json
 import math
 import warnings
@@ -37,7 +38,8 @@ from eeikit import (
     symmetrize,
 )
 from eeikit import construct
-from eeikit.cli import main
+from eeikit.cli import COMMANDS, _certificate_outcome, main
+from eeikit.gaussmat import simdiag_basis
 
 # Property tests draw a fixed example sequence, so the suite stays
 # deterministic; solves are too slow for hypothesis's default deadline.
@@ -201,6 +203,143 @@ class TestMatrixCertificates:
         monkeypatch.setattr(construct, "construct_l", shrunk)
         with pytest.raises(DominationFailed, match="below input"):
             dominating_gaussian(np.eye(2), np.diag([0.5, 3.0]), 2.0)
+
+
+def _split_battery():
+    """700 draws ``(mu, A, B)`` at n = 1..5 for ``construct_l(A, B)`` and ``construct_k(B, A)``.
+
+    A has eigenvalues in [0.1, 10].  By ``i % 4``, B is random with such
+    eigenvalues; ``c A`` (every mode of d tied); A's eigenvectors with a
+    tied pair of eigenvalues; or ``(mu - 1) A``, every mode of the source
+    split on its threshold.
+    """
+    rng = np.random.default_rng(2027)
+
+    def rotated(ev):
+        q, _ = np.linalg.qr(rng.normal(size=(ev.size, ev.size)))
+        return symmetrize((q * ev) @ q.T), q
+
+    for i in range(700):
+        n, mu = i % 5 + 1, float(rng.uniform(1.05, 5.0))
+        a, q = rotated(rng.uniform(0.1, 10.0, n))
+        kind = i % 4
+        if kind == 0:
+            b, _ = rotated(rng.uniform(0.1, 10.0, n))
+        elif kind == 1:
+            b = float(rng.uniform(0.1, 10.0)) * a
+        elif kind == 2:
+            ev = rng.uniform(0.1, 10.0, n)
+            ev[1:2] = ev[0]
+            b = symmetrize((q * ev) @ q.T)
+        else:
+            b = (mu - 1.0) * a
+        yield mu, a, b
+
+
+@functools.cache
+def _battery_splits():
+    """``(mu, A, B, construct_l(A, B, mu), construct_k(B, A, mu))`` over the battery."""
+    return [(mu, a, b, construct_l(a, b, mu), construct_k(b, a, mu))
+            for mu, a, b in _split_battery()]
+
+
+def _simdiag_rule_multipliers():
+    """Each battery split with L and K rebuilt as ``Q diag(m) Q^T`` from :func:`simdiag`.
+
+    simdiag's Q differs from the splits' basis in column signs only, which the
+    product does not see: this is how the inverse-chain splits built L and K.
+    """
+    def rule_of(a, b, thr, rule):
+        q, d = eeikit.simdiag(a, b)
+        m = np.where(d <= thr + construct._BRANCH_TOL, 0.0, rule(d))
+        return symmetrize(q @ (m[:, None] * q.T))
+
+    return [(mu, a, b, cl, ck,
+             rule_of(a, b, mu - 1.0, lambda d: (d - (mu - 1.0)) / (mu * (1.0 + d))),
+             rule_of(a, b, 1.0 / (mu - 1.0), lambda d: (mu - 1.0) - 1.0 / d))
+            for mu, a, b, cl, ck in _battery_splits()]
+
+
+def _split_with_clip_shift(shift):
+    """``construct._mode_split`` with the clip threshold of the reduced noise moved by shift."""
+    def split(a, b, names, thr, rule):
+        a, b, q, d, p = simdiag_basis(a, b, names, b_pd=True)
+        m = np.where(d <= thr + construct._BRANCH_TOL, 0.0, rule(d))
+        t = np.minimum(d, thr + shift)
+        return a, b, symmetrize(q @ (m[:, None] * q.T)), symmetrize(p.T @ (t[:, None] * p))
+    return split
+
+
+def _relative_gap(lhs, rhs):
+    return float(np.linalg.norm(lhs - rhs)) / float(np.linalg.norm(rhs))
+
+
+# sha256 over the bytes of L, then K, draw by draw over _split_battery(), as the
+# splits that computed W~ by the inverse chains W~ = inv(inv(X + W) + L) - X and
+# W~ = inv(inv(W) + K) gave them (numpy 2.4, OpenBLAS 0.3.31, x86-64).
+_RECORDED_MULTIPLIERS = "8e3f0458fb4572a8f541c17a2eebc96108e7280b49cd20d49b42e2c242861762"
+
+
+class TestExplicitSplits:
+    """The splits write W~ per mode; the paper's defining identities still hold."""
+
+    def test_battery_covers_every_dimension_and_tied_spectra(self):
+        draws = list(_split_battery())
+        assert len(draws) >= 600
+        assert {a.shape[0] for _, a, _ in draws} == {1, 2, 3, 4, 5}
+        spectra = [simdiag_basis(a, b)[3] for _, a, b in draws if a.shape[0] > 1]
+        tied = [d for d in spectra if np.min(np.abs(np.diff(d))) <= 1e-9 * d[0]]
+        assert len(tied) >= len(spectra) // 2
+
+    def test_defining_identities_hold(self):
+        for mu, a, b, cl, ck in _battery_splits():
+            # source split: (X + W~)^-1 = (X + W)^-1 + L
+            rhs = np.linalg.inv(a + b) + cl.multiplier
+            assert _relative_gap(np.linalg.inv(a + cl.s_w_tilde), rhs) <= 1e-10
+            # noise split: W~^-1 = W^-1 + K
+            rhs = np.linalg.inv(b) + ck.multiplier
+            assert _relative_gap(np.linalg.inv(ck.s_w_tilde), rhs) <= 1e-10
+
+    def test_multipliers_are_the_simdiag_rule_bit_for_bit(self):
+        for _, _, _, cl, ck, ref_l, ref_k in _simdiag_rule_multipliers():
+            assert cl.multiplier.tobytes() == ref_l.tobytes()
+            assert ck.multiplier.tobytes() == ref_k.tobytes()
+
+    def test_multipliers_match_the_recorded_inverse_chain_run(self):
+        library, reference = hashlib.sha256(), hashlib.sha256()
+        for *_, cl, ck, ref_l, ref_k in _simdiag_rule_multipliers():
+            library.update(cl.multiplier.tobytes() + ck.multiplier.tobytes())
+            reference.update(ref_l.tobytes() + ref_k.tobytes())
+        if reference.hexdigest() != _RECORDED_MULTIPLIERS:
+            pytest.skip("this BLAS/LAPACK rounds the simdiag rule differently from the recording")
+        assert library.hexdigest() == _RECORDED_MULTIPLIERS
+
+    def test_unshifted_copy_is_the_library(self, monkeypatch):
+        # the mutation below edits this copy of _mode_split, not another rule
+        splits = _battery_splits()
+        monkeypatch.setattr(construct, "_mode_split", _split_with_clip_shift(0.0))
+        for mu, a, b, cl, ck in splits:
+            for ours, lib in ((construct_l(a, b, mu), cl), (construct_k(b, a, mu), ck)):
+                assert json.dumps(ours.as_dict()) == json.dumps(lib.as_dict())
+
+    def test_wrong_clip_threshold_fails_the_cli_gate(self, monkeypatch):
+        # W~ = P^T diag(min(d, mu)) P for the source split (and min(d, 1/(mu-1) + 1)
+        # for the noise split) breaks L X' = 0 or an ordering wherever a mode
+        # has d above the true threshold.
+        clipped = []
+        for mu, a, b in _split_battery():
+            d = simdiag_basis(a, b)[3]
+            if d[0] > (mu - 1.0) + 1e-3 and d[0] > 1.0 / (mu - 1.0) + 1e-3:
+                clipped.append((mu, a, b))
+        assert len(clipped) >= 200
+        gate = COMMANDS["construct-l"].tol
+        for mu, a, b in clipped:
+            worst = _certificate_outcome(construct_l(a, b, mu), a, b).lhs
+            assert worst <= gate
+        monkeypatch.setattr(construct, "_mode_split", _split_with_clip_shift(1.0))
+        for mu, a, b in clipped:
+            assert _certificate_outcome(construct_l(a, b, mu), a, b).lhs > gate
+            assert _certificate_outcome(construct_k(b, a, mu), b, a).lhs > gate
 
 
 class TestUnconstrainedProfile:
@@ -1029,3 +1168,9 @@ class TestErrorPaths:
             construct_l(np.array([[-1.0]]), np.array([[1.0]]), 2.0)
         with pytest.raises(NotPositiveDefinite):
             construct_k(np.array([[1.0]]), np.array([[0.0]]), 2.0)
+        # the noise must be strictly positive definite in both splits
+        singular = np.diag([1.0, 0.0])
+        with pytest.raises(NotPositiveDefinite, match="s_w must be strictly positive definite"):
+            construct_l(np.eye(2), singular, 2.0)
+        with pytest.raises(NotPositiveDefinite, match="s_w must be strictly positive definite"):
+            construct_k(singular, np.eye(2), 2.0)

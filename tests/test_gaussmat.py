@@ -29,7 +29,7 @@ from eeikit import (
     spectral_scale,
     symmetrize,
 )
-from eeikit.gaussmat import min_eig
+from eeikit.gaussmat import min_eig, simdiag_basis
 
 DIM = 4
 FACTOR_ELEMENTS = st.floats(min_value=-3.0, max_value=3.0)
@@ -56,6 +56,22 @@ def test_simdiag_round_trip(fa, fb):
     np.testing.assert_allclose(ident, np.eye(DIM), atol=1e-8)
     np.testing.assert_allclose(diag, np.diag(res.d), atol=1e-8)
     assert res.d.min() >= -1e-8
+
+
+def test_simdiag_is_the_basis_with_leading_entries_positive():
+    rng = np.random.default_rng(31)
+    for n in range(1, 6):
+        f, g = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+        a, b = f @ f.T + np.eye(n), g @ g.T
+        res = simdiag(a, b)
+        _, _, q, d, p = simdiag_basis(a, b)
+        assert res.d.tobytes() == d.tobytes()
+        np.testing.assert_array_equal(np.abs(res.q), np.abs(q))
+        for col in res.q.T:
+            assert col[np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]] > 0.0
+        # p is q's inverse: a = p^T p and b = p^T diag(d) p
+        np.testing.assert_allclose(p @ q, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose(p.T @ (d[:, None] * p), b, atol=1e-10 * np.abs(b).max())
 
 
 @seed(1)

@@ -90,9 +90,17 @@ class TestGridDensity:
 
     def test_node_limit(self):
         _check_points(_MAX_POINTS, "a grid")
-        for points in (_MAX_POINTS + 1, float("inf"), float("nan")):
+        _check_points(3, "a grid")
+        for points in (_MAX_POINTS + 1, float("inf"), float("nan"), 2, 0, -5):
             with pytest.raises(InvalidParameter, match="grid nodes"):
                 _check_points(points, "a grid")
+
+    @pytest.mark.parametrize("points", [2, 0, -5])
+    def test_too_few_nodes_rejected_before_allocating(self, points):
+        # numpy would otherwise fail on its own, with "negative dimensions"
+        for build in (GridDensity.gaussian, GridDensity.uniform):
+            with pytest.raises(InvalidParameter, match=f"needs {points} grid nodes, not 3 to"):
+                build(1.0, 2.0, points=points)
 
     @pytest.mark.parametrize(
         "build",
