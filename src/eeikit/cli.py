@@ -117,13 +117,22 @@ _FLAGS = {
 _COMMON = ("tol", "seed", "output", "format", "timing")
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """Parser of the command named first in argv: its flags and the common ones."""
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv with the flags of the command named first in it and the common ones."""
     # The command is the first token naming one that does not follow a flag
     # taking a value, named in full or abbreviated as argparse reads it.
     takes_value = [arg[:2] == "--" and len(arg) > 2 and "=" not in arg
                    and any(f.startswith(arg[2:]) for f in _FLAGS if f != "timing") for arg in argv]
-    name = next((arg for arg, after in zip(argv, [False] + takes_value)
+    after_flag = [False] + takes_value
+    name = next((arg for arg, after in zip(argv, after_flag)
                  if arg in COMMANDS and not after), None)
     parser = argparse.ArgumentParser(
         prog="eeikit", description="Gaussian extremal entropy constructions and numeric checks")
@@ -131,7 +140,17 @@ def _build_parser(argv) -> argparse.ArgumentParser:
     own = COMMANDS[name].flags + COMMANDS[name].options if name else ()
     for flag in own + _COMMON:
         parser.add_argument(f"--{flag}", **_FLAGS[flag])
-    return parser
+    # argparse reads some negative numbers as flags, which ones depending on
+    # the Python version (3.11's reads -1e-3 and -inf so), so a negative
+    # number after a flag taking a value is attached to it: --tol -1e-3 is
+    # read as --tol=-1e-3.
+    joined = []
+    for arg, after in zip(argv, after_flag):
+        if after and arg[:1] == "-" and _is_number(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return parser.parse_args(joined)
 
 
 def _resolve_seed(args) -> int:
@@ -337,7 +356,7 @@ def _emit(args, text: str) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse_args(argv)
     command = COMMANDS[args.command]
     try:
         seed = _resolve_seed(args)

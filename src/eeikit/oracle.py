@@ -7,6 +7,15 @@ random search.  Agreement between the two routes is the evidence the
 package offers, so none of these checks may call back into the formulas
 they are meant to validate.
 
+Convolutions are trapezoid-rule sums computed by real FFTs at the
+smallest ``2^a 3^b 5^c`` length that holds the whole output, so no
+output node wraps onto another; in a Gaussian convolution every circular
+alias reaches a node from more than 8 sigma away.  Gaussian noise enters
+through its closed-form transform ``exp(-2 pi^2 sigma2 f^2)``, not a
+sampled kernel.  Against the Gaussian sampled on the grid and cut at 8
+sigma, that transform errs by at most ``e^-32`` of the kernel's peak (the
+cut tails) plus ``e^-79`` (aliasing, on a step of at most sigma/4).
+
 Reports are emitted as :class:`VerificationReport` records which
 serialize to JSON lines.  The random search reads two numpy streams keyed
 by the seed, ``default_rng([seed, 0])`` for its normals and
@@ -283,31 +292,36 @@ def _halved_ends(vals: NDArray) -> NDArray:
     return out
 
 
-def _trapezoid_convolution(a: NDArray, b: NDArray, step: float) -> NDArray:
-    """Full linear convolution of two grids with common step, by the trapezoid rule.
-
-    Halving the end samples of both inputs makes the discrete convolution
-    the trapezoid rule applied to the defining integral.  It is computed
-    through a real FFT zero-padded to the next power of two.  The exact
-    convolution of nonnegative samples is nonnegative, but FFT rounding
-    leaves values around -1e-19 in the far tails, so the output is clipped
-    at zero.
-    """
-    size = a.size + b.size - 1
-    nfft = 1 << (size - 1).bit_length()
-    spectrum = np.fft.rfft(_halved_ends(a), nfft) * np.fft.rfft(_halved_ends(b), nfft)
-    return np.clip(np.fft.irfft(spectrum, nfft)[:size], 0.0, None) * step
+def _fft_length(size: int) -> int:
+    """Smallest ``2^a 3^b 5^c`` at or above ``size``, a length pocketfft transforms fast."""
+    best = 1 << (size - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the least power of two that reaches size
+            best = min(best, p35 << ((size - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def convolve_density(d: GridDensity, sigma2: float) -> GridDensity:
     """Density of X + N(0, sigma2) on a grid enlarged by 8 sigma per side.
 
-    Trapezoid-rule convolution against a trapezoid-normalized Gaussian
-    kernel, computed by FFT; mass is preserved within 1e-8.  The output is
-    clipped at zero, since FFT rounding leaves tiny negative values in the
-    far tails where the exact convolution is nonnegative.  Grids coarser
-    than a quarter of the noise deviation are rejected because the kernel
-    would be undersampled.
+    The trapezoid-rule convolution with the unit-mass Gaussian: the
+    samples, end nodes halved, are transformed at :func:`_fft_length` of
+    the output length, N, multiplied by ``exp(-2 pi^2 sigma2 f^2)`` at
+    ``f = q / (N step)`` and transformed back; no kernel is sampled.  That
+    factor is the transform of ``step`` times the Gaussian's samples summed
+    over the period, to within ``e^-79`` since the step is at most sigma/4,
+    and those samples differ from the kernel cut at the output grid's 8
+    sigma by at most ``e^-32`` of its peak.  Its value at frequency zero is
+    exactly one, so the output's trapezoid mass equals d's to rounding.
+    The output is clipped at zero, since FFT rounding leaves tiny negative
+    values in the far tails where the exact convolution is nonnegative.
+    Grids coarser than a quarter of the noise deviation are rejected
+    because the Gaussian would be undersampled.
     """
     if not 0.0 < sigma2 < math.inf:
         raise InvalidParameter("noise variance must be positive and finite")
@@ -317,17 +331,19 @@ def convolve_density(d: GridDensity, sigma2: float) -> GridDensity:
         raise GridTooCoarse(
             f"grid step {step:.3e} exceeds sigma/4 = {sigma / 4.0:.3e}"
         )
-    # numpy's ceil and floor, since a subnormal step makes these counts inf
+    # numpy's ceil, since a subnormal step makes this count inf
     m = np.ceil(8.0 * sigma / step)
-    _check_points(2.0 * m + 1.0, "the noise kernel")
+    _check_points(d.points + 2.0 * m, "the convolved density")
     m = int(m)
-    t = np.arange(-m, m + 1) * step
-    kernel = np.exp(-0.5 * t**2 / sigma2)
-    kernel /= np.trapezoid(kernel, dx=step)
-    out = _trapezoid_convolution(d.values, kernel, step)
-    # The trapezoid rule carries the product of the two unit masses over
-    # to the output.
-    return GridDensity(d.support_lo - m * step, d.support_hi + m * step, out)
+    size = d.points + 2 * m
+    nfft = _fft_length(size)
+    f = np.arange(nfft // 2 + 1) / (nfft * step)
+    gain = np.exp(-2.0 * math.pi**2 * sigma2 * f**2)
+    spectrum = np.fft.rfft(_halved_ends(d.values), nfft) * gain
+    # the Gaussian is centred on node 0, so the m output nodes left of d's
+    # grid wrap to the end of the transform; rolling by m puts them first
+    out = np.roll(np.fft.irfft(spectrum, nfft), m)[:size]
+    return GridDensity(d.support_lo - m * step, d.support_hi + m * step, np.clip(out, 0.0, None))
 
 
 def _interp_density(d: GridDensity, points: NDArray) -> NDArray:
@@ -349,16 +365,22 @@ def _resample(d: GridDensity, step: float) -> GridDensity:
 def convolve_pair(d1: GridDensity, d2: GridDensity) -> GridDensity:
     """Density of the sum of two independent variables on d1's grid step.
 
-    ``d2`` is linearly resampled onto that step when the steps differ.  The
-    trapezoid-rule convolution is computed by FFT, clipped at zero (FFT
-    rounding leaves tiny negative values in the far tails, where the exact
-    convolution is nonnegative) and renormalized to unit mass.
+    ``d2`` is linearly resampled onto that step when the steps differ.
+    Halving the end samples of both inputs makes their discrete
+    convolution the trapezoid rule applied to the defining integral.  It is
+    computed by a real FFT zero-padded to :func:`_fft_length` of the output
+    length, which is checked against the node limit first, clipped at zero
+    (FFT rounding leaves values around -1e-19 in the far tails, where the
+    exact convolution is nonnegative) and renormalized to unit mass.
     """
     if abs(d2.step - d1.step) > 1e-12 * d1.step:
         d2 = _resample(d2, d1.step)
-    step = d1.step
-    out = _trapezoid_convolution(d1.values, d2.values, step)
-    mass = float(np.trapezoid(out, dx=step))
+    size = d1.points + d2.points - 1
+    _check_points(size, "the convolved density")
+    nfft = _fft_length(size)
+    a, b = (np.fft.rfft(_halved_ends(g.values), nfft) for g in (d1, d2))
+    out = np.clip(np.fft.irfft(a * b, nfft)[:size], 0.0, None)
+    mass = float(np.trapezoid(out, dx=d1.step))
     return GridDensity(
         d1.support_lo + d2.support_lo, d1.support_hi + d2.support_hi, out / mass
     )

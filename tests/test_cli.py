@@ -437,6 +437,29 @@ class TestExitCodes:
         assert f"--tol must be finite and non-negative, got {got}" in err
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("verify-epi", "--density", "uniform", "--tol", "-1e-3"),
+             "--tol must be finite and non-negative, got -0.001"),
+            (("verify-epi", "--density", "uniform", "--to", "-inf"),
+             "--tol must be finite and non-negative, got -inf"),
+            (("construct-l", "--x", "1", "--w", "3", "--mu", "-1e0"),
+             "mu must exceed 1 and be finite, got -1.0"),
+            (("construct-l", "--x", "-1e0", "--w", "3", "--mu", "2"),
+             "s_x must be strictly positive definite"),
+            (("--tol", "-1E-3", "construct-l", "--x", "1", "--w", "3", "--mu", "2"),
+             "--tol must be finite and non-negative, got -0.001"),
+        ],
+        ids=["tol", "abbreviated-tol-inf", "mu", "matrix-scalar", "before-command"],
+    )
+    def test_negative_number_in_any_form_reaches_its_flag_check(self, capsys, argv, message):
+        # argparse alone reads -1e-3, -1e0 and -inf as flags on some Python
+        # versions and fails with "expected one argument"
+        err = _assert_input_error(capsys, argv)
+        assert err.startswith("eeikit: error:")
+        assert message in err
+
+    @pytest.mark.parametrize(
         "argv, named",
         [
             (("verify-epi", "--density", "uniform:a,b"),

@@ -32,6 +32,7 @@ from eeikit.oracle import (
     _SQUARE_FLOOR,
     _check_points,
     _capped_scales,
+    _fft_length,
     _halved_ends,
     _interp_density,
     _resample,
@@ -211,9 +212,22 @@ def _direct_pair_convolution(d1, d2):
     return d1.support_lo + d2.support_lo, d1.support_hi + d2.support_hi, vals
 
 
+def _smooth_length_case(points):
+    """A uniform density on a unit step and noise of deviation 10, 80 nodes a side.
+
+    The node count, at least ``points``, makes the output length 5-smooth, so
+    its transform has no zero padding and the output's two ends are
+    circular neighbours: the tightest wrap.
+    """
+    nodes = _fft_length(points + 160) - 160
+    return GridDensity.uniform(0.0, nodes - 1.0, nodes), 100.0
+
+
 class TestConvolution:
     @pytest.mark.parametrize("points", [4001, 8001])
-    @pytest.mark.parametrize("kind", ["uniform", "mixture", "gaussian", "pair-resampled"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["uniform", "mixture", "gaussian", "pair-resampled", "sigma-4-steps", "smooth-length"])
     def test_matches_direct_trapezoid_sum(self, kind, points):
         if kind == "pair-resampled":
             d1 = GridDensity.mixture(0.5, -2.0, 1.0, 2.0, 1.0, points)
@@ -222,13 +236,19 @@ class TestConvolution:
             out = convolve_pair(d1, d2)
             lo, hi, ref = _direct_pair_convolution(d1, d2)
         else:
+            uniform = GridDensity.uniform(0.0, 1.0, points)
             d, sigma2 = {
-                "uniform": (GridDensity.uniform(0.0, 1.0, points), 0.25),
+                "uniform": (uniform, 0.25),
                 "mixture": (GridDensity.mixture(0.5, -2.0, 1.0, 2.0, 1.0, points), 1.0),
                 "gaussian": (GridDensity.gaussian(2.0, points=points), 0.5),
+                # the coarsest grid allowed, so the most aliasing: a step of sigma/4
+                "sigma-4-steps": (uniform, (4.0 * uniform.step) ** 2),
+                "smooth-length": _smooth_length_case(points),
             }[kind]
             out = convolve_density(d, sigma2)
             lo, hi, ref = _direct_gaussian_convolution(d, sigma2)
+            if kind == "smooth-length":
+                assert _fft_length(ref.size) == ref.size
         assert out.points == ref.size
         assert (out.support_lo, out.support_hi) == (lo, hi)
         assert np.min(out.values) >= 0.0
@@ -255,6 +275,60 @@ class TestConvolution:
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarse):
             convolve_density(GridDensity.uniform(0.0, 1.0, points=5), 0.01)
+
+    @pytest.mark.parametrize(
+        "d, sigma2",
+        [
+            (GridDensity.uniform(0.0, 1.0), 0.25),
+            (GridDensity.uniform(0.0, 1.0), 1e-6),
+            (GridDensity.mixture(0.4, -1.0, 0.8, 2.0, 1.5, points=3000), 0.6),
+            (GridDensity.from_callable(np.exp, 0.0, 3.0, points=1001), 4.0),
+        ],
+        ids=["uniform", "sigma-4-steps", "mixture-even", "exponential"],
+    )
+    def test_trapezoid_mass_is_the_input_mass(self, d, sigma2):
+        # the Gaussian's transform is exactly one at frequency zero
+        out = convolve_density(d, sigma2)
+        mass_in = np.trapezoid(d.values, dx=d.step)
+        assert np.trapezoid(out.values, dx=out.step) == pytest.approx(mass_in, abs=1e-12)
+
+    def test_one_transform_each_way_at_the_fast_length(self, monkeypatch):
+        lengths = []
+
+        def counted(transform):
+            def call(a, n):
+                lengths.append((transform.__name__, n))
+                return transform(a, n)
+            return call
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        out = convolve_density(GridDensity.uniform(0.0, 1.0, 8001), 0.25)
+        # 8001 + 2 * 32000 nodes; the next power of two would be 131072
+        assert out.points == 72001
+        assert lengths == [("rfft", 72900), ("irfft", 72900)]
+
+    def test_output_grid_checked_before_allocating(self, monkeypatch):
+        d = GridDensity.uniform(0.0, 1.0, 4001)
+        # 3200 noise nodes a side: a 6401-node kernel, but 10401 output nodes
+        monkeypatch.setattr("eeikit.oracle._MAX_POINTS", 10400)
+        with pytest.raises(InvalidParameter, match="the convolved density needs 10401 grid"):
+            convolve_density(d, 0.01)
+        monkeypatch.setattr("eeikit.oracle._MAX_POINTS", 8000)
+        with pytest.raises(InvalidParameter, match="the convolved density needs 8001 grid"):
+            convolve_pair(d, d)
+        monkeypatch.setattr("eeikit.oracle._MAX_POINTS", 10401)
+        assert convolve_density(d, 0.01).points == 10401
+        assert convolve_pair(d, d).points == 8001
+
+
+def test_fft_length_is_the_least_5_smooth_length():
+    limit = 10**5
+    products = (2**a * 3**b * 5**c for a in range(19) for b in range(12) for c in range(9))
+    smooth = np.array(sorted(n for n in products if n < 4 * limit))
+    sizes = np.arange(1, limit + 1)
+    expected = smooth[np.searchsorted(smooth, sizes)]
+    assert [_fft_length(int(size)) for size in sizes] == expected.tolist()
 
 
 class TestEpiCheck:
