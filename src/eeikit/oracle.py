@@ -20,6 +20,8 @@ Reports are emitted as :class:`VerificationReport` records which
 serialize to JSON lines.  The random search reads two numpy streams keyed
 by the seed, ``default_rng([seed, 0])`` for its normals and
 ``default_rng([seed, 1])`` for its scale fractions, both in trial order.
+Every check and the search reject a ``tol`` that is negative or not
+finite, before any quadrature or sampling.
 """
 
 from __future__ import annotations
@@ -82,6 +84,17 @@ _MAX_POINTS = 1 << 24
 def _check_points(points, what: str) -> None:
     if not 3 <= points <= _MAX_POINTS:  # NaN fails too
         raise InvalidParameter(f"{what} needs {points:.6g} grid nodes, not 3 to {_MAX_POINTS}")
+
+
+def _whole(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_count(points, what: str) -> None:
+    """A caller's grid size: an integer that is not a bool, from 3 to ``_MAX_POINTS``."""
+    if not _whole(points):
+        raise InvalidParameter(f"{what} needs an integer count of grid points, got points={points!r}")
+    _check_points(points, what)
 
 
 def _normal(x: NDArray, mean: float, variance: float) -> NDArray:
@@ -156,7 +169,7 @@ class GridDensity:
         """Normal density on ``mean +- 8 sigma``."""
         if not (0.0 < variance < math.inf and math.isfinite(mean)):
             raise InvalidParameter("variance must be positive and finite, mean finite")
-        _check_points(points, "the gaussian density")
+        _check_count(points, "the gaussian density")
         sigma = math.sqrt(variance)
         lo = mean - _HALF_WIDTH * sigma
         hi = mean + _HALF_WIDTH * sigma
@@ -168,7 +181,7 @@ class GridDensity:
         """Uniform density with the support endpoints placed on grid nodes."""
         if not hi > lo:
             raise InvalidParameter("uniform support needs hi > lo")
-        _check_points(points, "the uniform density")
+        _check_count(points, "the uniform density")
         vals = np.full(points, 1.0 / (hi - lo))
         return cls(lo, hi, vals)
 
@@ -188,7 +201,7 @@ class GridDensity:
         if not (0.0 < var_a < math.inf and 0.0 < var_b < math.inf
                 and math.isfinite(mean_a) and math.isfinite(mean_b)):
             raise InvalidParameter("component variances must be positive and finite, means finite")
-        _check_points(points, "the mixture density")
+        _check_count(points, "the mixture density")
         sa, sb = math.sqrt(var_a), math.sqrt(var_b)
         lo = min(mean_a - _HALF_WIDTH * sa, mean_b - _HALF_WIDTH * sb)
         hi = max(mean_a + _HALF_WIDTH * sa, mean_b + _HALF_WIDTH * sb)
@@ -205,7 +218,7 @@ class GridDensity:
         points: int = 4001,
     ) -> "GridDensity":
         """Sample ``fn`` on the grid and renormalize its mass to one."""
-        _check_points(points, "the sampled density")
+        _check_count(points, "the sampled density")
         x = np.linspace(lo, hi, points)
         vals = np.asarray(fn(x), dtype=float)
         if vals.shape != x.shape:
@@ -249,6 +262,11 @@ class VerificationReport:
 
     def to_json_line(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True)
+
+
+def _check_tol(tol) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidParameter(f"tol must be finite and non-negative, got {tol!r}")
 
 
 def _report(check, lhs, rhs, margin, tol, params) -> VerificationReport:
@@ -397,6 +415,7 @@ def check_epi(d1: GridDensity, d2: GridDensity, tol: float = 1e-4) -> Verificati
     one for the sum, the entropy-power shares for ``h1`` and ``h2``.
     ``step`` is d1's grid step, on which the sum is computed.
     """
+    _check_tol(tol)
     h1, err1 = entropy_quadrature(d1)
     h2, err2 = entropy_quadrature(d2)
     lhs, err_sum = entropy_quadrature(convolve_pair(d1, d2))
@@ -415,32 +434,27 @@ def check_worst_noise(
 ) -> VerificationReport:
     """Information leaked by extra Gaussian noise, non-Gaussian vs Gaussian source.
 
-    Both mutual informations are evaluated as entropy differences,
-    ``h(X + all noise) - h(X + first noise)``, once for ``d_x`` and once
-    for a Gaussian source with matching variance on the same grid.  The
-    non-Gaussian source must leak at least as much.  ``quad_error`` sums
-    the Richardson errors of the four entropies; ``step`` is d_x's grid
-    step.
+    The candidate's leak ``h(X + all noise) - h(X + first noise)`` is an
+    entropy difference by quadrature on d_x's two convolutions.  The
+    Gaussian source with d_x's variance ``var`` leaks, in closed form,
+    ``0.5 ln((var + s2_wt + s2_wp) / (var + s2_wt))``.  The non-Gaussian
+    source must leak at least as much.  ``quad_error`` sums the
+    Richardson errors of the candidate's two entropies; ``step`` is d_x's
+    grid step.
     """
+    _check_tol(tol)
     if s2_wt <= 0.0 or s2_wp <= 0.0:
         raise InvalidParameter("noise variances must be positive")
-
-    def leak(d):
-        (h_all, e_all), (h_wt, e_wt) = (
-            entropy_quadrature(convolve_density(d, s2)) for s2 in (s2_wt + s2_wp, s2_wt)
-        )
-        return h_all - h_wt, e_all + e_wt
-
-    lhs, err_x = leak(d_x)
+    (h_all, err_all), (h_wt, err_wt) = (
+        entropy_quadrature(convolve_density(d_x, s2)) for s2 in (s2_wt + s2_wp, s2_wt)
+    )
     var = d_x.variance()
-    # The matched Gaussian gets its own eight-deviation grid: on d_x's, a compactly
-    # supported candidate would truncate its tails and silently change its variance.
-    rhs, err_g = leak(GridDensity.gaussian(var, mean=d_x.mean(), points=d_x.points))
+    lhs, rhs = h_all - h_wt, 0.5 * math.log((var + s2_wt + s2_wp) / (var + s2_wt))
     return _report(
         "worst_noise", lhs, rhs, lhs - rhs, tol,
         {
             "s2_wt": s2_wt, "s2_wp": s2_wp, "variance": var, "n": 1,
-            "quad_error": err_x + err_g, "step": d_x.step,
+            "quad_error": err_all + err_wt, "step": d_x.step,
         },
     )
 
@@ -463,6 +477,7 @@ def check_eei(
     the first entropy plus ``mu`` times that of the second; ``step`` is
     d_x's grid step.
     """
+    _check_tol(tol)
     var = d_x.variance()
     if not var <= r * (1.0 + 1e-9) < math.inf:
         raise InvalidParameter(
@@ -535,14 +550,12 @@ def gaussian_search(
     carry ``trials`` and ``seed``, the only check with either.  ``trials``
     must be a positive and ``seed`` a non-negative integer, not a bool.
     """
-    def whole(value):
-        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-    if not whole(trials) or trials < 1:
+    if not _whole(trials) or trials < 1:
         raise InvalidParameter(
             f"at least one trial is required: trials must be a positive integer, got {trials!r}")
-    if not whole(seed) or seed < 0:
+    if not _whole(seed) or seed < 0:
         raise InvalidParameter(f"seed must be a non-negative integer, got {seed!r}")
+    _check_tol(tol)
     w, v, r, mu = instance.s_w, instance.s_v, instance.r, instance.mu
     n = instance.dim
 

@@ -5,6 +5,9 @@ checks both the error class and the message of the rejection it means
 to reach, so a case cannot pass on an earlier, unrelated check.
 """
 
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from eeikit import (
     GridDensity,
     InvalidParameter,
     SingularCovariance,
+    check_eei,
+    check_epi,
     check_worst_noise,
     f_alpha,
     gaussian_entropy,
@@ -90,6 +95,21 @@ _REJECTIONS = {
         lambda: gaussian_search(_SEARCHED, 5, False), InvalidParameter,
         "seed must be a non-negative integer, got False"),
 }
+
+# Each check with its tolerance left open; inf would pass every check,
+# -1 and nan would fail every one.
+_TOLERANT = {
+    "check_eei": lambda tol: check_eei(GridDensity.uniform(0.0, 1.0), 2.0, 1.0, 1.0, tol=tol),
+    "check_epi": lambda tol: check_epi(GridDensity.uniform(0.0, 1.0), GridDensity.gaussian(1.0), tol=tol),
+    "check_worst_noise": lambda tol: check_worst_noise(GridDensity.gaussian(1.0), 0.5, 0.5, tol=tol),
+    "gaussian_search": lambda tol: gaussian_search(_SEARCHED, 5, 7, tol=tol),
+}
+_REJECTIONS.update({
+    f"{name}-{label}-tol": (
+        functools.partial(check, tol), InvalidParameter, "tol must be finite and non-negative")
+    for name, check in _TOLERANT.items()
+    for label, tol in (("inf", math.inf), ("negative", -1.0), ("nan", math.nan))
+})
 
 
 @pytest.mark.parametrize("case", _REJECTIONS)

@@ -51,6 +51,14 @@ H_MIXTURE = 2.0516587269415547  # 0.5 N(-2,1) + 0.5 N(2,1)
 H_UNIFORM_PLUS_N025 = 0.8695024788553822  # U[0,1] noise var 0.25
 H_MIXTURE_PLUS_N1 = 2.2655842595514906
 
+# Each constructor, called with one grid size and otherwise fixed arguments.
+_BUILDERS = {
+    "gaussian": lambda points: GridDensity.gaussian(1.0, points=points),
+    "uniform": lambda points: GridDensity.uniform(0.0, 1.0, points=points),
+    "mixture": lambda points: GridDensity.mixture(0.5, -2.0, 1.0, 2.0, 1.0, points=points),
+    "from-callable": lambda points: GridDensity.from_callable(np.exp, 0.0, 1.0, points=points),
+}
+
 
 class TestGridDensity:
     def test_gaussian_moments_and_mass(self):
@@ -102,6 +110,16 @@ class TestGridDensity:
         for build in (GridDensity.gaussian, GridDensity.uniform):
             with pytest.raises(InvalidParameter, match=f"needs {points} grid nodes, not 3 to"):
                 build(1.0, 2.0, points=points)
+
+    @pytest.mark.parametrize("points", [4001.0, "4001", True])
+    @pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS)
+    def test_point_count_must_be_an_integer(self, build, points):
+        with pytest.raises(InvalidParameter, match=f"integer count of grid points, got points={points!r}"):
+            build(points)
+
+    @pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS)
+    def test_numpy_integer_point_count_accepted(self, build):
+        assert build(np.int64(101)).points == 101
 
     @pytest.mark.parametrize(
         "build",
@@ -357,6 +375,51 @@ class TestWorstNoiseCheck:
         rep = check_worst_noise(GridDensity.uniform(0.0, 2.0), 0.7, 0.4)
         assert rep.margin >= -1e-4
         assert rep.passed
+
+    def test_gaussian_side_is_closed_form(self):
+        s2_wt, s2_wp = 0.7, 0.4
+        rep = check_worst_noise(GridDensity.mixture(0.3, -1.0, 0.5, 1.5, 1.2), s2_wt, s2_wp)
+        var = rep.params["variance"]
+        assert rep.rhs == 0.5 * math.log((var + s2_wt + s2_wp) / (var + s2_wt))
+        assert rep.margin == rep.lhs - rep.rhs
+
+    def test_quadrature_budget_is_the_candidates_two_entropies(self):
+        d, s2_wt, s2_wp = GridDensity.uniform(0.0, 2.0), 0.7, 0.4
+        rep = check_worst_noise(d, s2_wt, s2_wp)
+        err_all = entropy_quadrature(convolve_density(d, s2_wt + s2_wp)).error
+        err_wt = entropy_quadrature(convolve_density(d, s2_wt)).error
+        assert rep.params["quad_error"] == err_all + err_wt
+        assert rep.params["step"] == d.step
+
+    def test_convolves_only_the_candidate_twice(self, monkeypatch):
+        # the cost guard: no matched Gaussian is built or convolved
+        d, calls = GridDensity.uniform(0.0, 2.0), []
+
+        def counted(dens, sigma2):
+            calls.append((dens, sigma2))
+            return convolve_density(dens, sigma2)
+
+        def no_gaussian(*args, **kwargs):
+            raise AssertionError("check_worst_noise built a Gaussian density")
+
+        monkeypatch.setattr("eeikit.oracle.convolve_density", counted)
+        monkeypatch.setattr(GridDensity, "gaussian", no_gaussian)
+        check_worst_noise(d, 0.7, 0.4)
+        assert [dens for dens, _ in calls] == [d, d]
+        assert sorted(sigma2 for _, sigma2 in calls) == [0.7, 0.7 + 0.4]
+
+    def test_fails_when_the_extra_noise_leaks_nothing(self, monkeypatch):
+        # dropping s2_wp makes both convolutions equal, so the candidate leaks 0
+        # against the Gaussian's positive closed-form leak
+        s2_wt = 0.7
+        monkeypatch.setattr(
+            "eeikit.oracle.convolve_density",
+            lambda dens, sigma2: convolve_density(dens, min(sigma2, s2_wt)),
+        )
+        rep = check_worst_noise(GridDensity.uniform(0.0, 2.0), s2_wt, 0.4)
+        assert rep.lhs == 0.0
+        assert rep.margin < -1e-4
+        assert not rep.passed
 
 
 class TestEeiCheck:
