@@ -123,8 +123,8 @@ def design_private_message(inst: BroadcastInstance) -> BroadcastDesign:
     nonsingular).  Thresholds at or above that trace are rejected up
     front; eigenvalues d_i within rounding of zero count as zero.  The
     scale solving ``Tr mse_2(t) = Tr r`` is bracketed by doubling and then
-    bisected until the bracket is no wider than ``1e-12 * max(1, t)``; the
-    intended receiver must end up at or below the threshold.
+    bisected until the bracket is no wider than ``1e-12 * t``; the intended
+    receiver must end up below the threshold or within a relative 1e-9 of it.
     """
     tr_r = float(np.trace(inst.r))
     tr_z2 = float(np.trace(inst.s_z2))
@@ -158,13 +158,13 @@ def design_private_message(inst: BroadcastInstance) -> BroadcastDesign:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
+        if hi - lo <= 1e-12 * hi:
             break
     t_star = 0.5 * (lo + hi)
     s_star = symmetrize(t_star * inst.direction)
     rx2 = float(np.trace(gaussian_conditional_cov(s_star, inst.s_z2)))
     rx1 = float(np.trace(gaussian_conditional_cov(s_star, inst.s_z1)))
-    if rx1 > tr_r + 1e-9:
+    if rx1 > tr_r * (1.0 + 1e-9):
         raise SeparationFailed(
             f"receiver-1 trace {rx1:.9g} exceeds the threshold {tr_r:.9g}"
         )

@@ -549,7 +549,7 @@ def _optimum_certificate(
     form without the factor 1/2), so ``W~ = (W^-1 + 2K)^-1``.  ``zero_product_residual`` reads
     ``||2K S*||`` and ``order_residual`` the most negative eigenvalue over the band, the split
     orderings and ``2K`` itself.  A split gap below ``-1e-6 * scale_wv``, ``scale_wv`` the
-    caller's ``spectral_scale(W, V)``, raises :class:`SplitInfeasible`.
+    caller's ``spectral_scale(W, V)`` (relative at every scale), raises :class:`SplitInfeasible`.
     """
     k_mat = 2.0 * k
     w_tilde = symmetrize(np.linalg.inv(np.linalg.inv(w) + k_mat))
@@ -582,8 +582,9 @@ def eei_optimum(instance: EEIInstance):
     ``1e-9 * spectral_scale(W, V, R)`` of a face onto it (:func:`_pin_faces`).  The
     multipliers K on the face S = 0 and N on the face S = R then solve ``G + K - N = 0`` by
     least squares, G the gradient.  A first-order residual
-    ``max(||G + K - N||_F, -min_eig K, -min_eig N)`` above ``1e-6`` of the gradient scale
-    raises :class:`NoConvergence`.
+    ``max(||G + K - N||_F, -min_eig K, -min_eig N)`` above ``1e-6`` of the largest entry
+    of the gradient terms ``(S + W)^-1 / 2`` and ``mu (S + V)^-1 / 2`` (G itself vanishes
+    at an interior optimum) raises :class:`NoConvergence`.
 
     Without ``s_v`` the objective is the single-noise ``h(S) - mu * h(S + W)`` over the
     same band, maximized in closed form by the source split ``construct_l(R, W, mu)``: the
@@ -605,10 +606,10 @@ def eei_optimum(instance: EEIInstance):
         l_inv = np.linalg.inv(l := np.linalg.cholesky(r))
         s = _interior_newton(_band_start(s0, l, l_inv), np.stack((w, v)), mu, l, l_inv)
         s, u0, u1 = _pin_faces(s, l, l_inv, 1e-9 * max(scale_wv, spectral_scale(r)))
-    g = symmetrize(0.5 * np.linalg.inv(s + w) - 0.5 * mu * np.linalg.inv(s + v))
-    k, n_mat = _face_multipliers(g, u0, u1)
+    g_w, g_v = 0.5 * np.linalg.inv(s + w), 0.5 * mu * np.linalg.inv(s + v)
+    k, n_mat = _face_multipliers(g := symmetrize(g_w - g_v), u0, u1)
     res = max(float(np.linalg.norm(g + k - n_mat)), -min_eig(k, n_mat))
-    if res > 1e-6 * max(1.0, float(np.max(np.abs(g)))):
+    if res > 1e-6 * max(float(np.max(np.abs(g_w))), float(np.max(np.abs(g_v)))):
         raise NoConvergence(f"barrier path stalled with first-order residual {res:.3e}")
     cert = _optimum_certificate(s, k, w, v, r, mu, scale_wv)
     h = gaussian_entropies(s + w, s + v)

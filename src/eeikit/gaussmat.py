@@ -4,9 +4,10 @@ All covariances are real symmetric positive-semidefinite numpy arrays;
 results are plain arrays unless stated otherwise.  Entropies are in nats.
 
 This module owns covariance input validation: every module checks matrix
-inputs with :func:`validated_square` (non-square: DimensionMismatch;
+inputs with :func:`validated_square` (non-square or empty: DimensionMismatch;
 NaN or inf: InvalidParameter), :func:`validated_pd` or :func:`validated_psd`
-(failed eigenvalue test: NotPositiveDefinite).
+(failed eigenvalue test: NotPositiveDefinite).  Every eigenvalue tolerance is
+relative to the judged matrices' largest |eigenvalue| (:func:`eig_scale`), at every scale.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ def symmetrize(a: NDArray) -> NDArray:
 
 
 def eig_scale(evals: NDArray) -> float:
-    """max(1, largest |eigenvalue|) of an ascending spectrum, as eigvalsh gives."""
-    return max(1.0, -float(evals[0]), float(evals[-1])) if evals.size else 1.0
+    """Largest |eigenvalue| of an ascending spectrum, as eigvalsh gives (0.0, never -0.0)."""
+    return max(abs(float(evals[0])), abs(float(evals[-1])))
 
 
 def min_eig(*mats) -> float:
@@ -69,10 +70,10 @@ def min_eig(*mats) -> float:
 
 
 def validated_square(a, name: str = "matrix") -> NDArray:
-    """Symmetric part of ``a`` after checking it is square and finite."""
+    """Symmetric part of ``a`` after checking it is square, non-empty and finite."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DimensionMismatch(f"{name} must be square and non-empty, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvalidParameter(f"{name} must be finite")
     return symmetrize(m)
@@ -106,13 +107,11 @@ def validated_psd(a, name: str = "matrix") -> NDArray:
 
 
 def spectral_scale(*matrices) -> float:
-    """max(1, largest absolute eigenvalue over all arguments).
+    """Largest absolute eigenvalue over all arguments, each checked by :func:`validated_square`.
 
-    Used to turn absolute residual tolerances into relative ones.
+    Turns absolute tolerances into relative ones: homogeneous of degree 1, 0 on zero matrices.
     """
-    return max(
-        (eig_scale(np.linalg.eigvalsh(symmetrize(m))) for m in matrices), default=1.0
-    )
+    return max(eig_scale(np.linalg.eigvalsh(validated_square(m))) for m in matrices)
 
 
 class SimDiagResult(NamedTuple):
@@ -125,14 +124,14 @@ class SimDiagResult(NamedTuple):
 def psd_leq(a, b, tol: float = DEFAULT_PSD_TOL) -> bool:
     """True iff a <= b in the PSD order, within a relative eigenvalue tolerance.
 
-    The test is ``min_eig(b - a) >= -tol * scale`` with
-    ``scale = max(1, max |eig(b - a)|)``.
+    The test is ``min_eig(b - a) >= -tol * scale``, ``scale`` the largest |eigenvalue| of a
+    and b (``b - a`` may be pure rounding), all from one stacked ``eigvalsh``.
     """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b = validated_square(a, "a"), validated_square(b, "b")
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    evals = np.linalg.eigvalsh(symmetrize(b - a))
-    return bool(evals[0] >= -tol * eig_scale(evals))
+    gap, ev_a, ev_b = np.linalg.eigvalsh(np.array((b - a, a, b)))
+    return bool(gap[0] >= -tol * max(eig_scale(ev_a), eig_scale(ev_b)))
 
 
 def simdiag_basis(a, b, names: tuple = ("a", "b"), b_pd: bool = False):
@@ -194,10 +193,9 @@ def gaussian_entropies(*covs) -> list:
 
 def _entropy(evals: NDArray) -> float:
     """Entropy from a covariance's ascending spectrum; SingularCovariance within tolerance."""
-    if evals.size == 0 or evals[0] <= 1e-12 * eig_scale(evals):
+    if evals[0] <= 1e-12 * eig_scale(evals):
         raise SingularCovariance(
-            f"covariance is singular within tolerance: min eigenvalue "
-            f"{evals[0] if evals.size else float('nan'):.3e}"
+            f"covariance is singular within tolerance: min eigenvalue {evals[0]:.3e}"
         )
     return 0.5 * (evals.size * LOG_2PI_E + float(np.sum(np.log(evals))))
 
@@ -264,7 +262,7 @@ def cov_from_json(source) -> NDArray:
     except (TypeError, ValueError) as exc:
         raise InvalidParameter(f"matrix rows are not numeric: {exc}") from exc
     m = validated_psd(a, "covariance")
-    if float(np.max(np.abs(a - a.T))) > _SYM_RTOL * max(1.0, float(np.max(np.abs(a)))):
+    if float(np.max(np.abs(a - a.T))) > _SYM_RTOL * float(np.max(np.abs(a))):
         raise NotPositiveDefinite("matrix is not symmetric within tolerance")
     m.setflags(write=False)
     dim = obj.get("dim", m.shape[0])

@@ -103,6 +103,19 @@ class TestDesign:
         assert design.trace_mse_rx2 == pytest.approx(0.5, abs=1e-8)
         assert design.trace_mse_rx1 < design.trace_mse_rx2
 
+    def test_reference_instance_at_nano_scale(self):
+        # Noises and threshold scaled by 1e-9 along the same unit direction:
+        # t* scales with them, and the bisection's bracket is relative to t.
+        c = 1e-9
+        inst = BroadcastInstance(
+            np.array([[0.5 * c]]), np.array([[2.0 * c]]), np.array([[0.5 * c]]),
+            direction=np.array([[1.0]]),
+        )
+        design = design_private_message(inst)
+        assert design.t_star == pytest.approx(2.0 / 3.0 * c, rel=1e-12, abs=0.0)
+        assert design.trace_mse_rx1 == pytest.approx(2.0 / 7.0 * c, rel=1e-12, abs=0.0)
+        assert design.trace_mse_rx2 == pytest.approx(0.5 * c, rel=1e-12, abs=0.0)
+
     def test_identical_channels_sit_on_the_boundary(self):
         inst = BroadcastInstance(np.array([[1.0]]), np.array([[1.0]]), np.array([[0.5]]))
         design = design_private_message(inst)
@@ -120,6 +133,16 @@ class TestDesign:
             np.array([[3.0]]), np.array([[2.0]]), np.array([[0.5]]), direction=np.array([[1.0]])
         )
         with pytest.raises(SeparationFailed, match="receiver-1 trace 0.545454545"):
+            design_private_message(inst)
+
+    def test_separation_check_is_relative(self):
+        # The same instance scaled by 1e-9: receiver 1's trace 5.45e-10 is
+        # above the threshold 5e-10 by less than 1e-9, yet still rejected.
+        inst = BroadcastInstance(
+            np.array([[3e-9]]), np.array([[2e-9]]), np.array([[0.5e-9]]),
+            direction=np.array([[1.0]]),
+        )
+        with pytest.raises(SeparationFailed, match="receiver-1 trace 5.45454545"):
             design_private_message(inst)
 
     @pytest.mark.parametrize(

@@ -397,6 +397,26 @@ class TestConstrainedOptimum:
         assert abs(s_star[0, 0]) <= 1e-6
         assert obj == pytest.approx((1.0 - 3.0) * gaussian_entropy(np.array([[1.5]])), abs=1e-6)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("gap", [1e-4, 1e-3, 1e-2])
+    def test_equal_noises_collapse_to_zero_near_mu_one(self, n, gap):
+        # W = V = R = I: G(0) = (1 - mu) I / 2 <= 0, so S* = 0 with every
+        # mode on the face S = 0, however weakly (multiplier (mu - 1)/2)
+        eye = np.eye(n)
+        s_star, _, _ = eei_optimum(EEIInstance(1.0 + gap, eye, eye, eye))
+        assert np.all(s_star == 0.0)
+
+    @pytest.mark.xfail(strict=True, raises=(AssertionError, NoConvergence))
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("gap", [1e-7, 1e-6, 1e-5])
+    def test_equal_noises_collapse_to_zero_at_weaker_multipliers(self, n, gap):
+        # Below mu - 1 = 1e-4 the last barrier stage leaves each mode at
+        # lam ~ tau / multiplier, above the pin tolerance: at 1e-7 the solve
+        # returns S ~ 1.9e-7 I, at 1e-6 and 1e-5 the gate raises NoConvergence.
+        eye = np.eye(n)
+        s_star, _, _ = eei_optimum(EEIInstance(1.0 + gap, eye, eye, eye))
+        assert np.all(s_star == 0.0)
+
     @staticmethod
     def _check_battery_instance(inst, seed):
         s_star, obj, cert = eei_optimum(inst)
@@ -889,18 +909,40 @@ class TestOptimumGuardRails:
                 objective_two_noise(s_ref, inst.s_w, inst.s_v, mu), abs=1e-9
             )
 
+    # S* = V - 2W = [[2, 1.2], [1.2, 2]], strictly inside 0 <= S <= 10 I
+    _INTERIOR = EEIInstance(2.0, np.eye(2), 10.0 * np.eye(2), np.array([[4.0, 1.2], [1.2, 4.0]]))
+
     @_PROPERTY
-    @given(seed=_SEEDS, n=st.sampled_from((2, 3)), log_c=st.floats(-6.0, 6.0))
+    @given(seed=_SEEDS, n=st.sampled_from((2, 3)), log_c=st.floats(-12.0, 12.0))
     @example(seed=602, n=2, log_c=-6.0)
     @example(seed=602, n=3, log_c=6.0)
+    @example(seed=None, n=2, log_c=-6.0)
     def test_scale_covariance(self, seed, n, log_c):
-        # S*(cW, cV, cR) = c S*(W, V, R), with c log-uniform in [1e-6, 1e6]
-        inst = self._random_instance(np.random.default_rng(seed), n)
+        # S*(cW, cV, cR) = c S*(W, V, R), with c log-uniform in [1e-12, 1e12];
+        # seed None takes _INTERIOR
+        if seed is None:
+            inst = self._INTERIOR
+        else:
+            inst = self._random_instance(np.random.default_rng(seed), n)
         c = 10.0**log_c
         s_star, _, _ = eei_optimum(inst)
         s_c, _, _ = eei_optimum(EEIInstance(inst.mu, c * inst.s_w, c * inst.r, c * inst.s_v))
         scale = spectral_scale(inst.s_w, inst.s_v, inst.r)
         assert float(np.max(np.abs(s_c / c - s_star))) <= 1e-7 * scale
+
+    def test_scaled_benign_draws_solve_at_every_scale(self):
+        # Every tolerance is relative to the instance's own spectra, so the
+        # solve of (cW, cV, cR) is c times that of (W, V, R) to rounding, from
+        # noise powers of 1e-12 to 1e12.
+        for k in range(60):
+            rng = np.random.default_rng([5, k])
+            n, mu = 2 + k % 3, rng.uniform(1.1, 4.0)
+            w, v, r = (_rand_pd(rng, n, lo=lo) for lo in (0.2, 0.2, 0.5))
+            s_one, _, _ = eei_optimum(EEIInstance(mu, w, r, v))
+            bar = 1e-11 * spectral_scale(s_one)
+            for c in (1e-12, 1e-9, 1e-6, 1e6, 1e9, 1e12):
+                s_c, _, _ = eei_optimum(EEIInstance(mu, c * w, c * r, c * v))
+                assert float(np.max(np.abs(s_c / c - s_one))) <= bar, (k, c)
 
     @_PROPERTY
     @given(seed=_SEEDS, q_seed=_SEEDS, n=st.sampled_from((2, 3, 4)))
@@ -965,6 +1007,39 @@ class TestOptimumGuardRails:
             w, v = _rand_pd(rng, n, lo=0.2), _rand_pd(rng, n, lo=0.2)
             r = symmetrize(q @ (np.geomspace(1.0, 1.0 / cond, n)[:, None] * q.T))
             yield k, mu, w, v, r
+
+    @staticmethod
+    def _thin_noise_draws(cond):
+        """60 draws ``default_rng([88, k])``, n = 2 + k % 3, V = Q2 diag(1, ..., 1/cond) Q2^T."""
+        for k in range(60):
+            n = 2 + k % 3
+            rng = np.random.default_rng([88, k])
+            rng.normal(size=(n, n))  # the rotation of a thin W, drawn first
+            q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            mu = rng.uniform(1.1, 4.0)
+            w = _rand_pd(rng, n, lo=0.2)
+            v = symmetrize(q2 @ (np.geomspace(1.0, 1.0 / cond, n)[:, None] * q2.T))
+            yield k, mu, w, v, _rand_pd(rng, n, lo=0.5)
+
+    @staticmethod
+    @functools.cache
+    def _thin_solves(battery):
+        """Each cond-1e6 draw of a thin battery with its optimum at scale 1."""
+        draws = {"thin-r": TestOptimumGuardRails._thin_band_draws,
+                 "thin-v": TestOptimumGuardRails._thin_noise_draws}[battery](1e6)
+        return tuple((k, mu, w, v, r, eei_optimum(EEIInstance(mu, w, r, v))[0])
+                     for k, mu, w, v, r in draws)
+
+    @pytest.mark.parametrize("battery", ["thin-r", "thin-v"])
+    @pytest.mark.parametrize("c", [1e-9, 1e9])
+    def test_thin_draws_solve_at_every_scale(self, battery, c):
+        # A noise power of 1e-9 or a band of 1e9 is an ordinary input: the
+        # scaled draw solves as the unscaled one does.  K scales as 1/c, so
+        # the KKT residual is read in the unscaled instance's units.
+        for k, mu, w, v, r, s_one in self._thin_solves(battery):
+            s_c, _, cert = eei_optimum(EEIInstance(mu, c * w, c * r, c * v))
+            assert _kkt_residual(s_c / c, c * cert.multiplier / 2.0, w, v, r, mu) <= 1e-8, k
+            assert float(np.max(np.abs(s_c / c - s_one))) <= 1e-7 * spectral_scale(w, v, r), k
 
     @staticmethod
     @functools.cache
@@ -1117,6 +1192,15 @@ class TestOptimumChecksCanFail:
         self._barrier_returns(monkeypatch, self._lifted())
         with pytest.raises(NoConvergence, match="first-order residual"):
             eei_optimum(self._instance())
+
+    @pytest.mark.parametrize("c", [1e-9, 1e9])
+    def test_lifted_face_trips_first_order_gate_at_every_scale(self, monkeypatch, c):
+        # The same relative lift, scaled with the instance: neither the pin
+        # tolerance nor the gate's bar is absolute, so the gate still trips.
+        self._barrier_returns(monkeypatch, c * self._lifted())
+        inst = self._instance()
+        with pytest.raises(NoConvergence, match="first-order residual"):
+            eei_optimum(EEIInstance(inst.mu, c * inst.s_w, c * inst.r, c * inst.s_v))
 
     def test_negative_multiplier_trips_first_order_gate(self, monkeypatch):
         # S = 0 pins both modes to the face S = 0, so G + K = 0 is solved

@@ -118,6 +118,34 @@ def test_psd_leq_ordering():
     assert psd_leq(np.zeros((4, 4)), a)
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_eigenvalue_tests_are_scale_free(c):
+    # Every verdict reads eigenvalues relative to the judged matrices' own
+    # spectra, so it is the same at every scale c.
+    rng = np.random.default_rng(12)
+    f = rng.normal(size=(3, 3))
+    a = c * (f @ f.T + 0.1 * np.eye(3))
+    assert not psd_leq(2.0 * a, a)
+    assert psd_leq(a, 2.0 * a)
+    # a rounding-level gap, as between W~ and W on unreduced modes, is no
+    # violation: the scale is that of a and b, not of b - a
+    assert psd_leq(a * (1.0 + 1e-14), a)
+    assert gaussian_entropy(a) == pytest.approx(
+        gaussian_entropy(a / c) + 1.5 * math.log(c), rel=1e-12, abs=1e-12
+    )
+    assert construct_l(a, a, 2.0).s_x_star.shape == (3, 3)
+    singular = c * np.diag([1.0, 1.0, 1e-13])
+    with pytest.raises(SingularCovariance, match="singular within tolerance"):
+        gaussian_entropy(singular)
+    with pytest.raises(NotPositiveDefinite, match="strictly positive definite"):
+        construct_l(a, singular, 2.0)
+    with pytest.raises(NotPositiveDefinite, match="not positive semidefinite"):
+        gaussian_conditional_cov(c * np.diag([1.0, -1e-9]), a[:2, :2])
+    skew = c * np.array([[1.0, 0.5], [0.5 + 1e-10, 1.0]])
+    with pytest.raises(NotPositiveDefinite, match="not symmetric"):
+        cov_from_json({"rows": skew.tolist()})
+
+
 def test_symmetrize_is_projection():
     rng = np.random.default_rng(3)
     b = rng.normal(size=(5, 5))
@@ -132,7 +160,11 @@ def test_spectral_scale_takes_max_over_arguments():
     b = np.diag([10.0, 0.1])
     assert spectral_scale(a) == pytest.approx(3.0)
     assert spectral_scale(a, b) == pytest.approx(10.0)
-    assert spectral_scale(np.zeros((2, 2))) >= 1.0  # floored so tolerances stay meaningful
+    # homogeneous, with no floor: the scale of zero matrices is +0.0
+    for c in (1e-12, 1e-6, 1e6, 1e12):
+        assert spectral_scale(c * a, c * b) == c * spectral_scale(a, b)
+    zero = spectral_scale(np.zeros((2, 2)))
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
 
 
 def test_min_eig_of_a_stack_is_the_least_of_separate_calls():

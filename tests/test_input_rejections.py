@@ -24,11 +24,14 @@ from eeikit import (
     f_alpha,
     gaussian_entropy,
     gaussian_search,
+    construct_l,
+    gaussian_conditional_cov,
     markov_residual,
     psd_leq,
 )
 
 _EYE1, _EYE2, _EYE3 = np.eye(1), np.eye(2), np.eye(3)
+_EMPTY = np.zeros((0, 0))
 _FLAT = np.full(11, 1.0)  # unit mass on [0, 1]
 _SEARCHED = EEIInstance.from_scalars(2.0, 1.0, 10.0, 4.0)
 
@@ -48,6 +51,22 @@ _REJECTIONS = {
     "markov_residual-shapes": (
         lambda: markov_residual((_EYE2, _EYE2, _EYE3)), DimensionMismatch, "one shape"),
     "psd_leq-shapes": (lambda: psd_leq(_EYE2, _EYE3), DimensionMismatch, "shape mismatch"),
+    "psd_leq-empty": (
+        lambda: psd_leq(_EYE1, _EMPTY), DimensionMismatch, "b must be square and non-empty"),
+    "psd_leq-not-finite": (
+        lambda: psd_leq(np.full((1, 1), np.nan), _EYE1), InvalidParameter, "a must be finite"),
+    "gaussian_entropy-empty": (
+        lambda: gaussian_entropy(_EMPTY), DimensionMismatch,
+        "covariance must be square and non-empty"),
+    "gaussian_conditional_cov-empty": (
+        lambda: gaussian_conditional_cov(_EMPTY, _EYE1), DimensionMismatch,
+        "s_x must be square and non-empty"),
+    "construct_l-empty": (
+        lambda: construct_l(_EMPTY, _EYE1, 2.0), DimensionMismatch,
+        "s_x must be square and non-empty"),
+    "EEIInstance-empty": (
+        lambda: EEIInstance(2.0, _EMPTY, _EMPTY), DimensionMismatch,
+        "s_w must be square and non-empty"),
     "EEIInstance-s_v-dim": (
         lambda: EEIInstance(2.0, _EYE2, _EYE2, _EYE3), DimensionMismatch, "s_v and s_w"),
     "f_alpha-zero": (
