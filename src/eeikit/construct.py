@@ -576,7 +576,10 @@ def eei_optimum(instance: EEIInstance):
 
     In one dimension the derivative ``((1-mu)s + v - mu*w)/((s+w)(s+v))`` changes sign
     once, so ``s = clip(s0, 0, r)`` with ``s0 = (v - mu*w)/(mu - 1)`` is exact.  Otherwise
-    the same ``s0``, the point where ``S + V = mu (S + W)``, clipped strictly inside the
+    the vertices are tested first, one ``eigvalsh`` each: S = 0, with every mode on that
+    face, when the gradient ``G(0) = (W^-1 - mu V^-1) / 2 <= 0``, and S = R, with every mode
+    on that face, when ``G(R) >= 0``.  Failing both, the same ``s0``, the point where
+    ``S + V = mu (S + W)``, clipped strictly inside the
     band in R's whitened coordinates (:func:`_band_start`) starts the solve, which follows
     the log-barrier Newton path to the maximizer and pins the modes within
     ``1e-9 * spectral_scale(W, V, R)`` of a face onto it (:func:`_pin_faces`).  The
@@ -603,9 +606,20 @@ def eei_optimum(instance: EEIInstance):
         one = np.ones((1, 1))
         u0, u1 = one[:, s[0] == 0.0], one[:, s[0] == r[0]]
     else:
-        l_inv = np.linalg.inv(l := np.linalg.cholesky(r))
-        s = _interior_newton(_band_start(s0, l, l_inv), np.stack((w, v)), mu, l, l_inv)
-        s, u0, u1 = _pin_faces(s, l, l_inv, 1e-9 * max(scale_wv, spectral_scale(r)))
+        every, none = np.eye(instance.dim), np.zeros((instance.dim, 0))
+        # 2 G(0) and 2 G(R): S = 0 is a KKT point with K = -G(0) when G(0) <= 0, and
+        # S = R one with N = G(R) when G(R) >= 0
+        p = np.linalg.inv(np.stack((w, v, r + w, r + v)))
+        g2 = p[0::2] - mu * p[1::2]
+        ends = np.linalg.eigvalsh(0.5 * (g2 + g2.transpose(0, 2, 1)))
+        if ends[0, -1] <= 0.0:
+            s, u0, u1 = np.zeros_like(r), every, none
+        elif ends[1, 0] >= 0.0:
+            s, u0, u1 = r.copy(), none, every
+        else:
+            l_inv = np.linalg.inv(l := np.linalg.cholesky(r))
+            s = _interior_newton(_band_start(s0, l, l_inv), np.stack((w, v)), mu, l, l_inv)
+            s, u0, u1 = _pin_faces(s, l, l_inv, 1e-9 * max(scale_wv, spectral_scale(r)))
     g_w, g_v = 0.5 * np.linalg.inv(s + w), 0.5 * mu * np.linalg.inv(s + v)
     k, n_mat = _face_multipliers(g := symmetrize(g_w - g_v), u0, u1)
     res = max(float(np.linalg.norm(g + k - n_mat)), -min_eig(k, n_mat))

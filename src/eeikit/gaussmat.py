@@ -185,14 +185,29 @@ def gaussian_entropy(s) -> float:
 def gaussian_entropies(*covs) -> list:
     """:func:`gaussian_entropy` of each same-shape finite covariance, from one stacked ``eigvalsh``.
 
-    Each spectrum in the stack is the one a separate call would give.
+    Each spectrum in the stack is the one a separate call would give, and so is each value.
     """
     stack = np.asarray(covs, dtype=float)
-    return [_entropy(e) for e in np.linalg.eigvalsh(0.5 * (stack + stack.transpose(0, 2, 1)))]
+    return _entropies(np.linalg.eigvalsh(0.5 * (stack + stack.transpose(0, 2, 1))))
+
+
+def _entropies(evals: NDArray) -> list:
+    """Entropies from a stack of ascending spectra, one ``log`` and one row sum for all.
+
+    SingularCovariance names the first spectrum whose smallest eigenvalue is at most
+    ``1e-12`` of its largest |eigenvalue|.
+    """
+    low = evals[:, 0]
+    singular = low <= 1e-12 * np.maximum(np.abs(low), np.abs(evals[:, -1]))
+    if singular.any():
+        raise SingularCovariance(
+            f"covariance is singular within tolerance: min eigenvalue {low[np.argmax(singular)]:.3e}"
+        )
+    return (0.5 * (evals.shape[1] * LOG_2PI_E + np.log(evals).sum(axis=1))).tolist()
 
 
 def _entropy(evals: NDArray) -> float:
-    """Entropy from a covariance's ascending spectrum; SingularCovariance within tolerance."""
+    """:func:`_entropies` of one spectrum, with scalar arithmetic: one call costs less."""
     if evals[0] <= 1e-12 * eig_scale(evals):
         raise SingularCovariance(
             f"covariance is singular within tolerance: min eigenvalue {evals[0]:.3e}"

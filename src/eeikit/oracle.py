@@ -14,7 +14,10 @@ alias reaches a node from more than 8 sigma away.  Gaussian noise enters
 through its closed-form transform ``exp(-2 pi^2 sigma2 f^2)``, not a
 sampled kernel.  Against the Gaussian sampled on the grid and cut at 8
 sigma, that transform errs by at most ``e^-32`` of the kernel's peak (the
-cut tails) plus ``e^-79`` (aliasing, on a step of at most sigma/4).
+cut tails) plus ``e^-79`` (aliasing, on a step of at most sigma/4).  The
+smoothed density is sampled at the largest 5-smooth multiple of the input's
+step that is at most sigma/8, so the bins its inverse transform drops hold
+at most ``e^-316`` of the peak, and wide noise is applied in two stages.
 
 Reports are emitted as :class:`VerificationReport` records which
 serialize to JSON lines.  The random search reads two numpy streams keyed
@@ -324,18 +327,84 @@ def _fft_length(size: int) -> int:
     return best
 
 
-def convolve_density(d: GridDensity, sigma2: float) -> GridDensity:
-    """Density of X + N(0, sigma2) on a grid enlarged by 8 sigma per side.
+def _smooth_floor(x: float) -> int:
+    """Largest ``2^a 3^b 5^c`` at or below ``x``, and 1 when ``x < 1``."""
+    best, p5 = 1, 1
+    while p5 <= x:
+        p35 = p5
+        while p35 <= x:
+            # p35 times the greatest power of two that stays at or below x
+            best = max(best, p35 << int(x // p35).bit_length() - 1)
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    The trapezoid-rule convolution with the unit-mass Gaussian: the
-    samples, end nodes halved, are transformed at :func:`_fft_length` of
-    the output length, N, multiplied by ``exp(-2 pi^2 sigma2 f^2)`` at
-    ``f = q / (N step)`` and transformed back; no kernel is sampled.  That
-    factor is the transform of ``step`` times the Gaussian's samples summed
-    over the period, to within ``e^-79`` since the step is at most sigma/4,
-    and those samples differ from the kernel cut at the output grid's 8
-    sigma by at most ``e^-32`` of its peak.  Its value at frequency zero is
-    exactly one, so the output's trapezoid mass equals d's to rounding.
+
+def _decimation(points: int, step: float, sigma2: float):
+    """``(k, m, size)`` of one Gaussian smoothing of ``points`` samples at ``step``.
+
+    The output step is ``k * step``, k the largest 5-smooth integer with
+    ``k * step <= sigma / 8`` (at least 1); the output has m nodes each side
+    of the input's span, ``m * k * step >= 8 sigma``, and ``size`` nodes in
+    all.  The fine grid those nodes decimate is checked against the node
+    limit as a float, before any count is made an integer.
+    """
+    sigma = math.sqrt(sigma2)
+    # numpy's ceil, since a subnormal step makes this count inf
+    _check_points(points + 2.0 * np.ceil(8.0 * sigma / step), "the convolved density")
+    k = _smooth_floor(sigma / (8.0 * step))
+    m = math.ceil(8.0 * sigma / (k * step))
+    return k, m, -(-(points - 1) // k) + 2 * m + 1
+
+
+def _smoothed(d: GridDensity, sigma2: float, k: int, m: int, size: int) -> GridDensity:
+    """One trapezoid-rule Gaussian convolution, sampled at k times d's step.
+
+    ``(k, m, size)`` is :func:`_decimation`'s.  With n the
+    :func:`_fft_length` of size, the samples are transformed at ``k n``; the
+    first ``n // 2 + 1`` bins times ``exp(-2 pi^2 sigma2 f^2) / k`` are
+    transformed back at n, which keeps every k-th node of the fine result.
+    """
+    step = k * d.step
+    n = _fft_length(size)
+    f = np.arange(n // 2 + 1) / (n * step)
+    gain = np.exp(-2.0 * math.pi**2 * sigma2 * f**2) / k
+    spectrum = np.fft.rfft(_halved_ends(d.values), k * n)[: n // 2 + 1] * gain
+    # the Gaussian is centred on node 0, so the m output nodes left of d's
+    # grid wrap to the end of the transform; rolling by m puts them first
+    out = np.roll(np.fft.irfft(spectrum, n), m)[:size]
+    # the last output node lies k (size - 2m - 1) fine steps right of d's first
+    hi = d.support_hi + (k * (size - 2 * m - 1) - (d.points - 1)) * d.step + m * step
+    return GridDensity(d.support_lo - m * step, hi, np.clip(out, 0.0, None))
+
+
+def convolve_density(d: GridDensity, sigma2: float) -> GridDensity:
+    """Density of X + N(0, sigma2), sampled at the step its smoothness needs.
+
+    The trapezoid-rule convolution with the unit-mass Gaussian, on a grid
+    that reaches at least 8 sigma past d's support each side.  Its step is
+    ``H = k * d.step``, k the largest 5-smooth integer with ``H <= sigma/8``
+    (k = 1 when d's step is above sigma/16).  The samples, end nodes
+    halved, are transformed at k times :func:`_fft_length` of the output
+    length, N, and the first ``N // 2 + 1`` bins are multiplied by
+    ``exp(-2 pi^2 sigma2 f^2) / k`` at ``f = q / (N H)`` and transformed back
+    at N: every k-th node of the fine convolution, with no kernel sampled.
+    The bins dropped lie at ``f >= 1 / (2H)``, where the factor is at most
+    ``exp(-pi^2 sigma2 / (2 H^2)) <= e^-316``.  The factor is the transform
+    of the Gaussian's samples at d's step summed over the period, to within
+    ``e^-79`` since that step is at most sigma/4, and those samples differ
+    from the kernel cut at the output grid's 8 sigma by at most ``e^-32`` of
+    its peak.  Its value at frequency zero is exactly one, so the output's
+    trapezoid mass equals d's to rounding.
+
+    Noise that is wide against d's span is applied in two stages: when
+    ``sigma2 > 2 sigma1^2``, with ``sigma1 = max(span / 16, 4 d.step)`` (so
+    ``8 sigma1`` is half the span on 65 nodes or more), d is smoothed by
+    ``sigma1^2`` first and the result by ``sigma2 - sigma1^2``.  Gaussians
+    compose exactly; the first stage's transform is about twice d's length
+    and leaves about 256 nodes.  Every stage's grid is checked against the
+    node limit before the first transform.
+
     The output is clipped at zero, since FFT rounding leaves tiny negative
     values in the far tails where the exact convolution is nonnegative.
     Grids coarser than a quarter of the noise deviation are rejected
@@ -349,19 +418,16 @@ def convolve_density(d: GridDensity, sigma2: float) -> GridDensity:
         raise GridTooCoarse(
             f"grid step {step:.3e} exceeds sigma/4 = {sigma / 4.0:.3e}"
         )
-    # numpy's ceil, since a subnormal step makes this count inf
-    m = np.ceil(8.0 * sigma / step)
-    _check_points(d.points + 2.0 * m, "the convolved density")
-    m = int(m)
-    size = d.points + 2 * m
-    nfft = _fft_length(size)
-    f = np.arange(nfft // 2 + 1) / (nfft * step)
-    gain = np.exp(-2.0 * math.pi**2 * sigma2 * f**2)
-    spectrum = np.fft.rfft(_halved_ends(d.values), nfft) * gain
-    # the Gaussian is centred on node 0, so the m output nodes left of d's
-    # grid wrap to the end of the transform; rolling by m puts them first
-    out = np.roll(np.fft.irfft(spectrum, nfft), m)[:size]
-    return GridDensity(d.support_lo - m * step, d.support_hi + m * step, np.clip(out, 0.0, None))
+    first = max((d.support_hi - d.support_lo) / 16.0, 4.0 * step) ** 2
+    stages = (first, sigma2 - first) if sigma2 > 2.0 * first else (sigma2,)
+    plans, points = [], d.points
+    for s2 in stages:
+        plans.append(_decimation(points, step, s2))
+        k, _, points = plans[-1]
+        step *= k
+    for s2, plan in zip(stages, plans):
+        d = _smoothed(d, s2, *plan)
+    return d
 
 
 def _interp_density(d: GridDensity, points: NDArray) -> NDArray:

@@ -406,13 +406,12 @@ class TestConstrainedOptimum:
         s_star, _, _ = eei_optimum(EEIInstance(1.0 + gap, eye, eye, eye))
         assert np.all(s_star == 0.0)
 
-    @pytest.mark.xfail(strict=True, raises=(AssertionError, NoConvergence))
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("gap", [1e-7, 1e-6, 1e-5])
     def test_equal_noises_collapse_to_zero_at_weaker_multipliers(self, n, gap):
-        # Below mu - 1 = 1e-4 the last barrier stage leaves each mode at
-        # lam ~ tau / multiplier, above the pin tolerance: at 1e-7 the solve
-        # returns S ~ 1.9e-7 I, at 1e-6 and 1e-5 the gate raises NoConvergence.
+        # The barrier path cannot find these: its last stage leaves each mode
+        # at lam ~ tau / multiplier, above the pin tolerance.  G(0) <= 0 names
+        # the vertex S = 0 before any barrier stage.
         eye = np.eye(n)
         s_star, _, _ = eei_optimum(EEIInstance(1.0 + gap, eye, eye, eye))
         assert np.all(s_star == 0.0)
@@ -674,6 +673,16 @@ class TestBarrierStage:
 
         monkeypatch.setattr(construct, "_barrier_value", recorded)
         inst = TestOptimumGuardRails._random_instance(np.random.default_rng([55, n]), n)
+        if n == 2:
+            # This draw is the vertex S = 0, G(0) <= 0, with K = -G(0), and enters
+            # no barrier stage.  The factors are checked on the first [55, 2, j]
+            # draw that is not a vertex; j = 0 gives this draw's stream again.
+            s, _, cert = eei_optimum(inst)
+            g0 = symmetrize(np.linalg.inv(inst.s_w) - inst.mu * np.linalg.inv(inst.s_v)) / 2.0
+            assert np.all(s == 0.0) and scored == []
+            np.testing.assert_allclose(
+                cert.multiplier / 2.0, -g0, rtol=0.0, atol=1e-12 * np.max(np.abs(g0)))
+            inst = TestOptimumGuardRails._random_instance(np.random.default_rng([55, 2, 1]), n)
         eei_optimum(inst)
         tol = 1e-12 * spectral_scale(inst.s_w, inst.s_v, inst.r)
         feasible = [(s, lam, y) for s, (phi, lam, y, _) in scored if phi > -np.inf]
@@ -1040,6 +1049,23 @@ class TestOptimumGuardRails:
             s_c, _, cert = eei_optimum(EEIInstance(mu, c * w, c * r, c * v))
             assert _kkt_residual(s_c / c, c * cert.multiplier / 2.0, w, v, r, mu) <= 1e-8, k
             assert float(np.max(np.abs(s_c / c - s_one))) <= 1e-7 * spectral_scale(w, v, r), k
+
+    @pytest.mark.parametrize("cond", [1e8, 1e9])
+    def test_thin_noise_draws_solve(self, cond):
+        # Every thin-V draw returns a first-order optimum.  50 of the 60 are the
+        # vertex S = 0, where the barrier path leaves a mode above the pin:
+        # without the vertex test, k = 9 read 1.4e-8 and k = 10 raised
+        # SplitInfeasible at cond 1e8, and 15 draws raised it at cond 1e9.
+        failed = []
+        for k, mu, w, v, r in self._thin_noise_draws(cond):
+            try:
+                s, _, cert = eei_optimum(EEIInstance(mu, w, r, v))
+            except (NoConvergence, SplitInfeasible):
+                failed.append(k)
+                continue
+            if _kkt_residual(s, cert.multiplier / 2.0, w, v, r, mu) > 1e-8:
+                failed.append(k)
+        assert failed == []
 
     @staticmethod
     @functools.cache

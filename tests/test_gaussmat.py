@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from eeikit import (
     spectral_scale,
     symmetrize,
 )
-from eeikit.gaussmat import min_eig, simdiag_basis
+from eeikit.gaussmat import gaussian_entropies, min_eig, simdiag_basis
 
 DIM = 4
 FACTOR_ELEMENTS = st.floats(min_value=-3.0, max_value=3.0)
@@ -95,6 +96,23 @@ def test_entropy_known_values():
     assert gaussian_entropy(np.array([[2.0]])) == pytest.approx(1.7655121234846454, abs=1e-12)
     for n in (1, 2, 5):
         assert gaussian_entropy(np.eye(n)) == pytest.approx(0.5 * n * LOG_2PI_E, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_stacked_entropies_are_the_single_ones(n):
+    # one log and one row sum over the stack give each member's value bit for
+    # bit, and the error names the first singular member
+    rng = np.random.default_rng([14, n])
+    for count in (1, 2, 4):
+        mats = []
+        for _ in range(count):
+            f = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-6, 6)
+            mats.append(f @ f.T + 1e-3 * np.max(np.abs(f)) ** 2 * np.eye(n))
+        assert gaussian_entropies(*mats) == [gaussian_entropy(m) for m in mats]
+    singular = [np.diag(np.geomspace(1.0, 10.0 ** -e, n) if n > 1 else [-e]) for e in (13, 14)]
+    first = str(pytest.raises(SingularCovariance, gaussian_entropy, singular[0]).value)
+    with pytest.raises(SingularCovariance, match=f"^{re.escape(first)}$"):
+        gaussian_entropies(np.eye(n), *singular)
 
 
 def test_entropy_scaling_law():

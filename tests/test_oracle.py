@@ -36,6 +36,7 @@ from eeikit.oracle import (
     _halved_ends,
     _interp_density,
     _resample,
+    _smooth_floor,
     _subsample,
     _tensor_grid,
     _trial_draws,
@@ -213,14 +214,49 @@ def _halved_ends(vals):
     return out
 
 
-def _direct_gaussian_convolution(d, sigma2):
-    """``(lo, hi, values)`` of d plus N(0, sigma2) by the O(N*M) direct sum."""
-    m = math.ceil(8.0 * math.sqrt(sigma2) / d.step)
+def _direct_gaussian_convolution(d, sigma2, out):
+    """d plus N(0, sigma2) by the O(N*M) direct sum on d's step, at out's nodes.
+
+    Every node of ``out`` must lie on d's lattice; the sampled kernel reaches
+    the farthest of them and is normalized by its trapezoid sum.
+    """
+    nodes = (out.grid - d.support_lo) / d.step
+    j = np.rint(nodes).astype(int)
+    assert np.max(np.abs(nodes - j)) <= 1e-6
+    m = max(-j[0], j[-1] - (d.points - 1))
     t = np.arange(-m, m + 1) * d.step
     kernel = np.exp(-0.5 * t**2 / sigma2)
     kernel /= np.trapezoid(kernel, dx=d.step)
     vals = np.convolve(_halved_ends(d.values), _halved_ends(kernel)) * d.step
+    return vals[j + m]
+
+
+def _undecimated_convolution(d, sigma2):
+    """``(lo, hi, values)`` of the one-stage transform at d's own step, as a reference."""
+    m = math.ceil(8.0 * math.sqrt(sigma2) / d.step)
+    size = d.points + 2 * m
+    nfft = _fft_length(size)
+    f = np.arange(nfft // 2 + 1) / (nfft * d.step)
+    spectrum = np.fft.rfft(_halved_ends(d.values), nfft) * np.exp(-2.0 * math.pi**2 * sigma2 * f**2)
+    vals = np.clip(np.roll(np.fft.irfft(spectrum, nfft), m)[:size], 0.0, None)
     return d.support_lo - m * d.step, d.support_hi + m * d.step, vals
+
+
+def _uniform_plus_gaussian_entropy(sigma2):
+    """h(U[0, 1] + N(0, sigma2)) by adaptive quadrature of the closed-form density."""
+    from scipy import integrate, special
+
+    s = math.sqrt(sigma2)
+
+    def integrand(t):
+        f = special.ndtr(t / s) - special.ndtr((t - 1.0) / s)
+        return -f * math.log(f) if f > 0.0 else 0.0
+
+    edges = np.linspace(-12.0 * s, 1.0 + 12.0 * s, 5)
+    return sum(
+        integrate.quad(integrand, a, b, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges[:-1], edges[1:])
+    )
 
 
 def _direct_pair_convolution(d1, d2):
@@ -264,7 +300,14 @@ class TestConvolution:
                 "smooth-length": _smooth_length_case(points),
             }[kind]
             out = convolve_density(d, sigma2)
-            lo, hi, ref = _direct_gaussian_convolution(d, sigma2)
+            sigma = math.sqrt(sigma2)
+            # at least 8 sigma past d's support, at a step of at most sigma/8
+            # unless d's own step is above sigma/16
+            assert out.support_lo <= d.support_lo - 8.0 * sigma * (1.0 - 1e-12)
+            assert out.support_hi >= d.support_hi + 8.0 * sigma * (1.0 - 1e-12)
+            assert out.step <= max(sigma / 8.0, d.step) * (1.0 + 1e-12)
+            lo, hi = out.support_lo, out.support_hi
+            ref = _direct_gaussian_convolution(d, sigma2, out)
             if kind == "smooth-length":
                 assert _fft_length(ref.size) == ref.size
         assert out.points == ref.size
@@ -273,6 +316,31 @@ class TestConvolution:
         assert np.max(np.abs(out.values - ref)) <= 1e-14 * np.max(ref)
         direct = entropy_quadrature(GridDensity(lo, hi, ref)).value
         assert entropy_quadrature(out).value == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("points", [4001, 8001])
+    def test_undecimated_case_is_the_one_stage_transform(self, points):
+        # a step of sigma/4 leaves nothing to decimate: the output is the
+        # one-stage transform at d's step, bit for bit
+        d = GridDensity.uniform(0.0, 1.0, points)
+        sigma2 = (4.0 * d.step) ** 2
+        out = convolve_density(d, sigma2)
+        lo, hi, ref = _undecimated_convolution(d, sigma2)
+        assert (out.support_lo, out.support_hi) == (lo, hi)
+        assert np.array_equal(out.values, ref)
+
+    # |h(grid) - h(closed form)| at the parent commit, rounded up in the third
+    # digit; the grid uniform's edges, not the convolution, set these errors
+    @pytest.mark.parametrize(
+        "points, sigma2, bar",
+        [
+            (4001, 0.05, 4.20e-8), (4001, 0.25, 1.57e-8), (4001, 1.4, 3.52e-9),
+            (8001, 0.05, 1.05e-8), (8001, 0.25, 3.92e-9), (8001, 1.4, 8.79e-10),
+        ],
+    )
+    def test_uniform_plus_gaussian_against_closed_form(self, points, sigma2, bar):
+        out = convolve_density(GridDensity.uniform(0.0, 1.0, points), sigma2)
+        exact = _uniform_plus_gaussian_entropy(sigma2)
+        assert abs(entropy_quadrature(out).value - exact) <= bar
 
     def test_uniform_plus_gaussian_reference(self):
         out = convolve_density(GridDensity.uniform(0.0, 1.0), 0.25)
@@ -310,33 +378,57 @@ class TestConvolution:
         mass_in = np.trapezoid(d.values, dx=d.step)
         assert np.trapezoid(out.values, dx=out.step) == pytest.approx(mass_in, abs=1e-12)
 
-    def test_one_transform_each_way_at_the_fast_length(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "d, sigma2",
+        [
+            (GridDensity.uniform(0.0, 1.0, 8001), 0.25),
+            (GridDensity.uniform(0.0, 1.0, 4001), 1.4),
+            (GridDensity.mixture(0.5, -2.0, 1.0, 2.0, 1.0, 8001), 1.0),
+            (GridDensity.gaussian(2.0, points=4001), 0.5),
+            # just below and above the two-stage threshold, 2 (span / 16)^2
+            (GridDensity.uniform(0.0, 1.0, 4001), 2.0 / 256.0),
+            (GridDensity.uniform(0.0, 1.0, 4001), 2.0 / 256.0 * (1.0 + 1e-12)),
+        ],
+        ids=["uniform-8001", "wide-noise", "mixture", "gaussian", "one-stage-edge", "two-stage-edge"],
+    )
+    def test_transforms_cost_at_most_three_input_lengths(self, d, sigma2, monkeypatch):
+        # the cost guard: one transform at d's step, 72900 points each way
+        # for uniform-8001 before decimation, must not come back
         lengths = []
 
         def counted(transform):
             def call(a, n):
-                lengths.append((transform.__name__, n))
+                lengths.append(n)
                 return transform(a, n)
             return call
 
         for name in ("rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-        out = convolve_density(GridDensity.uniform(0.0, 1.0, 8001), 0.25)
-        # 8001 + 2 * 32000 nodes; the next power of two would be 131072
-        assert out.points == 72001
-        assert lengths == [("rfft", 72900), ("irfft", 72900)]
+        convolve_density(d, sigma2)
+        assert sum(lengths) <= 3 * d.points
+        assert all(_fft_length(n) == n for n in lengths)
 
     def test_output_grid_checked_before_allocating(self, monkeypatch):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("a transform ran before the node limit was checked")
+
         d = GridDensity.uniform(0.0, 1.0, 4001)
-        # 3200 noise nodes a side: a 6401-node kernel, but 10401 output nodes
-        monkeypatch.setattr("eeikit.oracle._MAX_POINTS", 10400)
-        with pytest.raises(InvalidParameter, match="the convolved density needs 10401 grid"):
-            convolve_density(d, 0.01)
-        monkeypatch.setattr("eeikit.oracle._MAX_POINTS", 8000)
-        with pytest.raises(InvalidParameter, match="the convolved density needs 8001 grid"):
-            convolve_pair(d, d)
-        monkeypatch.setattr("eeikit.oracle._MAX_POINTS", 10401)
-        assert convolve_density(d, 0.01).points == 10401
+        # sigma1 = 1/16 first: 2000 noise nodes a side of d's step, 8001 nodes
+        with monkeypatch.context() as patched:
+            patched.setattr(np.fft, "rfft", no_transform)
+            patched.setattr("eeikit.oracle._MAX_POINTS", 8000)
+            with pytest.raises(InvalidParameter, match="the convolved density needs 8001 grid"):
+                convolve_density(d, 0.01)
+            with pytest.raises(InvalidParameter, match="the convolved density needs 8001 grid"):
+                convolve_pair(d, d)
+        with monkeypatch.context() as patched:
+            patched.setattr(np.fft, "rfft", no_transform)
+            # the first stage fits (8001 nodes); the second stage's 1.3e152 are
+            # rejected before the first stage runs
+            with pytest.raises(InvalidParameter, match="the convolved density needs 1.33333e\\+152 grid"):
+                convolve_density(GridDensity.gaussian(1e-300), 1.0)
+        monkeypatch.setattr("eeikit.oracle._MAX_POINTS", 8001)
+        assert convolve_density(d, 0.01).step > d.step
         assert convolve_pair(d, d).points == 8001
 
 
@@ -347,6 +439,16 @@ def test_fft_length_is_the_least_5_smooth_length():
     sizes = np.arange(1, limit + 1)
     expected = smooth[np.searchsorted(smooth, sizes)]
     assert [_fft_length(int(size)) for size in sizes] == expected.tolist()
+
+
+def test_smooth_floor_is_the_greatest_5_smooth_count():
+    limit = 10**4
+    products = (2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(6))
+    smooth = np.array(sorted(n for n in products if n <= limit))
+    # below 1, and between and on the integers
+    xs = np.concatenate([[0.0, 0.5, 0.999], np.arange(1, limit + 1) + 0.5, np.arange(1, limit + 1)])
+    expected = np.where(xs < 1.0, 1, smooth[np.maximum(np.searchsorted(smooth, xs, "right") - 1, 0)])
+    assert [_smooth_floor(float(x)) for x in xs] == expected.tolist()
 
 
 class TestEpiCheck:
