@@ -122,9 +122,11 @@ def design_private_message(inst: BroadcastInstance) -> BroadcastDesign:
     in t and saturates at ``sum_{d_i > 0} c_i`` (``Tr s_z2`` when D is
     nonsingular).  Thresholds at or above that trace are rejected up
     front; eigenvalues d_i within rounding of zero count as zero.  The
-    scale solving ``Tr mse_2(t) = Tr r`` is bracketed by doubling and then
-    bisected until the bracket is no wider than ``1e-12 * t``; the intended
-    receiver must end up below the threshold or within a relative 1e-9 of it.
+    scale solving ``Tr mse_2(t) = Tr r`` is found by Newton's method from
+    t = 0 with no bracket: the trace is concave, so each iterate stays at or
+    below the root, and the steps stop once one is at most ``1e-15 * t``
+    (200 at most).  The intended receiver must end up below the threshold or
+    within a relative 1e-9 of it.
     """
     tr_r = float(np.trace(inst.r))
     tr_z2 = float(np.trace(inst.s_z2))
@@ -145,22 +147,13 @@ def design_private_message(inst: BroadcastInstance) -> BroadcastDesign:
             "posterior trace saturates below the threshold along this direction"
         )
 
-    def rx2_trace(t: float) -> float:
-        return float(np.sum(c * (t * d) / (1.0 + t * d)))
-
-    hi = 1.0
-    while rx2_trace(hi) < tr_r:
-        hi *= 2.0
-    lo = 0.0
+    t_star = 0.0
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if rx2_trace(mid) >= tr_r:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-12 * hi:
+        q = 1.0 + t_star * d
+        step = (tr_r - float(np.sum(c * (t_star * d) / q))) / float(np.sum(c * d / q**2))
+        t_star += step
+        if step <= 1e-15 * t_star:
             break
-    t_star = 0.5 * (lo + hi)
     s_star = symmetrize(t_star * inst.direction)
     rx2 = float(np.trace(gaussian_conditional_cov(s_star, inst.s_z2)))
     rx1 = float(np.trace(gaussian_conditional_cov(s_star, inst.s_z1)))
@@ -170,7 +163,7 @@ def design_private_message(inst: BroadcastInstance) -> BroadcastDesign:
         )
     return BroadcastDesign(
         s_x_star=s_star,
-        t_star=float(t_star),
+        t_star=t_star,
         trace_mse_rx1=rx1,
         trace_mse_rx2=rx2,
     )

@@ -186,7 +186,7 @@ def _certificate_outcome(cert, *inputs) -> Outcome:
     worst = max(
         cert.zero_product_residual, max(0.0, -cert.order_residual)
     ) / spectral_scale(*inputs)
-    return Outcome(cert.s_x_star.shape[0], worst, 0.0, -worst, 1, cert.as_dict())
+    return Outcome(cert.s_x_star.shape[0], worst, 0.0, 0.0 - worst, 1, cert.as_dict())
 
 
 def _report_outcome(report) -> Outcome:
@@ -269,7 +269,7 @@ def _run_broadcast_design(args, mu, seed, tol):
     design = design_private_message(instance)
     tr_r = float(np.trace(instance.r))
     rel = abs(design.trace_mse_rx2 - tr_r) / tr_r
-    return Outcome(instance.dim, design.trace_mse_rx2, tr_r, -rel, 1, design.as_dict())
+    return Outcome(instance.dim, design.trace_mse_rx2, tr_r, 0.0 - rel, 1, design.as_dict())
 
 
 def _run_lmmse_bound(args, mu, seed, tol):
@@ -278,7 +278,7 @@ def _run_lmmse_bound(args, mu, seed, tol):
     _, logdet_n = np.linalg.slogdet(r)
     _, logdet_y = np.linalg.slogdet(x + r)
     gauss = float(0.5 * (logdet_y - logdet_n))
-    return Outcome(x.shape[0], bound, gauss, -abs(bound - gauss), 1, {
+    return Outcome(x.shape[0], bound, gauss, 0.0 - abs(bound - gauss), 1, {
         "bound_nats": bound, "gaussian_mi_nats": gauss,
         "s_x": cov_to_json(x), "r": cov_to_json(r),
     })
@@ -288,7 +288,7 @@ def _run_variational_check(args, mu, seed, tol):
     fx = _parse_density(args, "density")
     fv = _parse_density(args, "density2")
     residual = variational_first_residual(fx, convolve_pair(fx, fv), fv, mu)
-    return Outcome(1, residual, 0.0, -residual, 1, {
+    return Outcome(1, residual, 0.0, 0.0 - residual, 1, {
         "stationarity_rms": residual, "density": args.density, "noise_density": args.density2,
     })
 

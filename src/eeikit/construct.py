@@ -611,7 +611,7 @@ def eei_optimum(instance: EEIInstance):
         # S = R one with N = G(R) when G(R) >= 0
         p = np.linalg.inv(np.stack((w, v, r + w, r + v)))
         g2 = p[0::2] - mu * p[1::2]
-        ends = np.linalg.eigvalsh(0.5 * (g2 + g2.transpose(0, 2, 1)))
+        ends = np.linalg.eigvalsh(symmetrize(g2))
         if ends[0, -1] <= 0.0:
             s, u0, u1 = np.zeros_like(r), every, none
         elif ends[1, 0] >= 0.0:

@@ -48,9 +48,9 @@ _SYM_RTOL = 1e-12
 
 
 def symmetrize(a: NDArray) -> NDArray:
-    """Return the symmetric part (a + a.T) / 2 as a new array."""
+    """Symmetric part (a + a^T) / 2 of a matrix, or of each matrix in a stack, as a new array."""
     a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.mT)
 
 
 def eig_scale(evals: NDArray) -> float:
@@ -65,8 +65,7 @@ def min_eig(*mats) -> float:
     spectrum in the stack is the one a separate call would give, and ties
     resolve as ``min`` over separate calls would (first argument first).
     """
-    stack = np.asarray(mats, dtype=float)
-    return min(np.linalg.eigvalsh(0.5 * (stack + stack.transpose(0, 2, 1)))[:, 0].tolist())
+    return min(np.linalg.eigvalsh(symmetrize(mats))[:, 0].tolist())
 
 
 def validated_square(a, name: str = "matrix") -> NDArray:
@@ -178,8 +177,7 @@ def gaussian_entropy(s) -> float:
     Raises :class:`SingularCovariance` if the determinant is not strictly
     positive within tolerance.
     """
-    a = validated_square(s, "covariance")
-    return _entropy(np.linalg.eigvalsh(a))
+    return _entropies(np.linalg.eigvalsh(validated_square(s, "covariance")[None]))[0]
 
 
 def gaussian_entropies(*covs) -> list:
@@ -187,8 +185,7 @@ def gaussian_entropies(*covs) -> list:
 
     Each spectrum in the stack is the one a separate call would give, and so is each value.
     """
-    stack = np.asarray(covs, dtype=float)
-    return _entropies(np.linalg.eigvalsh(0.5 * (stack + stack.transpose(0, 2, 1))))
+    return _entropies(np.linalg.eigvalsh(symmetrize(covs)))
 
 
 def _entropies(evals: NDArray) -> list:
@@ -204,15 +201,6 @@ def _entropies(evals: NDArray) -> list:
             f"covariance is singular within tolerance: min eigenvalue {low[np.argmax(singular)]:.3e}"
         )
     return (0.5 * (evals.shape[1] * LOG_2PI_E + np.log(evals).sum(axis=1))).tolist()
-
-
-def _entropy(evals: NDArray) -> float:
-    """:func:`_entropies` of one spectrum, with scalar arithmetic: one call costs less."""
-    if evals[0] <= 1e-12 * eig_scale(evals):
-        raise SingularCovariance(
-            f"covariance is singular within tolerance: min eigenvalue {evals[0]:.3e}"
-        )
-    return 0.5 * (evals.size * LOG_2PI_E + float(np.sum(np.log(evals))))
 
 
 def gaussian_conditional_cov(s_x, s_z) -> NDArray:

@@ -105,7 +105,7 @@ class TestDesign:
 
     def test_reference_instance_at_nano_scale(self):
         # Noises and threshold scaled by 1e-9 along the same unit direction:
-        # t* scales with them, and the bisection's bracket is relative to t.
+        # t* scales with them, and Newton's stopping step is relative to t.
         c = 1e-9
         inst = BroadcastInstance(
             np.array([[0.5 * c]]), np.array([[2.0 * c]]), np.array([[0.5 * c]]),
@@ -177,7 +177,7 @@ class TestDesign:
         assert np.linalg.eigvalsh(design.s_x_star).min() >= -1e-10
 
     def test_posterior_trace_monotone_in_t(self):
-        # the bisection is well-posed because the receiver-2 error grows with t
+        # Newton from t = 0 is well-posed because the receiver-2 error grows with t
         z2 = np.array([[2.0, 0.3], [0.3, 1.5]])
         direction = np.array([[0.6, 0.1], [0.1, 0.5]])
         traces = [
@@ -186,6 +186,30 @@ class TestDesign:
         ]
         assert all(a < b for a, b in zip(traces, traces[1:]))
         assert traces[-1] < float(np.trace(z2))
+
+    def test_reference_instance_is_two_thirds_within_one_ulp(self):
+        inst = BroadcastInstance(
+            np.array([[0.5]]), np.array([[2.0]]), np.array([[0.5]]), direction=np.array([[1.0]])
+        )
+        assert abs(design_private_message(inst).t_star - 2.0 / 3.0) <= math.ulp(2.0 / 3.0)
+
+    @staticmethod
+    def _random_instance(k):
+        rng = np.random.default_rng([61, k])
+        n = 1 + k % 4
+        z2 = _rand_pd(rng, n, lo=0.5)
+        direction = _rand_pd(rng, n, lo=0.1)
+        r = rng.uniform(0.05, 0.9) * float(np.trace(z2)) / n * np.eye(n)
+        return BroadcastInstance(0.5 * z2, z2, r, direction=direction)
+
+    def test_scale_solves_its_own_equation(self):
+        # Receiver 2's posterior trace, read back from the designed
+        # covariance, equals Tr r to a few ulps on every draw.
+        for k in range(200):
+            inst = self._random_instance(k)
+            tr_r = float(np.trace(inst.r))
+            design = design_private_message(inst)
+            assert abs(design.trace_mse_rx2 - tr_r) <= 3e-14 * tr_r, k
 
     def test_as_dict_round_trip(self):
         inst = BroadcastInstance(

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -645,6 +646,22 @@ class TestFormatsAndReproducibility:
         )
         assert "elapsed_ms" in blob["summary"]
         assert blob["config"]["timing"] is True
+
+
+def _readme_examples():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().splitlines()
+    return [line.split()[1:] for line in lines if line.startswith("eeikit ")]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
+def test_readme_example_margin_is_never_negative_zero(capsys, argv):
+    # An exact result's margin is 0.0 - 0.0 = 0.0, never the -0.0 that
+    # negating a zero error prints.
+    code, blob = run_json(capsys, *argv, "--format", "json")
+    margin = blob["summary"]["margin"]
+    assert code == 0
+    assert margin != 0.0 or math.copysign(1.0, margin) > 0
 
 
 def test_console_entry_point():

@@ -857,12 +857,14 @@ def _kkt_residual(s, k, w, v, r, mu):
     S = R, G the gradient.  The residual is the worst of the band
     violation of S, the negative parts of K and N, and the complementarity
     products ``||K S||`` and ``||N (R - S)||``, each relative to the
-    gradient scale, the spectral scale or both.  It fits no faces, so it
-    does not depend on how the solver pinned them.
+    gradient scale (the larger entry of the gradient's two halves, as the
+    library's first-order gate reads it), the spectral scale or both.  It
+    fits no faces, so it does not depend on how the solver pinned them.
     """
     scale = spectral_scale(w, v, r)
-    g = symmetrize(0.5 * np.linalg.inv(s + w) - 0.5 * mu * np.linalg.inv(s + v))
-    g_scale = max(1.0, float(np.max(np.abs(g))))
+    g_w, g_v = 0.5 * np.linalg.inv(s + w), 0.5 * mu * np.linalg.inv(s + v)
+    g = symmetrize(g_w - g_v)
+    g_scale = max(float(np.max(np.abs(g_w))), float(np.max(np.abs(g_v))))
     n_mat = g + k
     return max(
         -float(np.linalg.eigvalsh(s)[0]) / scale,
@@ -1235,6 +1237,16 @@ class TestOptimumChecksCanFail:
         self._barrier_returns(monkeypatch, np.zeros((2, 2)))
         with pytest.raises(NoConvergence, match="first-order residual 2.500e-01"):
             eei_optimum(self._instance())
+
+    @pytest.mark.parametrize("c", [1e-9, 1.0, 1e9])
+    def test_kkt_residual_helper_trips_at_every_scale(self, c):
+        # The helper is the other tests' independent KKT check: the lifted S
+        # and the sign-flipped K, scaled with the instance by c, must read
+        # above the loosest bar any test applies to it (1e-6), at every c.
+        inst, s_star, k, _ = self._solved()
+        w, v, r = c * inst.s_w, c * inst.s_v, c * inst.r
+        assert _kkt_residual(c * self._lifted(), k / c, w, v, r, inst.mu) > 1e-6
+        assert _kkt_residual(c * s_star, -k / c, w, v, r, inst.mu) > 1e-6
 
     def test_lifted_face_fails_cli_optimum(self, monkeypatch, tmp_path, capsys):
         inst = self._instance()
