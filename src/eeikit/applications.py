@@ -22,6 +22,7 @@ from .errors import (
     ThresholdUnreachable,
 )
 from .gaussmat import (
+    cov_to_json,
     gaussian_conditional_cov,
     symmetrize,
     validated_pd,
@@ -104,12 +105,8 @@ class BroadcastDesign:
     trace_mse_rx2: float
 
     def as_dict(self) -> dict:
-        return {
-            "s_x_star": self.s_x_star.tolist(),
-            "t_star": self.t_star,
-            "trace_mse_rx1": self.trace_mse_rx1,
-            "trace_mse_rx2": self.trace_mse_rx2,
-        }
+        return {name: cov_to_json(v) if isinstance(v, np.ndarray) else float(v)
+                for name, v in vars(self).items()}
 
 
 def design_private_message(inst: BroadcastInstance) -> BroadcastDesign:

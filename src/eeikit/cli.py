@@ -4,9 +4,10 @@ Each invocation runs one operation, emits one report (JSON, CSV, or
 text), and exits 0 when every checked margin is within tolerance, 1 when
 a mathematical check fails, and 2 on usage or input errors, among them a
 flag the command does not read.  JSON reports embed the library version
-and, resolved, the command's flags and the common ``--tol --seed --format
---timing``.  Reports are byte-identical across runs with the same flags;
-the one clock, ``elapsed_ms``, is zeroed unless ``--timing`` is passed.
+and, resolved, the command's flags and the common ``--tol --format
+--timing``; only ``search`` draws, so only it takes ``--seed``.  Reports
+are byte-identical across runs with the same flags; the one clock,
+``elapsed_ms``, is zeroed unless ``--timing`` is passed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -43,8 +43,6 @@ from .oracle import (
 )
 
 CSV_HEADER = "command,n,mu,lhs,rhs,margin,tol,trials,seed,elapsed_ms"
-
-SEED_ENV_VAR = "EEIKIT_SEED"
 
 
 def _parse_matrix(text: str | None, role: str) -> np.ndarray | None:
@@ -107,14 +105,14 @@ _FLAGS = {
     "density2": dict(default="gaussian", help="second density spec (default gaussian)"),
     "trials": dict(type=int, default=10000),
     "grid-points": dict(type=int, default=4001, dest="grid_points"),
+    "seed": dict(type=int, default=42, help="seed of the random search's draws"),
     "tol": dict(type=float, help="margin tolerance override"),
-    "seed": dict(type=int, help=f"RNG seed (else ${SEED_ENV_VAR}, else 42)"),
     "output": dict(help="write the report here instead of stdout"),
     "format": dict(choices=("json", "csv", "text"), default="json"),
     "timing": dict(action="store_true",
                    help="report real elapsed milliseconds (breaks byte reproducibility)"),
 }
-_COMMON = ("tol", "seed", "output", "format", "timing")
+_COMMON = ("tol", "output", "format", "timing")
 
 
 def _is_number(text: str) -> bool:
@@ -153,20 +151,6 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(joined)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidParameter(
-                f"{SEED_ENV_VAR} must be an integer, got {env!r}"
-            ) from exc
-    return 42
-
-
 class Outcome(NamedTuple):
     """What a runner returns: the gated numbers and the report's result."""
 
@@ -174,7 +158,6 @@ class Outcome(NamedTuple):
     lhs: float
     rhs: float
     margin: float
-    trials: int
     result: dict
 
 
@@ -186,13 +169,12 @@ def _certificate_outcome(cert, *inputs) -> Outcome:
     worst = max(
         cert.zero_product_residual, max(0.0, -cert.order_residual)
     ) / spectral_scale(*inputs)
-    return Outcome(cert.s_x_star.shape[0], worst, 0.0, 0.0 - worst, 1, cert.as_dict())
+    return Outcome(cert.s_x_star.shape[0], worst, 0.0, 0.0 - worst, cert.as_dict())
 
 
 def _report_outcome(report) -> Outcome:
-    """Outcome of a :class:`VerificationReport`; only a search has trials."""
-    return Outcome(report.params["n"], report.lhs, report.rhs, report.margin,
-                   report.params.get("trials", 1), report.as_dict())
+    """Outcome of a :class:`VerificationReport`."""
+    return Outcome(report.params["n"], report.lhs, report.rhs, report.margin, report.as_dict())
 
 
 def _instance(args, mu) -> EEIInstance:
@@ -204,22 +186,22 @@ def _instance(args, mu) -> EEIInstance:
     )
 
 
-# Runners take (args, mu, seed, tol), with mu None for commands without
+# Runners take (args, mu, tol), with mu None for commands without
 # --mu, and return an Outcome.  They call the library through this
 # module's globals at call time, so a test can patch any of them.
 
 
-def _run_construct_l(args, mu, seed, tol):
+def _run_construct_l(args, mu, tol):
     x, w = _parse_matrix(args.x, "x"), _parse_matrix(args.w, "w")
     return _certificate_outcome(construct_l(x, w, mu), x, w)
 
 
-def _run_construct_k(args, mu, seed, tol):
+def _run_construct_k(args, mu, tol):
     w, v = _parse_matrix(args.w, "w"), _parse_matrix(args.v, "v")
     return _certificate_outcome(construct_k(w, v, mu), w, v)
 
 
-def _run_optimum(args, mu, seed, tol):
+def _run_optimum(args, mu, tol):
     instance = _instance(args, mu)
     _, value, cert = eei_optimum(instance)
     outcome = _certificate_outcome(cert, instance.s_w, instance.s_v, instance.r)
@@ -227,7 +209,7 @@ def _run_optimum(args, mu, seed, tol):
     return outcome
 
 
-def _run_verify_eei(args, mu, seed, tol):
+def _run_verify_eei(args, mu, tol):
     density = _parse_density(args, "density")
     report = check_eei(
         density,
@@ -240,13 +222,13 @@ def _run_verify_eei(args, mu, seed, tol):
     return _report_outcome(report)
 
 
-def _run_verify_epi(args, mu, seed, tol):
+def _run_verify_epi(args, mu, tol):
     d1 = _parse_density(args, "density")
     d2 = _parse_density(args, "density2")
     return _report_outcome(check_epi(d1, d2, tol=tol))
 
 
-def _run_worst_noise(args, mu, seed, tol):
+def _run_worst_noise(args, mu, tol):
     density = _parse_density(args, "density")
     report = check_worst_noise(
         density, _parse_scalar(args.w, "w"), _parse_scalar(args.v, "v"), tol=tol
@@ -254,12 +236,12 @@ def _run_worst_noise(args, mu, seed, tol):
     return _report_outcome(report)
 
 
-def _run_search(args, mu, seed, tol):
-    report = gaussian_search(_instance(args, mu), trials=args.trials, seed=seed, tol=tol)
+def _run_search(args, mu, tol):
+    report = gaussian_search(_instance(args, mu), trials=args.trials, seed=args.seed, tol=tol)
     return _report_outcome(report)
 
 
-def _run_broadcast_design(args, mu, seed, tol):
+def _run_broadcast_design(args, mu, tol):
     instance = BroadcastInstance(
         s_z1=_parse_matrix(args.z1, "z1"),
         s_z2=_parse_matrix(args.z2, "z2"),
@@ -269,28 +251,26 @@ def _run_broadcast_design(args, mu, seed, tol):
     design = design_private_message(instance)
     tr_r = float(np.trace(instance.r))
     rel = abs(design.trace_mse_rx2 - tr_r) / tr_r
-    return Outcome(instance.dim, design.trace_mse_rx2, tr_r, 0.0 - rel, 1, design.as_dict())
+    return Outcome(instance.dim, design.trace_mse_rx2, tr_r, 0.0 - rel, design.as_dict())
 
 
-def _run_lmmse_bound(args, mu, seed, tol):
+def _run_lmmse_bound(args, mu, tol):
     x, r = _parse_matrix(args.x, "x"), _parse_matrix(args.r, "r")
     bound = mi_lower_bound(x, r)
     _, logdet_n = np.linalg.slogdet(r)
     _, logdet_y = np.linalg.slogdet(x + r)
     gauss = float(0.5 * (logdet_y - logdet_n))
-    return Outcome(x.shape[0], bound, gauss, 0.0 - abs(bound - gauss), 1, {
+    return Outcome(x.shape[0], bound, gauss, 0.0 - abs(bound - gauss), {
         "bound_nats": bound, "gaussian_mi_nats": gauss,
         "s_x": cov_to_json(x), "r": cov_to_json(r),
     })
 
 
-def _run_variational_check(args, mu, seed, tol):
+def _run_variational_check(args, mu, tol):
     fx = _parse_density(args, "density")
     fv = _parse_density(args, "density2")
     residual = variational_first_residual(fx, convolve_pair(fx, fv), fv, mu)
-    return Outcome(1, residual, 0.0, 0.0 - residual, 1, {
-        "stationarity_rms": residual, "density": args.density, "noise_density": args.density2,
-    })
+    return Outcome(1, residual, 0.0, 0.0 - residual, {"stationarity_rms": residual})
 
 
 class Command(NamedTuple):
@@ -314,7 +294,7 @@ COMMANDS = {
     "verify-eei": Command(1e-3, ("mu", "density", "w", "r"), _run_verify_eei, ("v", "grid-points")),
     "verify-epi": Command(1e-4, ("density",), _run_verify_epi, _DENSITY2),
     "verify-worst-noise": Command(1e-4, ("density", "w", "v"), _run_worst_noise, ("grid-points",)),
-    "search": Command(1e-6, ("mu", "w", "r"), _run_search, ("v", "trials")),
+    "search": Command(1e-6, ("mu", "w", "r"), _run_search, ("v", "trials", "seed")),
     "broadcast-design": Command(1e-6, ("z1", "z2", "r"), _run_broadcast_design, ("direction",)),
     "lmmse-bound": Command(1e-10, ("x", "r"), _run_lmmse_bound),
     "variational-check": Command(1e-3, ("mu", "density"), _run_variational_check, _DENSITY2),
@@ -335,8 +315,8 @@ def _render(fmt, config, summary, result) -> str:
         return CSV_HEADER + "\n" + row + "\n"
     if fmt == "text":
         lines = [
-            f"eeikit {__version__}  command={config['command']}  seed={summary['seed']}",
-            f"n={summary['n']}  mu={cell(summary['mu'])}  trials={summary['trials']}",
+            f"eeikit {__version__}  command={config['command']}  seed={cell(summary['seed'])}",
+            f"n={summary['n']}  mu={cell(summary['mu'])}  trials={cell(summary['trials'])}",
             f"lhs={cell(summary['lhs'])}  rhs={cell(summary['rhs'])}",
             f"margin={cell(summary['margin'])}  tol={cell(summary['tol'])}",
             f"status={'PASS' if summary['passed'] else 'FAIL'}  elapsed_ms={summary['elapsed_ms']}",
@@ -359,7 +339,6 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     command = COMMANDS[args.command]
     try:
-        seed = _resolve_seed(args)
         tol = args.tol if args.tol is not None else command.tol
         if not (math.isfinite(tol) and tol >= 0.0):
             raise InvalidParameter(f"--tol must be finite and non-negative, got {tol}")
@@ -368,13 +347,15 @@ def main(argv=None) -> int:
             if getattr(args, flag) is None:
                 raise InvalidParameter(f"{args.command} requires --{flag}")
         mu = validated_mu(args.mu) if "mu" in command.flags else None
-        outcome = command.run(args, mu, seed, tol)
+        outcome = command.run(args, mu, tol)
         elapsed_ms = int(round(1000.0 * (time.perf_counter() - started))) if args.timing else 0
-        summary = dict(outcome._asdict(), mu=mu, tol=tol, seed=seed,
-                       passed=outcome.margin >= -tol, elapsed_ms=elapsed_ms)
+        # Only a command that reads --trials or --seed states them.
+        summary = dict(outcome._asdict(), mu=mu, tol=tol, trials=getattr(args, "trials", None),
+                       seed=getattr(args, "seed", None), passed=outcome.margin >= -tol,
+                       elapsed_ms=elapsed_ms)
         result = summary.pop("result")
         # The report embeds the command's flags, resolved, but where it is written.
-        config = dict(vars(args), tol=tol, seed=seed)
+        config = dict(vars(args), tol=tol)
         del config["output"]
         _emit(args, _render(args.format, config, summary, result))
     except CheckFailed as exc:

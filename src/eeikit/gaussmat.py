@@ -207,10 +207,11 @@ def gaussian_conditional_cov(s_x, s_z) -> NDArray:
     """Error covariance of estimating X from X + Z for independent Gaussians.
 
     This is the linear minimum mean-square error (LMMSE) matrix
-    ``s_x - s_x @ inv(s_x + s_z) @ s_x``, which is PSD and below ``s_x``
-    in the PSD order.  Both inputs must be PSD (:func:`validated_psd`);
-    an observation covariance ``s_x + s_z`` whose determinant is not
-    positive raises :class:`SingularCovariance`.
+    ``s_x - s_x @ inv(s_x + s_z) @ s_x``, PSD and below ``s_x`` in the PSD
+    order, computed as ``s_z @ inv(s_x + s_z) @ s_x``, which does not cancel
+    when ``s_x`` is large against ``s_z``.  Both inputs must be PSD
+    (:func:`validated_psd`); an observation covariance ``s_x + s_z`` whose
+    determinant is not positive raises :class:`SingularCovariance`.
     """
     x, z = validated_psd(s_x, "s_x"), validated_psd(s_z, "s_z")
     if x.shape != z.shape:
@@ -219,7 +220,7 @@ def gaussian_conditional_cov(s_x, s_z) -> NDArray:
     sign, _ = np.linalg.slogdet(s_y)
     if sign <= 0:
         raise SingularCovariance("observation covariance is singular")
-    return symmetrize(x - x @ np.linalg.solve(s_y, x))
+    return symmetrize(z @ np.linalg.solve(s_y, x))
 
 
 def markov_residual(t: Sequence) -> float:

@@ -46,6 +46,11 @@ class TestLmmseMatrix:
         out = gaussian_conditional_cov(np.diag([1.0, 4.0]), np.eye(2))
         np.testing.assert_allclose(out, np.diag([0.5, 0.8]), atol=1e-12)
 
+    def test_high_snr_error_does_not_cancel(self):
+        # s_x - s_x (s_x + s_z)^-1 s_x reads 0.0 here; the error is s_z to an ulp
+        out = gaussian_conditional_cov(np.array([[1e16]]), np.array([[1.0]]))
+        assert out[0, 0] == pytest.approx(1.0, rel=1e-15)
+
     def test_zero_source_estimates_itself(self):
         out = gaussian_conditional_cov(np.zeros((2, 2)), np.eye(2))
         np.testing.assert_allclose(out, np.zeros((2, 2)), atol=1e-14)
@@ -71,6 +76,11 @@ class TestMiLowerBound:
             r = _rand_pd(rng, n)
             mi_gauss = 0.5 * (np.linalg.slogdet(sx + r)[1] - np.linalg.slogdet(r)[1])
             assert abs(mi_lower_bound(sx, r) - mi_gauss) <= 1e-10
+
+    def test_high_snr_bound_is_finite(self):
+        # a cancelled LMMSE error of 0.0 would raise SingularCovariance here
+        bound = mi_lower_bound(np.array([[1e16]]), np.array([[1.0]]))
+        assert bound == pytest.approx(0.5 * math.log1p(1e16), rel=1e-15)
 
     def test_singular_budget_rejected(self):
         with pytest.raises(SingularCovariance):
@@ -194,12 +204,15 @@ class TestDesign:
         assert abs(design_private_message(inst).t_star - 2.0 / 3.0) <= math.ulp(2.0 / 3.0)
 
     @staticmethod
-    def _random_instance(k):
+    def _random_instance(k, fraction=None):
+        """Draw k, with Tr r the given fraction of Tr s_z2 (else a uniform one)."""
         rng = np.random.default_rng([61, k])
         n = 1 + k % 4
         z2 = _rand_pd(rng, n, lo=0.5)
         direction = _rand_pd(rng, n, lo=0.1)
-        r = rng.uniform(0.05, 0.9) * float(np.trace(z2)) / n * np.eye(n)
+        if fraction is None:
+            fraction = rng.uniform(0.05, 0.9)
+        r = fraction * float(np.trace(z2)) / n * np.eye(n)
         return BroadcastInstance(0.5 * z2, z2, r, direction=direction)
 
     def test_scale_solves_its_own_equation(self):
@@ -210,6 +223,18 @@ class TestDesign:
             tr_r = float(np.trace(inst.r))
             design = design_private_message(inst)
             assert abs(design.trace_mse_rx2 - tr_r) <= 3e-14 * tr_r, k
+
+    @pytest.mark.parametrize("fraction", [1.0 - 1e-14, 1.0 - 1e-15])
+    def test_scale_near_saturation(self, fraction):
+        # Tr r within 1e-14 of Tr s_z2 puts t* near 1e16, where the LMMSE
+        # error must not cancel: receiver 2 still reads Tr r, and receiver 1,
+        # with half its noise, half of that.
+        for k in range(200):
+            inst = self._random_instance(k, fraction)
+            tr_r = float(np.trace(inst.r))
+            design = design_private_message(inst)
+            assert abs(design.trace_mse_rx2 - tr_r) <= 3e-14 * tr_r, k
+            assert abs(design.trace_mse_rx1 / design.trace_mse_rx2 - 0.5) <= 1e-12, k
 
     def test_as_dict_round_trip(self):
         inst = BroadcastInstance(

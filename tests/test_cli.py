@@ -14,7 +14,7 @@ import pytest
 
 import eeikit.cli
 from eeikit import CheckFailed, cov_to_json, errors
-from eeikit.cli import COMMANDS, CSV_HEADER, SEED_ENV_VAR, main
+from eeikit.cli import COMMANDS, CSV_HEADER, main
 
 
 def run_cli(capsys, *argv):
@@ -482,26 +482,13 @@ class TestExitCodes:
         assert named in err
         assert "negative dimensions" not in err
 
-    def test_non_integer_seed_variable_is_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "abc")
-        err = _assert_input_error(
-            capsys, ("search", "--w", "1", "--v", "4", "--r", "10", "--mu", "2", "--trials", "5")
-        )
-        assert f"{SEED_ENV_VAR} must be an integer" in err
-
-    @pytest.mark.parametrize("source", ["flag", "environment"])
-    def test_negative_seed_is_usage_error(self, capsys, monkeypatch, source):
-        argv = _argv("search", _VALID_FLAGS["search"])
-        if source == "flag":
-            argv += ["--seed", "-1"]
-        else:
-            monkeypatch.setenv(SEED_ENV_VAR, "-1")
-        err = _assert_input_error(capsys, argv)
+    def test_negative_seed_is_usage_error(self, capsys):
+        err = _assert_input_error(capsys, [*_argv("search", _VALID_FLAGS["search"]), "--seed", "-1"])
         assert "seed must be a non-negative integer, got -1" in err
 
 
 # The flags each command reads besides the common ones, which every
-# command takes: --tol --seed --output --format --timing.
+# command takes: --tol --output --format --timing.
 _OWN_FLAGS = {
     "construct-l": {"mu", "x", "w"},
     "construct-k": {"mu", "w", "v"},
@@ -509,12 +496,12 @@ _OWN_FLAGS = {
     "verify-eei": {"mu", "density", "w", "v", "r", "grid-points"},
     "verify-epi": {"density", "density2", "grid-points"},
     "verify-worst-noise": {"density", "w", "v", "grid-points"},
-    "search": {"mu", "w", "v", "r", "trials"},
+    "search": {"mu", "w", "v", "r", "trials", "seed"},
     "broadcast-design": {"z1", "z2", "r", "direction"},
     "lmmse-bound": {"x", "r"},
     "variational-check": {"mu", "density", "density2", "grid-points"},
 }
-_COMMON_FLAGS = {"tol", "seed", "output", "format", "timing"}
+_COMMON_FLAGS = {"tol", "output", "format", "timing"}
 
 
 class TestFlagsPerCommand:
@@ -522,7 +509,7 @@ class TestFlagsPerCommand:
     def test_config_holds_the_command_flags_and_the_common_ones(self, capsys, command):
         _, blob = run_json(capsys, *_argv(command, _VALID_FLAGS[command]))
         own = {flag.replace("-", "_") for flag in _OWN_FLAGS[command]}
-        assert set(blob["config"]) == {"command", "format", "seed", "timing", "tol"} | own
+        assert set(blob["config"]) == {"command", "format", "timing", "tol"} | own
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_every_unread_flag_is_an_input_error(self, capsys, command):
@@ -620,21 +607,24 @@ class TestFormatsAndReproducibility:
         # a quadrature check draws nothing, so it has no trial count and no seed
         assert "trials" not in result and "seed" not in result
 
-    def test_seed_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "123")
-        _, blob = run_json(
-            capsys, "search", "--w", "1", "--v", "4", "--r", "10", "--mu", "2",
-            "--trials", "100",
-        )
-        assert blob["config"]["seed"] == 123
+    @pytest.mark.parametrize("command", [name for name in COMMANDS if name != "search"])
+    def test_only_search_states_a_seed_and_trials(self, capsys, command):
+        # the nine other commands draw nothing: null in JSON, empty cells in csv
+        argv = _argv(command, _VALID_FLAGS[command])
+        _, blob = run_json(capsys, *argv)
+        assert (blob["summary"]["seed"], blob["summary"]["trials"]) == (None, None)
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        fields = dict(zip(CSV_HEADER.split(","), out.split("\n")[1].split(",")))
+        assert (fields["seed"], fields["trials"]) == ("", "")
 
-    def test_seed_flag_beats_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv(SEED_ENV_VAR, "123")
-        _, blob = run_json(
-            capsys, "search", "--w", "1", "--v", "4", "--r", "10", "--mu", "2",
-            "--trials", "100", "--seed", "7",
-        )
-        assert blob["config"]["seed"] == 7
+    def test_search_states_its_default_seed_and_trials(self, capsys):
+        # test_search_small covers an explicit --seed
+        argv = _argv("search", _VALID_FLAGS["search"])
+        _, blob = run_json(capsys, *argv)
+        assert (blob["summary"]["seed"], blob["summary"]["trials"]) == (42, 50)
+        assert blob["config"]["seed"] == blob["result"]["seed"] == 42
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert out.split("\n")[1].endswith(",50,42,0")
 
     def test_default_tol_is_per_command(self, capsys):
         _, blob = run_json(capsys, "verify-epi", "--density", "uniform")
@@ -652,6 +642,17 @@ def _readme_examples():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = readme.read_text().splitlines()
     return [line.split()[1:] for line in lines if line.startswith("eeikit ")]
+
+
+def test_readme_command_table_lists_each_command_flags():
+    # Each row: `name` | required flags | optional flags, with defaults.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([\w-]+)` \|([^|]*)\|([^|]*)\|$", readme, re.MULTILINE)
+    table = {name: (tuple(re.findall(r"--([\w-]+)", required)),
+                    tuple(re.findall(r"--([\w-]+)", optional)))
+             for name, required, optional in rows}
+    assert len(rows) == len(table)
+    assert table == {name: (command.flags, command.options) for name, command in COMMANDS.items()}
 
 
 @pytest.mark.parametrize("argv", _readme_examples(), ids=" ".join)
