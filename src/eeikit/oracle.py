@@ -567,6 +567,11 @@ def check_eei(
     )
 
 
+def _wanted_scales(mats: NDArray, frac: NDArray, trace_r: float) -> NDArray:
+    """The scales that give each direction ``frac`` of the budget trace."""
+    return frac * trace_r / np.maximum(np.trace(mats, axis1=1, axis2=2), 1e-30)
+
+
 def _capped_scales(mats: NDArray, frac: NDArray, l_inv: NDArray, trace_r: float):
     """Scale each direction to ``frac`` of the budget trace, capped inside the band.
 
@@ -575,10 +580,42 @@ def _capped_scales(mats: NDArray, frac: NDArray, l_inv: NDArray, trace_r: float)
     ``trace_r`` is ``tr R``, both computed once per search.  Returns the
     scales and a mask of the trials whose scale was capped at that boundary.
     """
-    want = frac * trace_r / np.maximum(np.trace(mats, axis1=1, axis2=2), 1e-30)
+    want = _wanted_scales(mats, frac, trace_r)
     cap = 1.0 / np.linalg.eigvalsh(l_inv @ mats @ l_inv.T)[:, -1]
     clipped = want > cap
     return np.where(clipped, cap, want), clipped
+
+
+# Relative pads: on the trace bounds of lambda_max, far above the rounding
+# of the bounds and of eigvalsh; on a bounded score, against the size of its
+# two entropies plus n (1 + mu), far above the rounding of a log-determinant.
+_CAP_PAD = 1e-9
+_SCORE_PAD = 1e-7
+
+
+def _cap_bounds(h: NDArray):
+    """Padded bounds ``lower <= lambda_max(h) <= upper`` for a stack of symmetric ``h``.
+
+    Wolkowicz and Styan (1980): with ``m = tr h / n`` and
+    ``s^2 = ||h - m I||_F^2 / n``, ``m + s / sqrt(n-1) <= lambda_max <=
+    m + s sqrt(n-1)``, and ``lambda_max`` is at least each diagonal entry.
+    ``s`` is summed on the centred matrix: ``||h||_F^2 / n - m^2`` cancels
+    when ``h`` is near isotropic.  At ``n = 1``, ``s = 0`` and both bounds
+    are ``h`` itself.
+    """
+    k, n = h.shape[:2]
+    # the diagonals as n contiguous rows, which numpy reduces far faster
+    # than the stack's strided diagonal
+    diag = h.diagonal(0, 1, 2).T.copy()
+    m = diag.sum(axis=0) / n
+    if n == 1:
+        return m * (1.0 - _CAP_PAD), m * (1.0 + _CAP_PAD)
+    centred = h.reshape(k, n * n).copy()
+    centred[:, :: n + 1] -= m[:, None]
+    s = np.sqrt(np.einsum("ki,ki->k", centred, centred) / n)
+    root = math.sqrt(n - 1)
+    lower = np.maximum(m + s / root, diag.max(axis=0))
+    return lower * (1.0 - _CAP_PAD), (m + s * root) * (1.0 + _CAP_PAD)
 
 
 # Trials are sampled, capped and scored this many at a time, which keeps
@@ -612,7 +649,20 @@ def gaussian_search(
     the largest one that keeps the draw inside the band.  The best sampled
     objective (earliest trial on ties) must not beat :func:`eei_optimum`'s
     answer, single-noise or two-noise, by more than ``tol``; ``clipped``
-    counts the trials capped at the band boundary.  The report's params
+    counts the trials capped at the band boundary.
+
+    The cap ``1 / lambda_max(L^-1 A L^-T)`` is eigendecomposed only where
+    it can change the report.  Trace bounds on ``lambda_max``
+    (:func:`_cap_bounds`) mark each trial free (never capped), capped, or
+    in doubt.  One slogdet pair then scores every trial with the W side at
+    the largest scale it may have and the V side at the smallest: exactly
+    for a free trial, as an upper bound for the rest, since ``h(sA + W)``
+    rises with s and ``-mu h(sA + V)`` falls.  A trial in doubt, and a
+    capped one whose padded bound reaches the best exact score so far
+    (this chunk's free trials included), is capped by eigvalsh and scored
+    exactly (:func:`_capped_scales`).  Every other trial scores below a
+    computed value, so ``lhs``, ``best_trial`` and ``clipped`` are those
+    of capping and scoring every trial exactly.  The report's params
     carry ``trials`` and ``seed``, the only check with either.  ``trials``
     must be a positive and ``seed`` a non-negative integer, not a bool.
     """
@@ -635,10 +685,29 @@ def gaussian_search(
     best, lhs, clipped = 0, -math.inf, 0
     for start, g, frac in _trial_draws(seed, trials, n):
         mats = g @ g.transpose(0, 2, 1)
-        scales, capped = _capped_scales(mats, frac, l_inv, trace_r)
+        want = _wanted_scales(mats, frac, trace_r)
+        lower, upper = _cap_bounds(l_inv @ mats @ l_inv.T)
+        free, capped = want * upper <= 1.0, want * lower > 1.0
+        # the W side at the largest scale the cap allows, the V side at the
+        # smallest: exact for free trials, an upper bound for the rest
+        s_hi = np.where(capped, 1.0 / lower, want)
+        s_lo = np.where(free, want, np.minimum(want, 1.0 / upper))
+        h_w = stacked_entropy(s_hi[:, None, None] * mats + first)
+        h_v = stacked_entropy(s_lo[:, None, None] * mats + second)
+        values = h_w - mu * h_v
+        # trials in doubt, and capped ones whose bound reaches the best exact
+        # score so far, are capped by eigvalsh and scored exactly; any other
+        # can be neither the earliest maximum nor change `clipped`
+        refine = ~(free | capped)
+        if capped.any():
+            reach = values + _SCORE_PAD * (n * (1.0 + mu) + np.abs(h_w) + mu * np.abs(h_v))
+            refine |= capped & (reach >= np.max(values, where=free, initial=lhs))
+        idx = np.flatnonzero(refine)
+        if idx.size:
+            scales, capped[idx] = _capped_scales(mats[idx], frac[idx], l_inv, trace_r)
+            sigma = scales[:, None, None] * mats[idx]
+            values[idx] = stacked_entropy(sigma + first) - mu * stacked_entropy(sigma + second)
         clipped += int(np.count_nonzero(capped))
-        sigma = scales[:, None, None] * mats
-        values = stacked_entropy(sigma + first) - mu * stacked_entropy(sigma + second)
         top = int(np.argmax(values))
         if values[top] > lhs:
             best, lhs = start + top, float(values[top])

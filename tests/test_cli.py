@@ -224,9 +224,14 @@ def _argv(command, flags):
 
 
 def _non_finite_flags():
-    for command in COMMANDS:
+    # each command's valid flags, --tol and the numeric options it takes:
+    # a flag the command does not take exits on argparse's "unrecognized
+    # arguments" and checks no number (test_every_unread_flag_is_an_input_error)
+    for command, spec in COMMANDS.items():
         flags = _VALID_FLAGS[command]
-        for name in [*flags, "tol", "seed", "grid-points"]:
+        options = [name for name in ("seed", "grid-points") if name in spec.options]
+        for name in [*flags, "tol", *options]:
+            assert name == "tol" or name in spec.flags + spec.options, (command, name)
             specs = _DENSITY_SPECS if name.startswith("density") else ("{}",)
             yield pytest.param(command, name, specs, id=f"{command}--{name}")
 
@@ -578,6 +583,18 @@ class TestFormatsAndReproducibility:
         assert out == ""
         blob = json.loads(target.read_text())
         assert blob["result"]["multiplier"]["rows"] == [[0.25]]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_readme_search_report_bytes_are_pinned(self, capsys, fmt):
+        # the README's search example prints tests/data/readme_search.<fmt>
+        # byte for byte, so no change to the search's draws, band cap or
+        # scores can pass unseen
+        argv = ["search", "--w", "1", "--v", "4", "--r", "10", "--mu", "2",
+                "--trials", "10000", "--seed", "7"]
+        assert argv in _readme_examples()
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (Path(__file__).parent / "data" / f"readme_search.{fmt}").read_text()
 
     def test_byte_identical_reports(self, capsys):
         argv = ("search", "--w", "1", "--v", "4", "--r", "10", "--mu", "2",

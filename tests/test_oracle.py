@@ -24,6 +24,7 @@ from eeikit import (
     variational_first_residual,
     variational_second_form,
 )
+from eeikit.gaussmat import LOG_2PI_E, symmetrize
 from eeikit.oracle import (
     _FY_RESOLVED,
     _LOG_FLOOR,
@@ -612,6 +613,77 @@ def _drawn(seed, trials, n):
     return list(starts), np.concatenate(g), np.concatenate(frac)
 
 
+def _rand_pd(rng, n, lo):
+    f = rng.normal(size=(n, n))
+    return symmetrize(f @ f.T) + lo * np.eye(n)
+
+
+def _brute_force_search(inst, g, frac):
+    """``(lhs, best_trial, clipped)`` with every trial capped by eigvalsh and scored exactly."""
+    n = inst.dim
+    first, second = (0.0, inst.s_w) if inst.s_v is None else (inst.s_w, inst.s_v)
+    mats = g @ g.transpose(0, 2, 1)
+    l_inv = np.linalg.inv(np.linalg.cholesky(inst.r))
+    want = frac * np.trace(inst.r) / np.trace(mats, axis1=1, axis2=2)
+    cap = 1.0 / np.linalg.eigvalsh(l_inv @ mats @ l_inv.T)[:, -1]
+    sigma = np.minimum(want, cap)[:, None, None] * mats
+
+    def entropy(m):
+        sign, logdet = np.linalg.slogdet(m)
+        return 0.5 * (n * LOG_2PI_E + np.where(sign > 0, logdet, -np.inf))
+
+    values = entropy(sigma + first) - inst.mu * entropy(sigma + second)
+    best = int(np.argmax(values))
+    return float(values[best]), best, int(np.count_nonzero(want > cap))
+
+
+def _near_isotropic_draws(r, trials, rng):
+    """Draws whose ``L^-1 g g^T L^-T`` lies 1e-12 to 1e-3 from isotropic.
+
+    Their fractions lie 1e-12 to 1e-2 below 1, so each trial's scale sits
+    near the band's cap, and the trace bounds must resolve spreads far
+    below sqrt(eps) to classify it.
+    """
+    n = r.shape[0]
+    spread = 10.0 ** rng.uniform(-12, -3, trials)
+    g = np.linalg.cholesky(r) @ (np.eye(n) + spread[:, None, None] * rng.normal(size=(trials, n, n)))
+    return g, 1.0 - 10.0 ** rng.uniform(-12, -2, trials)
+
+
+def _at_cap_fractions(r, g, rng):
+    """Fractions that put each trial's wanted scale within 8 ulps of its band cap.
+
+    Whether such a trial is capped is decided by rounding alone; at n = 2
+    the trace bounds are exact, so only their pad keeps them on the same
+    side as eigvalsh.
+    """
+    mats = g @ g.transpose(0, 2, 1)
+    l_inv = np.linalg.inv(np.linalg.cholesky(r))
+    cap = 1.0 / np.linalg.eigvalsh(l_inv @ mats @ l_inv.T)[:, -1]
+    ulps = np.finfo(float).eps * rng.integers(-8, 9, len(g))
+    return np.minimum(cap * np.trace(mats, axis1=1, axis2=2) / np.trace(r) * (1.0 + ulps), 0.999)
+
+
+# (dimension, noises, scale of R, scale of W and V, trials, draws): trial
+# counts that are not multiples of the chunk size, one and two noises,
+# inputs scaled far from 1, and besides the stock draws near-isotropic ones
+# and stock directions at fractions within ulps of their cap.
+_SEARCH_CASES = {
+    **{f"n{n}": (n, 2, 1.0, 1.0, 1500, "stock") for n in range(1, 7)},
+    "single-noise-n1": (1, 1, 1.0, 1.0, 2049, "stock"),
+    "single-noise-n3": (3, 1, 1.0, 1.0, 2049, "stock"),
+    "single-noise-n5": (5, 1, 1.0, 1.0, 1100, "stock"),
+    "scaled-r-n2": (2, 2, 1e6, 1.0, 1300, "stock"),
+    "scaled-w-n4": (4, 2, 1.0, 1e-6, 1300, "stock"),
+    "scaled-both-n3": (3, 1, 1e-5, 1e5, 1300, "stock"),
+    "one-trial-n4": (4, 2, 1.0, 1.0, 1, "stock"),
+    "near-isotropic-n2": (2, 2, 1.0, 1.0, 3000, "near-isotropic"),
+    "near-isotropic-n4": (4, 2, 3.0, 0.5, 3000, "near-isotropic"),
+    "near-isotropic-n6": (6, 1, 1.0, 1.0, 3000, "near-isotropic"),
+    **{f"at-cap-n{n}": (n, 2, 1.0, 1.0, 1100, "at-cap") for n in (2, 3, 5)},
+}
+
+
 class TestGaussianSearch:
     def test_deterministic_given_seed(self):
         inst = EEIInstance.from_scalars(2.0, 1.0, 10.0, 4.0)
@@ -701,7 +773,60 @@ class TestGaussianSearch:
         scalar = EEIInstance.from_scalars(2.0, 1.0, 10.0, 4.0)
         assert gaussian_search(scalar, 500, 7).params["clipped"] == 0
 
-    def test_box_muller_moments(self):
+    @pytest.mark.parametrize("case", _SEARCH_CASES, ids=str)
+    def test_search_matches_brute_force(self, case, monkeypatch):
+        # the pruned search reports the same lhs, earliest best trial and
+        # clipped count, to the bit, as capping and scoring every trial
+        n, noises, scale_r, scale_w, trials, draws = _SEARCH_CASES[case]
+        rng = np.random.default_rng([31, n, noises, trials])
+        w = scale_w * _rand_pd(rng, n, 0.2)
+        v = w + scale_w * _rand_pd(rng, n, 0.1) if noises == 2 else None
+        r = scale_r * _rand_pd(rng, n, 0.5)
+        inst = EEIInstance(mu=rng.uniform(1.1, 4.0), s_w=w, r=r, s_v=v)
+        seed = 4000 + n
+        g, frac = _drawn(seed, trials, n)[1:]
+        if draws == "at-cap":
+            frac = _at_cap_fractions(r, g, rng)
+        elif draws == "near-isotropic":
+            g, frac = _near_isotropic_draws(r, trials, rng)
+        if draws != "stock":
+            chunks = ((start, g[start:start + 1024], frac[start:start + 1024])
+                      for start in range(0, trials, 1024))
+            monkeypatch.setattr("eeikit.oracle._trial_draws", lambda *_: chunks)
+        # the optimum is not under test here
+        monkeypatch.setattr("eeikit.oracle.eei_optimum", lambda _: (None, 0.0, None))
+        rep = gaussian_search(inst, trials, seed)
+        lhs, best, clipped = _brute_force_search(inst, g, frac)
+        assert (rep.lhs, rep.params["best_trial"], rep.params["clipped"]) == (lhs, best, clipped)
+        if n > 1 and trials > 1:
+            assert 0 < clipped < trials
+
+    def test_eigvalsh_runs_on_few_trials(self, monkeypatch):
+        # on criterion 4's n = 4 instances the cap's trace bounds and the
+        # score bound leave few trials to eigendecompose
+        rng = np.random.default_rng(1004)
+        searches = []
+        for i in range(100):
+            n = i % 4 + 1
+            inst = EEIInstance(mu=rng.uniform(1.1, 4.0), s_w=_rand_pd(rng, n, 0.2),
+                               r=_rand_pd(rng, n, 0.5), s_v=_rand_pd(rng, n, 0.2))
+            if n == 4:
+                searches.append((inst, 2000 + i))
+        rows = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            rows.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr("eeikit.oracle.eei_optimum", lambda _: (None, 0.0, None))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        for inst, seed in searches:
+            gaussian_search(inst, 10_000, seed)
+        assert len(searches) == 25
+        assert sum(rows) <= 0.15 * 25 * 10_000
+
+    def test_draw_moments(self):
         # the direction factors are standard normal, the fractions in [0, 1)
         _, g, frac = _drawn(29, 25_000, 2)
         z = g.ravel()
