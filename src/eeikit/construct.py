@@ -582,7 +582,9 @@ def eei_optimum(instance: EEIInstance):
     ``S + V = mu (S + W)``, clipped strictly inside the
     band in R's whitened coordinates (:func:`_band_start`) starts the solve, which follows
     the log-barrier Newton path to the maximizer and pins the modes within
-    ``1e-9 * spectral_scale(W, V, R)`` of a face onto it (:func:`_pin_faces`).  The
+    ``1e-9 * spectral_scale(W, V)`` of a face onto it (:func:`_pin_faces`): at the last
+    centre a face mode's ``lam ||y||^2`` is about tau times the noises' scale, whatever
+    R's, while a free mode's is at the scale of S*, which the noises set.  The
     multipliers K on the face S = 0 and N on the face S = R then solve ``G + K - N = 0`` by
     least squares, G the gradient.  A first-order residual
     ``max(||G + K - N||_F, -min_eig K, -min_eig N)`` above ``1e-6`` of the largest entry
@@ -619,7 +621,7 @@ def eei_optimum(instance: EEIInstance):
         else:
             l_inv = np.linalg.inv(l := np.linalg.cholesky(r))
             s = _interior_newton(_band_start(s0, l, l_inv), np.stack((w, v)), mu, l, l_inv)
-            s, u0, u1 = _pin_faces(s, l, l_inv, 1e-9 * max(scale_wv, spectral_scale(r)))
+            s, u0, u1 = _pin_faces(s, l, l_inv, 1e-9 * scale_wv)
     g_w, g_v = 0.5 * np.linalg.inv(s + w), 0.5 * mu * np.linalg.inv(s + v)
     k, n_mat = _face_multipliers(g := symmetrize(g_w - g_v), u0, u1)
     res = max(float(np.linalg.norm(g + k - n_mat)), -min_eig(k, n_mat))

@@ -38,8 +38,10 @@ from eeikit.oracle import (
     _interp_density,
     _resample,
     _smooth_floor,
+    _stacked_entropy,
     _subsample,
     _tensor_grid,
+    _trace_bound,
     _trial_draws,
     convolve_pair,
 )
@@ -664,24 +666,91 @@ def _at_cap_fractions(r, g, rng):
     return np.minimum(cap * np.trace(mats, axis1=1, axis2=2) / np.trace(r) * (1.0 + ulps), 0.999)
 
 
-# (dimension, noises, scale of R, scale of W and V, trials, draws): trial
-# counts that are not multiples of the chunk size, one and two noises,
-# inputs scaled far from 1, and besides the stock draws near-isotropic ones
-# and stock directions at fractions within ulps of their cap.
+def _near_tie_draws(g, frac):
+    """Copies of the first draw with g scaled by ``1 + k 2^-52``, k the copy's index.
+
+    The scale of a direction divides its trace out, so every copy is the
+    same covariance up to rounding and the scores tie up to rounding.  In
+    one dimension so do the trace bounds, which equal the scores in exact
+    arithmetic.
+    """
+    k = np.arange(len(g))
+    return g[0] * (1.0 + k * 2.0**-52)[:, None, None], np.full(len(g), frac[0])
+
+
+def _near_held_draws(g, rng):
+    """Copies of the first draw with each entry of g moved by up to 1e-7 of it, at fraction 1.
+
+    At fraction 1 every copy is capped, since ``tr A <= lambda_max(L^-1 A
+    L^-T) tr R``, and the copies' scores differ from the eighth digit on,
+    so a later chunk's best beats the running best by a hair.
+    """
+    return g[0] * (1.0 + 1e-7 * rng.uniform(-1.0, 1.0, g.shape)), np.ones(len(g))
+
+
+def _noise(rng, n, scale, lo):
+    """``scale`` times a random PD matrix floored at lo, or for ``"thin"`` ``Q diag(1, ..., 1e-9) Q^T``."""
+    if scale != "thin":
+        return scale * _rand_pd(rng, n, lo)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return symmetrize(q @ (np.geomspace(1.0, 1e-9, n)[:, None] * q.T))
+
+
+# (dimension, noises, scale of R, scale of W and V or a thin W, trials,
+# draws): trial counts that are not multiples of the chunk size, one and two
+# noises, inputs scaled far from 1 (a small R leaves both trace bounds near
+# tight while the cap's bounds stay loose), W at cond 1e9, and besides the
+# stock draws near-isotropic ones, stock directions at fractions within ulps
+# of their cap, near ties in one dimension, and capped near copies whose
+# best lies in a later chunk, a hair above the running best.
 _SEARCH_CASES = {
     **{f"n{n}": (n, 2, 1.0, 1.0, 1500, "stock") for n in range(1, 7)},
     "single-noise-n1": (1, 1, 1.0, 1.0, 2049, "stock"),
     "single-noise-n3": (3, 1, 1.0, 1.0, 2049, "stock"),
     "single-noise-n5": (5, 1, 1.0, 1.0, 1100, "stock"),
+    "single-noise-scaled-n4": (4, 1, 1e3, 1e-3, 1300, "stock"),
     "scaled-r-n2": (2, 2, 1e6, 1.0, 1300, "stock"),
     "scaled-w-n4": (4, 2, 1.0, 1e-6, 1300, "stock"),
     "scaled-both-n3": (3, 1, 1e-5, 1e5, 1300, "stock"),
+    "small-r-n3": (3, 2, 1e-4, 1.0, 1300, "stock"),
+    "thin-w-n3": (3, 2, 1.0, "thin", 1300, "stock"),
     "one-trial-n4": (4, 2, 1.0, 1.0, 1, "stock"),
     "near-isotropic-n2": (2, 2, 1.0, 1.0, 3000, "near-isotropic"),
     "near-isotropic-n4": (4, 2, 3.0, 0.5, 3000, "near-isotropic"),
     "near-isotropic-n6": (6, 1, 1.0, 1.0, 3000, "near-isotropic"),
     **{f"at-cap-n{n}": (n, 2, 1.0, 1.0, 1100, "at-cap") for n in (2, 3, 5)},
+    **{f"near-tie-{trials}": (1, noises, 1.0, 1.0, trials, "near-tie")
+       for noises, trials in ((1, 1000), (1, 1007), (2, 1049), (2, 1231))},
+    "near-held-n2": (2, 2, 1.0, 1.0, 2049, "near-held"),
 }
+
+
+def _searched(case, monkeypatch):
+    """``(lhs, best_trial, clipped)`` of the search and of :func:`_brute_force_search` on a case."""
+    n, noises, scale_r, scale_w, trials, draws = _SEARCH_CASES[case]
+    rng = np.random.default_rng([31, n, noises, trials])
+    w = _noise(rng, n, scale_w, 0.2)
+    v = w + _noise(rng, n, 1.0 if scale_w == "thin" else scale_w, 0.1) if noises == 2 else None
+    r = scale_r * _rand_pd(rng, n, 0.5)
+    inst = EEIInstance(mu=rng.uniform(1.1, 4.0), s_w=w, r=r, s_v=v)
+    seed = 4000 + n
+    g, frac = _drawn(seed, trials, n)[1:]
+    if draws == "at-cap":
+        frac = _at_cap_fractions(r, g, rng)
+    elif draws == "near-isotropic":
+        g, frac = _near_isotropic_draws(r, trials, rng)
+    elif draws == "near-tie":
+        g, frac = _near_tie_draws(g, frac)
+    elif draws == "near-held":
+        g, frac = _near_held_draws(g, rng)
+    if draws != "stock":
+        chunks = [(start, g[start:start + 1024], frac[start:start + 1024])
+                  for start in range(0, trials, 1024)]
+        monkeypatch.setattr("eeikit.oracle._trial_draws", lambda *_: iter(chunks))
+    # the optimum is not under test here
+    monkeypatch.setattr("eeikit.oracle.eei_optimum", lambda _: (None, 0.0, None))
+    rep = gaussian_search(inst, trials, seed)
+    return (rep.lhs, rep.params["best_trial"], rep.params["clipped"]), _brute_force_search(inst, g, frac)
 
 
 class TestGaussianSearch:
@@ -777,33 +846,47 @@ class TestGaussianSearch:
     def test_search_matches_brute_force(self, case, monkeypatch):
         # the pruned search reports the same lhs, earliest best trial and
         # clipped count, to the bit, as capping and scoring every trial
-        n, noises, scale_r, scale_w, trials, draws = _SEARCH_CASES[case]
-        rng = np.random.default_rng([31, n, noises, trials])
-        w = scale_w * _rand_pd(rng, n, 0.2)
-        v = w + scale_w * _rand_pd(rng, n, 0.1) if noises == 2 else None
-        r = scale_r * _rand_pd(rng, n, 0.5)
-        inst = EEIInstance(mu=rng.uniform(1.1, 4.0), s_w=w, r=r, s_v=v)
-        seed = 4000 + n
-        g, frac = _drawn(seed, trials, n)[1:]
-        if draws == "at-cap":
-            frac = _at_cap_fractions(r, g, rng)
-        elif draws == "near-isotropic":
-            g, frac = _near_isotropic_draws(r, trials, rng)
-        if draws != "stock":
-            chunks = ((start, g[start:start + 1024], frac[start:start + 1024])
-                      for start in range(0, trials, 1024))
-            monkeypatch.setattr("eeikit.oracle._trial_draws", lambda *_: chunks)
-        # the optimum is not under test here
-        monkeypatch.setattr("eeikit.oracle.eei_optimum", lambda _: (None, 0.0, None))
-        rep = gaussian_search(inst, trials, seed)
-        lhs, best, clipped = _brute_force_search(inst, g, frac)
-        assert (rep.lhs, rep.params["best_trial"], rep.params["clipped"]) == (lhs, best, clipped)
-        if n > 1 and trials > 1:
-            assert 0 < clipped < trials
+        searched, brute = _searched(case, monkeypatch)
+        assert searched == brute
+        n, _, _, _, trials, draws = _SEARCH_CASES[case]
+        if draws == "near-held":
+            assert brute[2] == trials
+        elif n > 1 and trials > 1:
+            assert 0 < brute[2] < trials
 
-    def test_eigvalsh_runs_on_few_trials(self, monkeypatch):
-        # on criterion 4's n = 4 instances the cap's trace bounds and the
-        # score bound leave few trials to eigendecompose
+    def test_score_pad_decides_near_ties(self, monkeypatch):
+        # in one dimension the trace bound is the score in exact arithmetic,
+        # so without its pad, rounding alone prunes a trial that ties the
+        # best: the search then reports a later trial, or a lower score
+        monkeypatch.setattr("eeikit.oracle._SCORE_PAD", 0.0)
+        cases = [case for case in _SEARCH_CASES if case.startswith("near-tie")]
+        agree = [searched == brute for searched, brute in (_searched(c, monkeypatch) for c in cases)]
+        assert not all(agree)
+
+    @pytest.mark.parametrize("noises", [1, 2])
+    @pytest.mark.parametrize("scale_w", [1e-6, 1e6, "thin"])
+    def test_trace_bound_is_above_every_score(self, scale_w, noises):
+        # the padded trace bound is at least the slogdet score of every
+        # trial of a chunk, at the scale the search gives it
+        for n in range(1, 7):
+            rng = np.random.default_rng([37, n, noises])
+            w = _noise(rng, n, scale_w, 0.2)
+            v = w + _noise(rng, n, 1.0 if scale_w == "thin" else scale_w, 0.1) if noises == 2 else None
+            r = _rand_pd(rng, n, 0.5)
+            mu = rng.uniform(1.1, 4.0)
+            _, g, frac = _drawn(41 + n, 1024, n)
+            mats = g @ g.transpose(0, 2, 1)
+            l_inv = np.linalg.inv(np.linalg.cholesky(r))
+            scales, _ = _capped_scales(mats, frac, l_inv, np.trace(r))
+            first, second = (0.0, w) if v is None else (w, v)
+            sigma = scales[:, None, None] * mats
+            score = _stacked_entropy(sigma + first) - mu * _stacked_entropy(sigma + second)
+            bound = _trace_bound(w, v, mu)(mats, scales, scales)
+            assert np.all(bound >= score), (n, np.min(bound - score))
+
+    @staticmethod
+    def _rows_on_criterion_4(monkeypatch, routine):
+        """Rows that ``np.linalg.<routine>`` sees in criterion 4's 25 n = 4 searches."""
         rng = np.random.default_rng(1004)
         searches = []
         for i in range(100):
@@ -813,18 +896,27 @@ class TestGaussianSearch:
             if n == 4:
                 searches.append((inst, 2000 + i))
         rows = []
-        eigvalsh = np.linalg.eigvalsh
+        counted_routine = getattr(np.linalg, routine)
 
         def counted(a, *args, **kwargs):
             rows.append(len(a))
-            return eigvalsh(a, *args, **kwargs)
+            return counted_routine(a, *args, **kwargs)
 
         monkeypatch.setattr("eeikit.oracle.eei_optimum", lambda _: (None, 0.0, None))
-        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        monkeypatch.setattr(np.linalg, routine, counted)
         for inst, seed in searches:
             gaussian_search(inst, 10_000, seed)
         assert len(searches) == 25
-        assert sum(rows) <= 0.15 * 25 * 10_000
+        return sum(rows)
+
+    def test_eigvalsh_runs_on_few_trials(self, monkeypatch):
+        # on criterion 4's n = 4 instances the cap's trace bounds and the
+        # score bounds leave few trials to eigendecompose
+        assert self._rows_on_criterion_4(monkeypatch, "eigvalsh") <= 0.15 * 25 * 10_000
+
+    def test_slogdet_runs_on_few_trials(self, monkeypatch):
+        # the trace bound leaves few trials for the slogdet pair
+        assert self._rows_on_criterion_4(monkeypatch, "slogdet") <= 0.3 * 2 * 25 * 10_000
 
     def test_draw_moments(self):
         # the direction factors are standard normal, the fractions in [0, 1)
